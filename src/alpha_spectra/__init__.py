@@ -12,7 +12,6 @@ complex multiplies -- (alpha*N/2)*log2(alpha) fewer than padding.
 
 from .core import (
     DenseFactor,
-    FrequencyGrid,
     IncompatibleAlphaError,
     Signal,
     Spectrum,
@@ -20,7 +19,6 @@ from .core import (
     ValidatedPair,
     bin_frequency,
     is_power_of_two,
-    make_dense_factor,
     validate_pair,
 )
 from .oracle import dft_matrix, naive_forward, naive_inverse, orthogonality_kernel
@@ -30,7 +28,6 @@ from .fastpath import (
     Plan,
     alpha_fft,
     combine,
-    leaf_block_sum,
     plan,
     predicted_adds,
     predicted_mults,
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DenseFactor",
-    "FrequencyGrid",
     "IncompatibleAlphaError",
     "Signal",
     "Spectrum",
@@ -63,7 +59,6 @@ __all__ = [
     "ValidatedPair",
     "bin_frequency",
     "is_power_of_two",
-    "make_dense_factor",
     "validate_pair",
     "dft_matrix",
     "naive_forward",
@@ -74,7 +69,6 @@ __all__ = [
     "Plan",
     "alpha_fft",
     "combine",
-    "leaf_block_sum",
     "plan",
     "predicted_adds",
     "predicted_mults",

@@ -12,28 +12,19 @@ this counting convention, not curve fits:
               the shrunken transform also runs fewer, shorter levels.
 
 Wall times use a minimum over repetitions of pre-planned transforms; plan
-construction is never timed.  Grid cells may be prepared across worker
-threads (ALPHA_SPECTRA_THREADS), but every timed section runs serially.
+construction is never timed.
 """
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import baseline, fastpath, oracle
-from .core import (
-    DenseFactor,
-    IncompatibleAlphaError,
-    Signal,
-    UnsupportedSizeError,
-    is_power_of_two,
-    validate_pair,
-)
+from .core import DenseFactor, Signal, validate_pair
+from .verify import random_unit_disk
 
 METHODS = ("alpha_fft", "zeropad_fft", "naive")
 
@@ -138,24 +129,6 @@ def write_records_csv(records, path) -> None:
             writer.writerow(record.to_row())
 
 
-def cell_validity(n: int, alpha: DenseFactor, method: str) -> tuple[bool, str]:
-    """Whether a grid cell can run, and if not, why."""
-    if method not in METHODS:
-        return False, f"unknown method {method!r}"
-    try:
-        _, m = validate_pair(n, alpha)
-    except IncompatibleAlphaError:
-        return False, f"alpha*N = {alpha.p * n}/{alpha.q} is not an integer"
-    if method == "alpha_fft" and not (is_power_of_two(n) and is_power_of_two(m)):
-        return False, f"N={n}, alpha*N={m} not both powers of two"
-    if method == "zeropad_fft":
-        if alpha.p < alpha.q:
-            return False, "zero-padding needs alpha >= 1"
-        if not is_power_of_two(m):
-            return False, f"padded length {m} not a power of two"
-    return True, ""
-
-
 def _min_wall_seconds(run, reps: int) -> float:
     best = None
     for _ in range(reps):
@@ -168,7 +141,11 @@ def _min_wall_seconds(run, reps: int) -> float:
 
 
 def _prepare_cell(n, alpha, method, signal):
-    """Build the timed closure and take the exact counts (untimed)."""
+    """Build the timed closure and take the exact counts (untimed).
+
+    Raises ValueError when the cell cannot run: alpha*N is not an integer,
+    the fast path's sizes are not powers of two, or padding would thin.
+    """
     m = validate_pair(n, alpha).m
     if method == "alpha_fft":
         p = fastpath.plan(n, alpha)
@@ -181,9 +158,10 @@ def _prepare_cell(n, alpha, method, signal):
 
         return run, counter.complex_mults, counter.complex_adds
     if method == "zeropad_fft":
+        padded = baseline.zero_pad(signal, alpha).samples
         p = fastpath.plan(m, DenseFactor(1))
         counter = fastpath.OpCounter()
-        fastpath.transform_samples(baseline.zero_pad(signal, alpha).samples, p, counter)
+        fastpath.transform_samples(padded, p, counter)
         x = signal.samples
 
         def run():
@@ -199,14 +177,6 @@ def _prepare_cell(n, alpha, method, signal):
     return run, n * m, (n - 1) * m
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ALPHA_SPECTRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_grid(
     ns,
     alphas,
@@ -218,50 +188,37 @@ def run_grid(
 ) -> list:
     """Measure every runnable (N, alpha, method) cell of the grid.
 
-    Returns one BenchRecord per runnable cell, in grid order.  Cells whose
-    pair or method is invalid are skipped, not fatal; pass a list through
-    ``skipped`` to collect them.  Signals are random complex samples from
-    the unit disk, deterministic in ``seed``, so counts are reproducible
-    (they do not depend on the data at all) and timings comparable.
+    Returns one BenchRecord per runnable cell, in grid order.  A cell whose
+    preparation raises ValueError (an invalid pair, or sizes the method
+    cannot take) is skipped, not fatal; pass a list through ``skipped`` to
+    collect them with the reason.  An unknown method raises ValueError up
+    front.  Signals are random complex samples from the unit disk,
+    deterministic in ``seed``, so counts are reproducible (they do not
+    depend on the data at all) and timings comparable.
 
     ``naive_reps`` bounds the repetitions of the naive method separately,
     since its quadratic cost makes 20 repeats impractical at large N.
-    Preparation (planning plus one counted run) may be spread over
-    ALPHA_SPECTRA_THREADS workers; the timing loop always runs serially.
     """
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
-    signals = {}
-    for n in sorted(set(ns)):
-        radius = np.sqrt(rng.uniform(0.0, 1.0, n))
-        angle = rng.uniform(0.0, 2.0 * np.pi, n)
-        signals[n] = Signal(radius * np.exp(1j * angle))
+    signals = {n: Signal(random_unit_disk(rng, n)) for n in sorted(set(ns))}
 
-    cells = []
+    records = []
     for n in ns:
         for alpha in alphas:
             for method in methods:
-                ok, reason = cell_validity(n, alpha, method)
-                if ok:
-                    cells.append((n, alpha, method))
-                elif skipped is not None:
-                    skipped.append(
-                        {"N": n, "alpha_p": alpha.p, "alpha_q": alpha.q,
-                         "method": method, "reason": reason}
-                    )
-
-    workers = _worker_count()
-    prep_args = [(n, alpha, method, signals[n]) for n, alpha, method in cells]
-    if workers > 1 and len(prep_args) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            prepared = list(pool.map(lambda args: _prepare_cell(*args), prep_args))
-    else:
-        prepared = [_prepare_cell(*args) for args in prep_args]
-
-    records = []
-    for (n, alpha, method), (run, mults, adds) in zip(cells, prepared):
-        cell_reps = min(reps, naive_reps) if method == "naive" else reps
-        wall = _min_wall_seconds(run, cell_reps)
-        records.append(BenchRecord(n, alpha, method, mults, adds, wall, cell_reps))
+                try:
+                    run, mults, adds = _prepare_cell(n, alpha, method, signals[n])
+                except ValueError as exc:
+                    if skipped is not None:
+                        skipped.append({"N": n, "alpha_p": alpha.p, "alpha_q": alpha.q,
+                                        "method": method, "reason": str(exc)})
+                    continue
+                cell_reps = min(reps, naive_reps) if method == "naive" else reps
+                wall = _min_wall_seconds(run, cell_reps)
+                records.append(BenchRecord(n, alpha, method, mults, adds, wall, cell_reps))
     return records
 
 

@@ -7,9 +7,10 @@ demo-sine  emit the half-sine demonstration curves and the analytic reference
 bench      run the operation-count/wall-time grid and judge the scaling claims
 verify     run the numerical cross-checking suites
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 alpha
-incompatible with the signal length, 4 size unsupported by the requested
-method, 5 benchmark claim failure.
+Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed
+input, an invalid argument or an unwritable output, 3 alpha incompatible
+with the signal length, 4 size unsupported by the requested method,
+5 benchmark claim failure.
 """
 
 import argparse
@@ -36,14 +37,37 @@ def _alpha_argument(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int_at_least(minimum):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int_argument = _int_at_least(1)
+_seed_argument = _int_at_least(0)  # numpy's default_rng rejects negative seeds
+
+
 def _int_list_argument(text):
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    values = [_positive_int_argument(part) for part in text.split(",") if part.strip()]
     if not values:
         raise argparse.ArgumentTypeError("list must not be empty")
     return values
+
+
+def _duration_argument(text):
+    try:
+        return io.check_duration(float(text))
+    except ValueError as exc:  # not a number, or io.SignalParseError
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _alpha_list_argument(text):
@@ -78,11 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--method", choices=("auto", "fft", "naive", "zeropad"),
                          default="auto",
                          help="auto picks the fast kernel when sizes allow, else naive")
-    compute.add_argument("--duration", type=float, default=None,
+    compute.add_argument("--duration", type=_duration_argument, default=None,
                          help="override the signal duration T in seconds")
 
     demo_cmd = sub.add_parser("demo-sine", help="emit the half-sine demo curves")
-    demo_cmd.add_argument("--n", type=int, default=64, help="signal length (default 64)")
+    demo_cmd.add_argument("--n", type=_positive_int_argument, default=64,
+                          help="signal length (default 64)")
     demo_cmd.add_argument("--alphas", type=_alpha_list_argument,
                           default=[DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)],
                           help="comma-separated densities (default 1,2,4,8)")
@@ -91,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd = sub.add_parser("bench", help="run the benchmark grid and judge scaling claims")
     bench_cmd.add_argument("--grid-n", type=_int_list_argument,
                            default=[64, 128, 256, 512, 1024],
-                           help="comma-separated signal lengths")
+                           help="comma-separated positive signal lengths")
     bench_cmd.add_argument("--grid-alpha", type=_alpha_list_argument,
                            default=[DenseFactor(1, 8), DenseFactor(1, 4), DenseFactor(1, 2),
                                     DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)],
@@ -99,17 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument("--methods", type=_method_list_argument,
                            default=["alpha_fft", "zeropad_fft"],
                            help="comma-separated methods (alpha_fft, zeropad_fft, naive)")
-    bench_cmd.add_argument("--reps", type=int, default=20,
+    bench_cmd.add_argument("--reps", type=_positive_int_argument, default=20,
                            help="timing repetitions per cell (default 20)")
-    bench_cmd.add_argument("--seed", type=int, default=0, help="signal RNG seed")
+    bench_cmd.add_argument("--seed", type=_seed_argument, default=0, help="signal RNG seed")
     bench_cmd.add_argument("--output", default=None, help="JSON report path")
     bench_cmd.add_argument("--csv", default=None, help="optional records CSV path")
 
     verify_cmd = sub.add_parser("verify", help="run numerical cross-checking suites")
-    verify_cmd.add_argument("--seed", type=int, default=0, help="RNG seed")
+    verify_cmd.add_argument("--seed", type=_seed_argument, default=0, help="RNG seed")
     verify_cmd.add_argument("--sizes", type=_int_list_argument,
                             default=list(verify.DEFAULT_SIZES),
-                            help="comma-separated signal lengths")
+                            help="comma-separated positive signal lengths")
     verify_cmd.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     return parser
@@ -121,7 +146,7 @@ def cmd_compute(args) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.input}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except io.SignalParseError as exc:
+    except (io.SignalParseError, UnicodeDecodeError) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     if args.duration is not None:
@@ -236,7 +261,11 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
         "verify": cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
 
 
 def entry() -> None:  # console-script hook

@@ -8,7 +8,6 @@ seconds.  alpha is kept as an exact reduced rational throughout so that
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -68,23 +67,11 @@ class DenseFactor:
             raise ValueError(f"cannot parse density factor from {text!r}") from None
         return cls(*numbers)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
-    @property
-    def value(self) -> float:
-        return self.p / self.q
-
     def __float__(self) -> float:
         return self.p / self.q
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
-
-
-def make_dense_factor(p: int, q: int = 1) -> DenseFactor:
-    """Reduced density factor p/q; rejects zero or negative terms."""
-    return DenseFactor(p, q)
 
 
 class ValidatedPair(NamedTuple):
@@ -185,35 +172,3 @@ class Spectrum:
     def frequencies(self) -> np.ndarray:
         # Same arithmetic as bin_frequency, elementwise, so the two agree exactly.
         return (np.arange(self.bins.size) * self.alpha.q) / (self.alpha.p * self.duration)
-
-    @property
-    def grid(self) -> "FrequencyGrid":
-        return FrequencyGrid(self.alpha, self.duration, self.bins.size)
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """The m -> frequency map of a density-alpha spectrum with ``size`` bins."""
-
-    alpha: DenseFactor
-    duration: float
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"grid needs at least one bin, got {self.size}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-
-    def frequency(self, m: int) -> float:
-        if not 0 <= m < self.size:
-            raise IndexError(f"bin index {m} outside [0, {self.size})")
-        return bin_frequency(m, self.alpha, self.duration)
-
-    def frequencies(self) -> np.ndarray:
-        return (np.arange(self.size) * self.alpha.q) / (self.alpha.p * self.duration)
-
-    @property
-    def upper_frequency(self) -> float:
-        """One spacing past the last bin; equals N/T (twice Nyquist) when size == alpha*N."""
-        return (self.size * self.alpha.q) / (self.alpha.p * self.duration)

@@ -62,11 +62,13 @@ class OpCounter:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """Precomputed recursion shape and twiddle tables for one (N, alpha).
+    """Precomputed recursion shape and twiddle table for one (N, alpha).
 
-    twiddles[k] serves the combines whose output length is m >> k, so
-    twiddles[0] belongs to the root merge and the tuple ends just above the
-    leaves.  Tables are built once from the exact angles 2*pi*l/(m >> k).
+    ``twiddles`` is the read-only root table exp(-2j*pi*l/m), l < m/2
+    (empty when depth is 0).  The combines whose output length is m >> k use every 2**k-th entry,
+    twiddles[::1 << k], which is bitwise the table built from the exact
+    angles 2*pi*l/(m >> k): both angles are the same quotient scaled by a
+    power of two.
     """
 
     n: int
@@ -74,8 +76,7 @@ class Plan:
     alpha: DenseFactor
     depth: int
     leaf: LeafKind
-    twiddles: tuple
-    predicted_mults: int
+    twiddles: np.ndarray
 
     @property
     def shape(self) -> tuple:
@@ -101,13 +102,10 @@ def plan(n: int, alpha: DenseFactor) -> Plan:
         )
     depth = min(n, m).bit_length() - 1
     leaf = LeafKind.SINGLE_SAMPLE if alpha.p >= alpha.q else LeafKind.BLOCK_SUM
-    tables = []
-    for k in range(depth):
-        size = m >> k
-        table = np.exp(-2j * np.pi * np.arange(size // 2) / size)
-        table.setflags(write=False)
-        tables.append(table)
-    return Plan(n, m, alpha, depth, leaf, tuple(tables), (m // 2) * depth)
+    # With no butterfly level (N = 1 or alpha*N = 1) no entry is ever read.
+    twiddles = np.exp(-2j * np.pi * np.arange(m // 2 if depth else 0) / m)
+    twiddles.setflags(write=False)
+    return Plan(n, m, alpha, depth, leaf, twiddles)
 
 
 def predicted_mults(p: Plan) -> int:
@@ -151,14 +149,6 @@ def combine(y, z, twiddles, counter: OpCounter | None = None) -> np.ndarray:
     return np.concatenate([y + t, y - t], axis=-1)
 
 
-def leaf_block_sum(block, counter: OpCounter | None = None) -> complex:
-    """Terminal 1 x (1/alpha) matrix apply: the plain sum of a sample block."""
-    block = np.asarray(block, dtype=np.complex128)
-    if counter is not None and block.size > 0:
-        counter.complex_adds += block.size - 1
-    return complex(block.sum())
-
-
 def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) -> np.ndarray:
     """Run the planned transform on a bare sample array; returns the bin array."""
     if x.shape != (p.n,):
@@ -177,7 +167,10 @@ def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) 
         # Rows [0, half) are the even-index children of rows in the merged
         # level, rows [half, 2*half) their odd siblings (residues r and
         # r + half modulo the parent stride).
-        level = combine(level[:half], level[half:], p.twiddles[k], counter)
+        # A contiguous copy of the strided table: the butterfly multiplies
+        # it against every row, and a strided operand slows that product.
+        twiddles = np.ascontiguousarray(p.twiddles[::1 << k])
+        level = combine(level[:half], level[half:], twiddles, counter)
     return np.array(level, dtype=np.complex128).reshape(p.m)
 
 

@@ -9,6 +9,7 @@ parsing an emitted file and re-emitting it reproduces the bytes.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,42 @@ def _parse_float(text, line):
         return float(text)
     except ValueError:
         raise SignalParseError(f"expected a number, got {text!r}", line) from None
+
+
+def check_duration(value) -> float:
+    """``value`` as a duration in seconds, or SignalParseError.
+
+    A duration must be a real number (not a bool), finite and positive.
+    """
+    if type(value) in (int, float) and 0 < value <= sys.float_info.max:
+        return float(value)
+    raise SignalParseError(f"duration T must be a positive finite number, got {value!r}")
+
+
+def _checked_signal(samples, times, declared, line_of=lambda position: 1) -> Signal:
+    """The checks every signal reader shares, then the Signal.
+
+    Samples and times must be finite, and times uniformly spaced.  The
+    duration is the declared T when there is one (``declared`` is None
+    otherwise), else N times the time step when there is a time column,
+    else one second.  ``line_of`` maps a sample position to the 1-based
+    line reported in errors.
+    """
+    for what, values in (("sample", samples), ("time", times)):
+        if values is not None:
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise SignalParseError(f"{what} {bad[0]} is not finite", line_of(bad[0]))
+    duration = 1.0
+    if times is not None and times.size >= 2:
+        steps = np.diff(times)
+        mean_step = float(np.mean(steps))
+        if not (mean_step > 0 and np.max(np.abs(steps - mean_step)) <= TIME_UNIFORMITY_RTOL * mean_step):
+            raise SignalParseError("time values are not uniformly spaced", line_of(times.size - 1))
+        duration = mean_step * times.size
+    if declared is not None:
+        duration = declared
+    return Signal(samples, check_duration(duration))
 
 
 def _parse_metadata(line_text, line_no, metadata):
@@ -91,8 +128,9 @@ def read_signal_csv(path) -> Signal:
     if not rows:
         raise SignalParseError("no sample rows found")
 
+    samples = np.empty(len(rows), dtype=np.complex128)
+    times = None
     if header == ["index", "re", "im"]:
-        samples = np.empty(len(rows), dtype=np.complex128)
         for position, (line_no, cells) in enumerate(rows):
             try:
                 index = int(cells[0])
@@ -101,31 +139,25 @@ def read_signal_csv(path) -> Signal:
             if index != position:
                 raise SignalParseError(f"index {index} out of order (expected {position})", line_no)
             samples[position] = complex(_parse_float(cells[1], line_no), _parse_float(cells[2], line_no))
-        duration = metadata.get("T", 1.0)
     else:
         times = np.empty(len(rows))
-        samples = np.empty(len(rows), dtype=np.complex128)
         for position, (line_no, cells) in enumerate(rows):
             times[position] = _parse_float(cells[0], line_no)
             samples[position] = _parse_float(cells[1], line_no)
-        if len(rows) >= 2:
-            steps = np.diff(times)
-            mean_step = float(np.mean(steps))
-            if mean_step <= 0 or np.max(np.abs(steps - mean_step)) > TIME_UNIFORMITY_RTOL * abs(mean_step):
-                raise SignalParseError(
-                    "time column is not uniformly spaced", rows[-1][0]
-                )
-            duration = metadata.get("T", mean_step * len(rows))
-        else:
-            duration = metadata.get("T", 1.0)
-
     if "N" in metadata and metadata["N"] != len(samples):
         raise SignalParseError(
             f"metadata declares N={metadata['N']} but file holds {len(samples)} rows"
         )
-    if not duration > 0:
-        raise SignalParseError(f"duration must be positive, got {duration}")
-    return Signal(samples, duration)
+    return _checked_signal(samples, times, metadata.get("T"), lambda position: rows[position][0])
+
+
+def _json_reals(entries, key) -> np.ndarray:
+    if not all(type(entry) in (int, float) for entry in entries):
+        raise SignalParseError(f"'{key}' entries must be numbers", 1)
+    try:
+        return np.array(entries, dtype=float)
+    except OverflowError:
+        raise SignalParseError(f"'{key}' holds a number too large for a float", 1) from None
 
 
 def read_signal_json(path) -> Signal:
@@ -140,27 +172,32 @@ def read_signal_json(path) -> Signal:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SignalParseError(exc.msg, exc.lineno) from None
+    except ValueError as exc:  # bytes that are not text, or an integer past the digit limit
+        raise SignalParseError(str(exc), 1) from None
     if not isinstance(payload, dict):
         raise SignalParseError("top-level JSON value must be an object", 1)
-    duration = payload.get("T", None)
+    declared = payload.get("T")
 
     if "samples" in payload:
         entries = payload["samples"]
         if not isinstance(entries, list) or not entries:
             raise SignalParseError("'samples' must be a non-empty list", 1)
         samples = np.empty(len(entries), dtype=np.complex128)
-        for position, entry in enumerate(entries):
-            if isinstance(entry, (int, float)):
-                samples[position] = complex(entry, 0.0)
-            elif isinstance(entry, list) and len(entry) == 2 and all(
-                isinstance(part, (int, float)) for part in entry
-            ):
-                samples[position] = complex(entry[0], entry[1])
-            else:
-                raise SignalParseError(
-                    f"sample {position} must be a number or [re, im] pair", 1
-                )
-        return Signal(samples, 1.0 if duration is None else duration)
+        try:
+            for position, entry in enumerate(entries):
+                if type(entry) in (int, float):
+                    samples[position] = complex(entry, 0.0)
+                elif isinstance(entry, list) and len(entry) == 2 and all(
+                    type(part) in (int, float) for part in entry
+                ):
+                    samples[position] = complex(entry[0], entry[1])
+                else:
+                    raise SignalParseError(
+                        f"sample {position} must be a number or [re, im] pair", 1
+                    )
+        except OverflowError:
+            raise SignalParseError(f"sample {position} is too large for a float", 1) from None
+        return _checked_signal(samples, None, declared)
 
     if "time" in payload and "value" in payload:
         times = payload["time"]
@@ -172,14 +209,7 @@ def read_signal_json(path) -> Signal:
             or not times
         ):
             raise SignalParseError("'time' and 'value' must be equal-length non-empty lists", 1)
-        steps = np.diff(np.asarray(times, dtype=float))
-        if len(times) >= 2:
-            mean_step = float(np.mean(steps))
-            if mean_step <= 0 or np.max(np.abs(steps - mean_step)) > TIME_UNIFORMITY_RTOL * abs(mean_step):
-                raise SignalParseError("time values are not uniformly spaced", 1)
-            if duration is None:
-                duration = mean_step * len(times)
-        return Signal(np.asarray(values, dtype=float), 1.0 if duration is None else duration)
+        return _checked_signal(_json_reals(values, "value"), _json_reals(times, "time"), declared)
 
     raise SignalParseError("JSON object needs either 'samples' or 'time'+'value'", 1)
 

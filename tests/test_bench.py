@@ -13,7 +13,7 @@ from alpha_spectra import (
     make_report,
     run_grid,
 )
-from alpha_spectra.bench import cell_validity, write_records_csv
+from alpha_spectra.bench import write_records_csv
 
 FAST_KW = dict(reps=2, naive_reps=1)
 
@@ -52,17 +52,25 @@ def test_record_validation():
     (12, DenseFactor(3, 2), "naive", True),       # naive has no size limits
     (8, DenseFactor(1, 3), "naive", False),       # M = 8/3 not an integer
     (8, DenseFactor(1, 2), "zeropad_fft", False),  # padding cannot thin
-    (8, DenseFactor(2), "typo", False),
 ])
 def test_cell_validity(n, alpha, method, ok):
-    valid, reason = cell_validity(n, alpha, method)
-    assert valid is ok
-    assert (reason == "") == ok
+    skipped = []
+    records = run_grid([n], [alpha], methods=(method,), skipped=skipped, **FAST_KW)
+    assert len(records) == int(ok)
+    assert len(skipped) == int(not ok)
+    assert all(s["reason"] for s in skipped)
 
 
 def test_cell_validity_reason_text():
-    _, reason = cell_validity(8, DenseFactor(1, 3), "naive")
-    assert reason == "alpha*N = 8/3 is not an integer"
+    skipped = []
+    run_grid([8], [DenseFactor(1, 3)], methods=("naive",), skipped=skipped, **FAST_KW)
+    (cell,) = skipped
+    assert "alpha*N = 8/3 is not an integer" in cell["reason"]
+
+
+def test_grid_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'typo'"):
+        run_grid([8], [DenseFactor(2)], methods=("alpha_fft", "typo"), **FAST_KW)
 
 
 # ------------------------------------------------------------------ run_grid
@@ -95,15 +103,12 @@ def test_grid_collects_skips():
     assert all(s["reason"] for s in skipped)
 
 
-def test_grid_counts_deterministic_across_runs_and_threads(monkeypatch):
+def test_grid_counts_deterministic_across_runs():
     grid = dict(ns=[64, 128], alphas=[DenseFactor(1, 2), DenseFactor(1), DenseFactor(2)])
-    serial = run_grid(**grid, **FAST_KW)
+    first = run_grid(**grid, **FAST_KW)
     again = run_grid(**grid, **FAST_KW)
-    monkeypatch.setenv("ALPHA_SPECTRA_THREADS", "4")
-    threaded = run_grid(**grid, **FAST_KW)
-    keys = [(r.n, r.alpha, r.method, r.complex_mults, r.complex_adds) for r in serial]
+    keys = [(r.n, r.alpha, r.method, r.complex_mults, r.complex_adds) for r in first]
     assert keys == [(r.n, r.alpha, r.method, r.complex_mults, r.complex_adds) for r in again]
-    assert keys == [(r.n, r.alpha, r.method, r.complex_mults, r.complex_adds) for r in threaded]
 
 
 # -------------------------------------------------------------- claim checks

@@ -183,3 +183,73 @@ def test_verify_reports_failure(capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "worst case" in captured.err
+
+
+# ---------------------------------------------------------- boundary probes
+
+def single_error_line(err):
+    """The one stderr line that reports the error; fails on a traceback."""
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("t_text.json", '{"T": "abc", "samples": [1, 2]}'),
+    ("t_negative.json", '{"T": -1, "samples": [1, 2]}'),
+    ("nan.csv", "index,re,im\n0,nan,0\n1,1,0\n"),
+    ("nan.json", '{"samples": [NaN, 1]}'),
+    ("overflow.json", '{"samples": [1e400, 1]}'),
+    ("bool.json", '{"samples": [true, 1]}'),
+    ("huge_int.json", '{"samples": [1' + "0" * 400 + ', 1]}'),
+    ("text_time.json", '{"time": [0, "a"], "value": [1, 2]}'),
+    ("nested_value.json", '{"time": [0, 1], "value": [[1], 2]}'),
+    ("latin1.csv", b"index,re,im\n0,\xff,0\n"),
+])
+def test_compute_rejects_bad_input(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = run(["compute", "--input", str(path), "--output", str(tmp_path / "out.csv")])
+    assert code == cli.EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.splitlines() == [single_error_line(err)]
+    assert err.startswith(f"error: {path}: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--reps", "0"],
+    ["bench", "--grid-n", "0"],
+    ["bench", "--grid-n", "64,-8"],
+    ["bench", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
+    ["verify", "--sizes", "0"],
+    ["demo-sine", "--output", "unused", "--n", "0"],
+    ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "-1"],
+    ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "nan"],
+    ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "inf"],
+])
+def test_invalid_numeric_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert f"error: argument {argv[-2]}" in single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", "{signal}", "--output", "{blocked}/out.csv"],
+    ["compute", "--input", "{tmp}", "--output", "{tmp}/out.csv"],
+    ["bench", "--grid-n", "64", "--grid-alpha", "2", "--reps", "1", "--output", "{blocked}/r.json"],
+    ["bench", "--grid-n", "64", "--grid-alpha", "2", "--reps", "1", "--csv", "{blocked}/r.csv"],
+    ["demo-sine", "--n", "8", "--output", "{blocked}/demo"],
+], ids=["compute-output", "compute-input-directory", "bench-output", "bench-csv", "demo-output"])
+def test_unusable_path_exits_2(signal_file, tmp_path, capsys, argv):
+    # "blocked" is a regular file, so no path below it can be created.
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    argv = [arg.format(signal=signal_file, blocked=blocked, tmp=tmp_path) for arg in argv]
+    assert run(argv) == cli.EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.splitlines() == [single_error_line(err)]
+    assert err.startswith("error: ")

@@ -3,19 +3,17 @@ import pytest
 
 from alpha_spectra import (
     DenseFactor,
-    FrequencyGrid,
     IncompatibleAlphaError,
     Signal,
     Spectrum,
     bin_frequency,
     is_power_of_two,
-    make_dense_factor,
     validate_pair,
 )
 
 
 def test_dense_factor_reduces():
-    assert make_dense_factor(6, 4) == DenseFactor(3, 2)
+    assert DenseFactor(6, 4) == DenseFactor(3, 2)
     assert DenseFactor(8, 2) == DenseFactor(4, 1)
     assert DenseFactor(5).q == 1
     assert str(DenseFactor(2)) == "2/1"
@@ -24,7 +22,7 @@ def test_dense_factor_reduces():
 @pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (-2, 1), (1, -3), (0, 0)])
 def test_dense_factor_rejects_nonpositive(p, q):
     with pytest.raises(ValueError):
-        make_dense_factor(p, q)
+        DenseFactor(p, q)
 
 
 def test_dense_factor_rejects_floats():
@@ -142,15 +140,8 @@ def test_frequency_grid_span():
     # One spacing past the last bin is N/T: twice the Nyquist rate.
     n, alpha, duration = 16, DenseFactor(4), 2.0
     m = validate_pair(n, alpha).m
-    grid = FrequencyGrid(alpha, duration, m)
-    assert grid.upper_frequency == n / duration
-    assert grid.frequency(0) == 0.0
+    assert bin_frequency(m, alpha, duration) == n / duration
+    spectrum = Spectrum(np.zeros(m), n, alpha, duration)
+    assert spectrum.bin_frequency(0) == 0.0
     with pytest.raises(IndexError):
-        grid.frequency(m)
-    assert np.array_equal(grid.frequencies(), Spectrum(np.zeros(m), n, alpha, duration).frequencies)
-
-
-def test_spectrum_grid_property():
-    spectrum = Spectrum(np.zeros(8), 4, DenseFactor(2), duration=0.5)
-    assert spectrum.grid.size == 8
-    assert spectrum.grid.frequency(3) == spectrum.bin_frequency(3)
+        spectrum.bin_frequency(m)

@@ -9,7 +9,6 @@ from alpha_spectra import (
     UnsupportedSizeError,
     alpha_fft,
     combine,
-    leaf_block_sum,
     naive_forward,
     plan,
     predicted_adds,
@@ -39,21 +38,21 @@ def test_plan_depth_example():
     assert p.depth == 3
     assert p.shape == (16, 8)
     assert p.leaf is LeafKind.SINGLE_SAMPLE
-    assert len(p.twiddles) == 3
-    assert [len(t) for t in p.twiddles] == [8, 4, 2]
+    assert p.twiddles.shape == (8,)
+    assert [len(p.twiddles[::1 << k]) for k in range(p.depth)] == [8, 4, 2]
 
 
 def test_plan_block_sum_leaf():
     p = plan(8, DenseFactor(1, 4))
     assert p.depth == 1  # log2(min(8, 2))
     assert p.leaf is LeafKind.BLOCK_SUM
-    assert [len(t) for t in p.twiddles] == [1]
+    assert p.twiddles.shape == (1,)
 
 
 def test_plan_degenerate_sizes():
     assert plan(1, DenseFactor(8)).depth == 0
     assert plan(8, DenseFactor(1, 8)).depth == 0
-    assert plan(1, DenseFactor(1)).predicted_mults == 0
+    assert predicted_mults(plan(1, DenseFactor(1))) == 0
 
 
 @pytest.mark.parametrize("n, alpha", [
@@ -73,26 +72,28 @@ def test_plan_depth_is_log_of_small_side():
 
 
 def test_twiddle_tables_match_exact_angles():
-    p = plan(16, DenseFactor(4))
-    for k, table in enumerate(p.twiddles):
-        size = p.m >> k
-        expected = np.exp(-2j * np.pi * np.arange(size // 2) / size)
-        assert np.array_equal(table, expected)
-        with pytest.raises(ValueError):
-            table[0] = 0  # read-only
+    # Level k reads every 2**k-th root entry; that view must equal, bit for
+    # bit, the table built from the exact angles of its own length.
+    for n, alpha in valid_power_pairs([1, 2, 4, 16, 128, 1024]):
+        p = plan(n, alpha)
+        for k in range(p.depth):
+            size = p.m >> k
+            expected = np.exp(-2j * np.pi * np.arange(size // 2) / size)
+            assert p.twiddles[::1 << k].tobytes() == expected.tobytes(), (n, str(alpha), k)
+    with pytest.raises(ValueError):
+        plan(16, DenseFactor(4)).twiddles[0] = 0  # read-only
 
 
 def test_twiddle_recurrence_and_halving_properties():
     # W^(l+1) = W^1 * W^l, the half-size table is every other entry of the
     # full one, and the second half of the circle is the negated first half.
     for m in [4, 16, 256, 4096]:
-        p = plan(m, DenseFactor(1))
-        root = p.twiddles[0]
+        root = plan(m, DenseFactor(1)).twiddles
         w1 = root[1]
         step_error = np.max(np.abs(root[1:] - w1 * root[:-1]))
         assert step_error < 1e-12
-        if len(p.twiddles) > 1:
-            assert np.max(np.abs(p.twiddles[1] - root[::2])) < 1e-15
+        half = np.exp(-2j * np.pi * np.arange(m // 4) / (m // 2))
+        assert np.max(np.abs(half - root[::2])) < 1e-15
         mirrored = np.exp(-2j * np.pi * (np.arange(m // 2) + m // 2) / m)
         assert np.max(np.abs(mirrored + root)) < 1e-12
 
@@ -126,16 +127,6 @@ def test_combine_rejects_mismatched_halves():
         combine(np.ones(2), np.ones(2), np.ones(3))
 
 
-def test_leaf_block_sum_is_multiplication_free():
-    counter = OpCounter()
-    rng = np.random.default_rng(2)
-    block = unit_disk(rng, 8)
-    value = leaf_block_sum(block, counter)
-    assert value == complex(block.sum())
-    assert counter.complex_mults == 0
-    assert counter.complex_adds == 7
-
-
 # ------------------------------------------------------------- full transform
 
 def test_impulse_spreads_flat():
@@ -165,7 +156,6 @@ def test_predicted_mults_frozen_values():
     assert predicted_mults(plan(8, DenseFactor(1))) == 12
     assert predicted_mults(plan(8, DenseFactor(2))) == 24
     assert predicted_mults(plan(8, DenseFactor(1, 4))) == 1
-    assert plan(8, DenseFactor(2)).predicted_mults == 24
 
 
 def test_counter_matches_closed_forms():

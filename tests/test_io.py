@@ -87,6 +87,8 @@ def test_nonuniform_times_are_rejected(tmp_path):
     ("index,re,im\n0,1,0\n2,1,0\n", 3, "out of order"),
     ("index,re,im\n0,1,0,9\n", 2, "columns"),
     ("# N=nine\nindex,re,im\n0,1,0\n", 1, "integer N"),
+    ("index,re,im\n0,1,0\n1,nan,0\n", 3, "sample 1 is not finite"),
+    ("time,value\n0,1\ninf,2\n", 3, "time 1 is not finite"),
 ])
 def test_csv_errors_carry_line_numbers(tmp_path, body, bad_line, fragment):
     path = write(tmp_path, "s.csv", body)
@@ -130,6 +132,18 @@ def test_json_time_value_form(tmp_path):
     ({"time": [0.0, 0.1, 0.9], "value": [1, 2, 3]}, "uniformly spaced"),
     ({}, "needs either"),
     ([1, 2], "must be an object"),
+    ({"T": "abc", "samples": [1]}, "duration T must be a positive finite number"),
+    ({"T": -1, "samples": [1]}, "duration T must be a positive finite number"),
+    ({"T": True, "samples": [1]}, "duration T must be a positive finite number"),
+    ({"samples": [1, float("nan")]}, "sample 1 is not finite"),
+    ({"samples": [[0.0, float("-inf")]]}, "sample 0 is not finite"),
+    ({"samples": [True]}, "pair"),
+    ({"samples": [[1.0, False]]}, "pair"),
+    ({"samples": [10 ** 400]}, "too large"),
+    ({"time": [0, "a"], "value": [1, 2]}, "'time' entries must be numbers"),
+    ({"time": [0, 1], "value": [[1], 2]}, "'value' entries must be numbers"),
+    ({"time": [0, 1], "value": [1, 10 ** 400]}, "too large"),
+    ({"time": [0.0, float("inf")], "value": [1, 2]}, "time 1 is not finite"),
 ])
 def test_json_shape_errors(tmp_path, payload, fragment):
     path = write(tmp_path, "s.json", json.dumps(payload))
