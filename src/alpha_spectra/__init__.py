@@ -15,8 +15,8 @@ from .core import (
     IncompatibleAlphaError,
     Signal,
     Spectrum,
+    TooManyBinsError,
     UnsupportedSizeError,
-    ValidatedPair,
     bin_frequency,
     is_power_of_two,
     validate_pair,
@@ -55,8 +55,8 @@ __all__ = [
     "IncompatibleAlphaError",
     "Signal",
     "Spectrum",
+    "TooManyBinsError",
     "UnsupportedSizeError",
-    "ValidatedPair",
     "bin_frequency",
     "is_power_of_two",
     "validate_pair",

@@ -146,7 +146,7 @@ def _prepare_cell(n, alpha, method, signal):
     Raises ValueError when the cell cannot run: alpha*N is not an integer,
     the fast path's sizes are not powers of two, or padding would thin.
     """
-    m = validate_pair(n, alpha).m
+    _, m = validate_pair(n, alpha)
     if method == "alpha_fft":
         p = fastpath.plan(n, alpha)
         counter = fastpath.OpCounter()
@@ -249,7 +249,7 @@ def check_alpha_gt1_savings(records) -> ClaimVerdict:
         if padded is None:
             continue
         j, pad = padded
-        m = validate_pair(n, alpha).m
+        _, m = validate_pair(n, alpha)
         expected = (m // 2) * _log2_int(alpha.p // alpha.q)
         gap = pad.complex_mults - fast.complex_mults
         ok = gap == expected and gap > 0
@@ -285,7 +285,7 @@ def check_alpha_lt1_savings(records, min_m: int = 16) -> ClaimVerdict:
         full = by_cell.get((n, one, "alpha_fft"))
         if full is None:
             continue
-        m = validate_pair(n, alpha).m
+        _, m = validate_pair(n, alpha)
         if m < min_m:
             verdict.warnings.append(
                 f"N={n}, alpha={alpha}: alpha*N={m} < {min_m}, excluded from the claim"
@@ -322,7 +322,7 @@ def fit_complexity(records, residual_limit: float = 0.01) -> FitResult:
     """
     ids, features, counts = [], [], []
     for i, record in enumerate(records):
-        m = validate_pair(record.n, record.alpha).m
+        _, m = validate_pair(record.n, record.alpha)
         small = min(record.n, m)
         if small == 1:
             continue  # log term vanishes; the cell carries no scaling information

@@ -10,7 +10,8 @@ verify     run the numerical cross-checking suites
 Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed
 input, an invalid argument or an unwritable output, 3 alpha incompatible
 with the signal length, 4 size unsupported by the requested method,
-5 benchmark claim failure.
+5 benchmark claim failure, 6 result not representable: more than
+core.MAX_BINS bins, or a spectrum whose bins overflow a double.
 """
 
 import argparse
@@ -20,7 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, bench, demo, fastpath, io, oracle, verify
-from .core import DenseFactor, IncompatibleAlphaError, Signal, Spectrum, UnsupportedSizeError
+from .core import (
+    DenseFactor,
+    IncompatibleAlphaError,
+    Signal,
+    Spectrum,
+    TooManyBinsError,
+    UnsupportedSizeError,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -28,6 +36,7 @@ EXIT_PARSE_ERROR = 2
 EXIT_BAD_ALPHA = 3
 EXIT_BAD_SIZE = 4
 EXIT_CLAIM_FAILED = 5
+EXIT_NOT_REPRESENTABLE = 6
 
 
 def _alpha_argument(text):
@@ -140,6 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Overflow to inf (and inf - inf to nan) in the transform is reported as exit
+# code 6 naming the first non-finite bin, not as a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_compute(args) -> int:
     try:
         signal = io.read_signal(args.input)
@@ -176,6 +188,14 @@ def cmd_compute(args) -> int:
     except UnsupportedSizeError as exc:
         print(f"error: {exc} (try --method naive)", file=sys.stderr)
         return EXIT_BAD_SIZE
+    except TooManyBinsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_REPRESENTABLE
+    bad = np.flatnonzero(~np.isfinite(spectrum.bins))
+    if bad.size:
+        print(f"error: bin {bad[0]} is not finite: the spectrum overflows a double",
+              file=sys.stderr)
+        return EXIT_NOT_REPRESENTABLE
 
     io.write_spectrum(spectrum, args.output, method)
     print(f"wrote {spectrum.m} bins (N={spectrum.origin_n}, alpha={alpha}, method={method}) "
@@ -188,6 +208,9 @@ def cmd_demo_sine(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         curves = demo.sine_demo(args.n, args.alphas)
+    except TooManyBinsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_REPRESENTABLE
     except (IncompatibleAlphaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ALPHA

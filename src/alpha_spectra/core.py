@@ -8,7 +8,6 @@ seconds.  alpha is kept as an exact reduced rational throughout so that
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +27,20 @@ class IncompatibleAlphaError(ValueError):
 
 class UnsupportedSizeError(ValueError):
     """The fast transform needs power-of-two sizes; fall back to the naive path."""
+
+
+#: Most bins (alpha*N) any transform or Spectrum may hold: 2**28 complex
+#: bins take 4 GiB, so a larger request is refused before anything is allocated.
+MAX_BINS = 1 << 28
+
+
+class TooManyBinsError(ValueError):
+    """alpha*N exceeds MAX_BINS."""
+
+    def __init__(self, n, m):
+        self.n = n
+        self.m = m
+        super().__init__(f"alpha*N = {m} bins for N={n} exceeds the limit of {MAX_BINS} bins")
 
 
 def is_power_of_two(n: int) -> bool:
@@ -74,22 +87,21 @@ class DenseFactor:
         return f"{self.p}/{self.q}"
 
 
-class ValidatedPair(NamedTuple):
-    n: int
-    m: int
-
-
-def validate_pair(n: int, alpha: DenseFactor) -> ValidatedPair:
+def validate_pair(n: int, alpha: DenseFactor) -> tuple[int, int]:
     """Check that alpha*N is a positive integer and return (N, M=alpha*N).
 
-    Because alpha is reduced, this succeeds exactly when q divides N.
+    Because alpha is reduced, the product is an integer exactly when q
+    divides N.  M above MAX_BINS raises TooManyBinsError.
     """
     if n < 1:
         raise ValueError(f"signal length must be >= 1, got {n}")
     numerator = n * alpha.p
     if numerator % alpha.q != 0:
         raise IncompatibleAlphaError(n, alpha.p, alpha.q)
-    return ValidatedPair(n, numerator // alpha.q)
+    m = numerator // alpha.q
+    if m > MAX_BINS:
+        raise TooManyBinsError(n, m)
+    return n, m
 
 
 def bin_frequency(m: int, alpha: DenseFactor, duration: float = 1.0) -> float:

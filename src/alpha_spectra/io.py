@@ -6,6 +6,15 @@ JSON.  Spectra go out as CSV with ``# N=", "# alpha=p/q``, ``# T=`` and
 ``# method=`` metadata followed by ``m,freq,re,im,magnitude`` rows.  Floats
 are rendered with 17 significant digits, which round-trips doubles exactly:
 parsing an emitted file and re-emitting it reproduces the bytes.
+
+The CSV paths work on whole columns.  A reader makes one pass over the
+lines for metadata, the header and the column count, then parses each
+number column with numpy, which applies Python's ``float`` to every cell;
+only when numpy rejects a column are the rows walked cell by cell, to name
+the first bad cell and its line.  The spectrum writer takes ``freq`` from
+``Spectrum.frequencies`` and ``magnitude`` from ``np.hypot``, bitwise the
+values of ``bin_frequency`` and of ``abs`` of each bin, and the writers
+format and write their rows WRITE_BLOCK_ROWS at a time.
 """
 
 import json
@@ -14,10 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DenseFactor, Signal, Spectrum, bin_frequency
+from .core import DenseFactor, Signal, Spectrum
 
 #: Relative tolerance when checking that a time column is uniformly spaced.
 TIME_UNIFORMITY_RTOL = 1e-9
+
+#: Rows a writer formats per write: bounds the text held in memory.
+WRITE_BLOCK_ROWS = 4096
+
+#: Accepted CSV headers, each with the label of its index column (None when
+#: there is none) and the positions of the float columns the reader returns.
+_SIGNAL_LAYOUTS = {("index", "re", "im"): ("index", (1, 2)), ("time", "value"): (None, (0, 1))}
+_SPECTRUM_LAYOUTS = {("m", "freq", "re", "im", "magnitude"): ("bin index", (2, 3))}
 
 
 class SignalParseError(ValueError):
@@ -97,11 +114,53 @@ def _parse_metadata(line_text, line_no, metadata):
             metadata["method"] = raw.strip()
 
 
-def read_signal_csv(path) -> Signal:
-    """Parse a signal CSV; raises SignalParseError with a line number on failure."""
+def _parse_columns(rows, line_nos, index_label, positions) -> list:
+    """The float columns at ``positions`` of a CSV's data lines, as arrays.
+
+    ``rows`` are stripped lines with equal comma counts and ``line_nos``
+    their 1-based line numbers.  With an ``index_label``, column 0 must read
+    0, 1, 2, ... as integers.  A malformed file raises the error of its
+    first bad row, the row's cells checked from the left.
+    """
+    width = rows[0].count(",") + 1
+    cells = ",".join(rows).split(",")
+    try:
+        if index_label is None or cells[::width] == list(map(str, range(len(rows)))):
+            return [np.array(cells[k::width], dtype=float) for k in positions]
+    except ValueError:  # some cell is not a number to Python's float
+        pass
+    # Cell by cell, stripped: float() rejects some characters that strip() removes.
+    cells = [cell.strip() for cell in cells]
+    for position, line_no in enumerate(line_nos):
+        row = cells[position * width:(position + 1) * width]
+        if index_label is not None:
+            try:
+                index = int(row[0])
+            except ValueError:
+                raise SignalParseError(
+                    f"expected an integer {index_label}, got {row[0]!r}", line_no
+                ) from None
+            if index != position:
+                raise SignalParseError(
+                    f"{index_label} {index} out of order (expected {position})", line_no
+                )
+        for k in positions:
+            _parse_float(row[k], line_no)
+    return [np.array(cells[k::width], dtype=float) for k in positions]
+
+
+def _read_csv(path, layouts):
+    """One pass over a CSV's lines, then its float columns.
+
+    ``layouts`` maps each accepted lower-case header to its index label and
+    float column positions (see _SIGNAL_LAYOUTS).  Returns (metadata,
+    header, columns, line_nos): ``columns`` is None when there is no data
+    row, and ``line_nos`` holds each data row's 1-based line.
+    """
     metadata = {}
     header = None
     rows = []
+    line_nos = []
     with open(path, "r", newline="") as fh:
         for line_no, raw in enumerate(fh, start=1):
             text = raw.strip()
@@ -109,46 +168,48 @@ def read_signal_csv(path) -> Signal:
                 continue
             if text.startswith("#"):
                 _parse_metadata(text, line_no, metadata)
-                continue
-            cells = [cell.strip() for cell in text.split(",")]
-            if header is None:
-                header = [cell.lower() for cell in cells]
-                if header not in (["index", "re", "im"], ["time", "value"]):
-                    raise SignalParseError(
-                        f"expected header 'index,re,im' or 'time,value', got {text!r}", line_no
-                    )
-                continue
-            if len(cells) != len(header):
+            elif header is None:
+                header = tuple(cell.strip().lower() for cell in text.split(","))
+                if header not in layouts:
+                    expected = " or ".join(f"'{','.join(names)}'" for names in layouts)
+                    raise SignalParseError(f"expected header {expected}, got {text!r}", line_no)
+                commas = len(header) - 1
+            elif text.count(",") != commas:
                 raise SignalParseError(
-                    f"expected {len(header)} columns, got {len(cells)}", line_no
+                    f"expected {len(header)} columns, got {text.count(',') + 1}", line_no
                 )
-            rows.append((line_no, cells))
+            else:
+                rows.append(text)
+                line_nos.append(line_no)
+    columns = _parse_columns(rows, line_nos, *layouts[header]) if rows else None
+    return metadata, header, columns, line_nos
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i*im elementwise; unlike ``re + 1j*im``, keeps -0.0 imaginary parts."""
+    out = np.empty(np.size(re), dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def read_signal_csv(path) -> Signal:
+    """Parse a signal CSV; raises SignalParseError with a line number on failure."""
+    metadata, header, columns, line_nos = _read_csv(path, _SIGNAL_LAYOUTS)
     if header is None:
         raise SignalParseError("no header row found")
-    if not rows:
+    if columns is None:
         raise SignalParseError("no sample rows found")
-
-    samples = np.empty(len(rows), dtype=np.complex128)
-    times = None
-    if header == ["index", "re", "im"]:
-        for position, (line_no, cells) in enumerate(rows):
-            try:
-                index = int(cells[0])
-            except ValueError:
-                raise SignalParseError(f"expected an integer index, got {cells[0]!r}", line_no) from None
-            if index != position:
-                raise SignalParseError(f"index {index} out of order (expected {position})", line_no)
-            samples[position] = complex(_parse_float(cells[1], line_no), _parse_float(cells[2], line_no))
+    if header == ("index", "re", "im"):
+        samples, times = _complex(*columns), None
     else:
-        times = np.empty(len(rows))
-        for position, (line_no, cells) in enumerate(rows):
-            times[position] = _parse_float(cells[0], line_no)
-            samples[position] = _parse_float(cells[1], line_no)
+        times, values = columns
+        samples = _complex(values, 0.0)
     if "N" in metadata and metadata["N"] != len(samples):
         raise SignalParseError(
             f"metadata declares N={metadata['N']} but file holds {len(samples)} rows"
         )
-    return _checked_signal(samples, times, metadata.get("T"), lambda position: rows[position][0])
+    return _checked_signal(samples, times, metadata.get("T"), lambda position: line_nos[position])
 
 
 def _json_reals(entries, key) -> np.ndarray:
@@ -221,69 +282,68 @@ def read_signal(path) -> Signal:
     return read_signal_csv(path)
 
 
+def _write_rows(fh, template, columns) -> None:
+    """Write one ``template`` line per row of the equal-length ``columns``.
+
+    Rows are formatted WRITE_BLOCK_ROWS at a time, each block with a single
+    ``%`` over the template repeated once per row.
+    """
+    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+        block = np.column_stack([column[start:start + WRITE_BLOCK_ROWS] for column in columns])
+        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_spectrum(spectrum: Spectrum, path, method: str) -> None:
     """Spectrum CSV: metadata comments, then one row per bin.
 
-    The freq column is produced by core.bin_frequency so files and API
-    agree digit for digit.
+    The freq column is ``Spectrum.frequencies``, the arithmetic of
+    core.bin_frequency, so files and API agree digit for digit.  The
+    magnitude column is ``np.hypot(re, im)``: bitwise ``abs`` of each bin,
+    and ``inf`` where that exceeds the largest double.  Rows are written in
+    blocks of WRITE_BLOCK_ROWS.
     """
-    lines = [
-        f"# N={spectrum.origin_n}",
-        f"# alpha={spectrum.alpha.p}/{spectrum.alpha.q}",
-        f"# T={_fmt(spectrum.duration)}",
-        f"# method={method}",
-        "m,freq,re,im,magnitude",
-    ]
-    for m, value in enumerate(spectrum.bins):
-        freq = bin_frequency(m, spectrum.alpha, spectrum.duration)
-        lines.append(
-            f"{m},{_fmt(freq)},{_fmt(value.real)},{_fmt(value.imag)},{_fmt(abs(value))}"
+    bins = spectrum.bins
+    with np.errstate(over="ignore"):  # an overflowing magnitude is written as inf
+        magnitude = np.hypot(bins.real, bins.imag)
+    with open(path, "w") as fh:
+        fh.write(
+            f"# N={spectrum.origin_n}\n# alpha={spectrum.alpha.p}/{spectrum.alpha.q}\n"
+            f"# T={_fmt(spectrum.duration)}\n# method={method}\nm,freq,re,im,magnitude\n"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+        # %d of a float index is exact: bin counts stay far below 2**53.
+        _write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g\n",
+                    (np.arange(bins.size, dtype=float), spectrum.frequencies,
+                     bins.real, bins.imag, magnitude))
 
 
 def read_spectrum(path) -> tuple[Spectrum, str]:
-    """Parse a spectrum CSV back into (Spectrum, method)."""
-    metadata = {}
-    header_seen = False
-    bins = []
-    with open(path, "r") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                _parse_metadata(text, line_no, metadata)
-                continue
-            cells = [cell.strip() for cell in text.split(",")]
-            if not header_seen:
-                if [cell.lower() for cell in cells] != ["m", "freq", "re", "im", "magnitude"]:
-                    raise SignalParseError(
-                        f"expected header 'm,freq,re,im,magnitude', got {text!r}", line_no
-                    )
-                header_seen = True
-                continue
-            if len(cells) != 5:
-                raise SignalParseError(f"expected 5 columns, got {len(cells)}", line_no)
-            try:
-                m = int(cells[0])
-            except ValueError:
-                raise SignalParseError(f"expected an integer bin index, got {cells[0]!r}", line_no) from None
-            if m != len(bins):
-                raise SignalParseError(f"bin index {m} out of order (expected {len(bins)})", line_no)
-            bins.append(complex(_parse_float(cells[2], line_no), _parse_float(cells[3], line_no)))
+    """Parse a spectrum CSV back into (Spectrum, method).
+
+    Bins must be finite and T a positive finite number, as in the signal
+    readers; every failure is a SignalParseError.
+    """
+    metadata, _, columns, line_nos = _read_csv(path, _SPECTRUM_LAYOUTS)
     for key in ("N", "alpha", "T"):
         if key not in metadata:
             raise SignalParseError(f"missing '# {key}=' metadata")
-    if not header_seen or not bins:
+    if columns is None:
         raise SignalParseError("no spectrum rows found")
-    spectrum = Spectrum(np.asarray(bins), metadata["N"], metadata["alpha"], metadata["T"])
+    bins = _complex(*columns)
+    bad = np.flatnonzero(~np.isfinite(bins))
+    if bad.size:
+        raise SignalParseError(f"bin {bad[0]} is not finite", line_nos[bad[0]])
+    duration = check_duration(metadata["T"])
+    try:
+        spectrum = Spectrum(bins, metadata["N"], metadata["alpha"], duration)
+    except ValueError as exc:  # N, alpha and the bin count do not fit together
+        raise SignalParseError(str(exc)) from None
     return spectrum, metadata.get("method", "unknown")
 
 
 def write_signal_csv(signal: Signal, path) -> None:
     """Signal CSV in the index,re,im form with a T metadata comment."""
-    lines = [f"# T={_fmt(signal.duration)}", f"# N={len(signal)}", "index,re,im"]
-    for index, value in enumerate(signal.samples):
-        lines.append(f"{index},{_fmt(value.real)},{_fmt(value.imag)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    samples = signal.samples
+    with open(path, "w") as fh:
+        fh.write(f"# T={_fmt(signal.duration)}\n# N={len(signal)}\nindex,re,im\n")
+        _write_rows(fh, "%d,%.17g,%.17g\n",
+                    (np.arange(samples.size, dtype=float), samples.real, samples.imag))

@@ -147,7 +147,7 @@ def suite_orthogonality(sizes=DEFAULT_SIZES) -> SuiteResult:
             for alpha in KERNEL_ALPHAS:
                 if not _valid(n, alpha):
                     continue
-                m = validate_pair(n, alpha).m
+                _, m = validate_pair(n, alpha)
                 for delta in range(-(n - 1), n):
                     value = orthogonality_kernel(delta, 0, n, alpha)
                     on_comb = delta % m == 0

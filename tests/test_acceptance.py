@@ -116,7 +116,7 @@ def test_criterion_4_orthogonality_comb():
     alphas = [DenseFactor(1, 4), DenseFactor(1, 2), DenseFactor(1),
               DenseFactor(2), DenseFactor(4)]
     for n, alpha in grid_pairs(range(1, 65), alphas):
-        m = validate_pair(n, alpha).m
+        _, m = validate_pair(n, alpha)
         for delta in range(-(n - 1), n):
             a, b = (delta, 0) if delta >= 0 else (0, -delta)
             value = orthogonality_kernel(a, b, n, alpha)

@@ -218,6 +218,38 @@ def test_compute_rejects_bad_input(tmp_path, capsys, name, text):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["auto", "naive", "zeropad"])
+def test_compute_refuses_overflowing_bins(tmp_path, capsys, method):
+    # Finite samples whose sum exceeds the largest double.
+    path = tmp_path / "big.csv"
+    path.write_text("index,re,im\n0,1e308,0\n1,1e308,0\n")
+    out = tmp_path / "out.csv"
+    code = run(["compute", "--input", str(path), "--output", str(out), "--method", method])
+    assert code == cli.EXIT_NOT_REPRESENTABLE
+    err = capsys.readouterr().err
+    assert err.splitlines() == [single_error_line(err)]
+    assert err.startswith("error: bin 0 is not finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", "{one}", "--output", "{tmp}/out.csv", "--alpha", "100000000000"],
+    ["compute", "--input", "{one}", "--output", "{tmp}/out.csv", "--alpha", "268435457",
+     "--method", "naive"],
+    ["demo-sine", "--n", "1", "--alphas", "100000000000", "--output", "{tmp}/demo"],
+], ids=["compute", "compute-naive", "demo-sine"])
+def test_too_many_bins_exits_6(tmp_path, capsys, argv):
+    # Refused by validate_pair before anything of alpha*N is allocated.
+    one = tmp_path / "one.csv"
+    one.write_text("index,re,im\n0,1,0\n")
+    argv = [arg.format(one=one, tmp=tmp_path) for arg in argv]
+    assert run(argv) == cli.EXIT_NOT_REPRESENTABLE
+    err = capsys.readouterr().err
+    assert err.splitlines() == [single_error_line(err)]
+    assert "exceeds the limit of 268435456 bins" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "--reps", "0"],
     ["bench", "--grid-n", "0"],

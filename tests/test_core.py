@@ -6,10 +6,13 @@ from alpha_spectra import (
     IncompatibleAlphaError,
     Signal,
     Spectrum,
+    TooManyBinsError,
     bin_frequency,
     is_power_of_two,
+    plan,
     validate_pair,
 )
+from alpha_spectra.core import MAX_BINS
 
 
 def test_dense_factor_reduces():
@@ -53,6 +56,19 @@ def test_validate_pair_examples():
         validate_pair(4, DenseFactor(3, 8))  # 12/8 is not an integer
 
 
+def test_validate_pair_bin_ceiling():
+    # Arithmetic only: no size here is allocated.
+    assert validate_pair(1, DenseFactor(MAX_BINS)) == (1, MAX_BINS)
+    assert validate_pair(1 << 20, DenseFactor(8)) == (1 << 20, 1 << 23)
+    for n, alpha in [(1, DenseFactor(MAX_BINS + 1)), (3, DenseFactor(10 ** 11, 3)),
+                     (MAX_BINS * 4, DenseFactor(1))]:
+        with pytest.raises(TooManyBinsError) as info:
+            validate_pair(n, alpha)
+        assert info.value.m == n * alpha.p // alpha.q
+    with pytest.raises(TooManyBinsError):
+        plan(1, DenseFactor(10 ** 11))
+
+
 def test_validate_pair_rejects_bad_length():
     with pytest.raises(ValueError):
         validate_pair(0, DenseFactor(1))
@@ -68,8 +84,8 @@ def test_validate_pair_iff_q_divides_n():
         alpha = DenseFactor(p, q)
         should_pass = n % alpha.q == 0
         if should_pass:
-            pair = validate_pair(n, alpha)
-            assert pair.m * alpha.q == n * alpha.p
+            _, m = validate_pair(n, alpha)
+            assert m * alpha.q == n * alpha.p
         else:
             with pytest.raises(IncompatibleAlphaError):
                 validate_pair(n, alpha)
@@ -139,7 +155,7 @@ def test_spectrum_frequencies_match_scalar_map():
 def test_frequency_grid_span():
     # One spacing past the last bin is N/T: twice the Nyquist rate.
     n, alpha, duration = 16, DenseFactor(4), 2.0
-    m = validate_pair(n, alpha).m
+    _, m = validate_pair(n, alpha)
     assert bin_frequency(m, alpha, duration) == n / duration
     spectrum = Spectrum(np.zeros(m), n, alpha, duration)
     assert spectrum.bin_frequency(0) == 0.0

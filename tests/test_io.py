@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from alpha_spectra import DenseFactor, Signal, naive_forward
+from alpha_spectra import DenseFactor, Signal, Spectrum, bin_frequency, naive_forward
 from alpha_spectra.io import (
+    WRITE_BLOCK_ROWS,
     SignalParseError,
     read_signal,
     read_signal_csv,
@@ -96,6 +97,24 @@ def test_csv_errors_carry_line_numbers(tmp_path, body, bad_line, fragment):
         read_signal_csv(path)
     assert info.value.line == bad_line
     assert fragment in str(info.value)
+
+
+def test_read_signal_csv_is_bitwise_the_cell_by_cell_parse(tmp_path):
+    # Blank lines, a comment between data rows, spaces around cells and
+    # -0.0 imaginary parts: each sample must be complex(float(re), float(im)).
+    cells = [("1.5", "-0.0"), (" -0.0 ", " 0.0"), ("0.1", "-0.0 "), ("1e-320", "-1.7e308"),
+             ("1_0", "-0.0"), ("\u0661\u0662", "7")]
+    lines = ["# T=2.0", "", "index , re , im"]
+    for index, (re, im) in enumerate(cells):
+        lines.append(f" {index} ,{re},{im} ")
+        if index == 2:
+            lines += ["", "# between rows", "   "]
+    path = write(tmp_path, "s.csv", "\n".join(lines) + "\n")
+    signal = read_signal_csv(path)
+    expected = [complex(float(re), float(im)) for re, im in cells]
+    assert signal.samples.tobytes() == np.array(expected, dtype=np.complex128).tobytes()
+    assert np.signbit(signal.samples.imag).tolist() == [True, False, True, True, True, False]
+    assert signal.duration == 2.0
 
 
 def test_empty_file_and_row_count_mismatch(tmp_path):
@@ -205,6 +224,32 @@ def test_spectrum_file_layout(tmp_path, spectrum):
     assert float(row_three[1]) == spectrum.frequencies[3]
 
 
+def test_write_spectrum_matches_the_row_by_row_format(tmp_path):
+    # The rows a per-bin loop writes: bin_frequency, 17 significant digits
+    # and abs() of each complex128 bin, over signed zeros, subnormals,
+    # +-1.7e308, a bin whose magnitude overflows to inf and several blocks.
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308, 1.0, -np.pi])
+    rng = np.random.default_rng(4)
+    size = 2 * WRITE_BLOCK_ROWS + 3
+    bins = rng.choice(specials, size) + 1j * rng.choice(specials, size)
+    bins[: size // 2] = rng.normal(size=size // 2) + 1j * rng.normal(size=size // 2)
+    bins[-1] = complex(1.5e308, 1.5e308)
+    spectrum = Spectrum(bins, size, DenseFactor(1), duration=0.3)
+    path = tmp_path / "s.csv"
+    write_spectrum(spectrum, path, "fft")
+    with np.errstate(over="ignore"):
+        expected = [
+            f"{m},{format(bin_frequency(m, spectrum.alpha, 0.3), '.17g')},"
+            f"{format(value.real, '.17g')},{format(value.imag, '.17g')},{format(abs(value), '.17g')}"
+            for m, value in enumerate(spectrum.bins)
+        ]
+    lines = path.read_text().splitlines()
+    assert lines[:5] == ["# N=%d" % size, "# alpha=1/1", "# T=0.29999999999999999",
+                         "# method=fft", "m,freq,re,im,magnitude"]
+    assert lines[5:] == expected
+    assert lines[-1].endswith(",inf")
+
+
 @pytest.mark.parametrize("mutate, fragment", [
     (lambda lines: [l for l in lines if not l.startswith("# alpha")], "missing '# alpha='"),
     (lambda lines: [l.replace("m,freq", "bin,freq") for l in lines], "expected header"),
@@ -218,6 +263,23 @@ def test_spectrum_parse_errors(tmp_path, spectrum, mutate, fragment):
     path.write_text("\n".join(mutate(lines)) + "\n")
     with pytest.raises(SignalParseError, match=fragment):
         read_spectrum(path)
+
+
+@pytest.mark.parametrize("body, bad_line, fragment", [
+    ("# N=2\n# alpha=1\n# T=nan\nm,freq,re,im,magnitude\n0,0,1,0,1\n1,1,1,0,1\n",
+     None, "duration T must be a positive finite number, got nan"),
+    ("# N=2\n# alpha=1\n# T=1\nm,freq,re,im,magnitude\n0,0,1,0,1\n1,1,nan,0,nan\n",
+     6, "bin 1 is not finite"),
+    ("# N=3\n# alpha=1\n# T=1\nm,freq,re,im,magnitude\n0,0,1,0,1\n1,1,1,0,1\n",
+     None, "expected 3 bins"),
+    ("# N=3\n# alpha=1/2\n# T=1\nm,freq,re,im,magnitude\n0,0,1,0,1\n",
+     None, "not an integer"),
+])
+def test_spectrum_rejects_what_no_spectrum_holds(tmp_path, body, bad_line, fragment):
+    path = write(tmp_path, "s.csv", body)
+    with pytest.raises(SignalParseError, match=fragment) as info:
+        read_spectrum(path)
+    assert info.value.line == bad_line
 
 
 # ------------------------------------------------------------ signal output
