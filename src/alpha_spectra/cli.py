@@ -204,8 +204,6 @@ def cmd_compute(args) -> int:
 
 
 def cmd_demo_sine(args) -> int:
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         curves = demo.sine_demo(args.n, args.alphas)
     except TooManyBinsError as exc:
@@ -214,6 +212,8 @@ def cmd_demo_sine(args) -> int:
     except (IncompatibleAlphaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ALPHA
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     for alpha, curve in curves.items():
         rows = ["# demo=sine", f"# N={args.n}", f"# alpha={alpha.p}/{alpha.q}",

@@ -32,9 +32,9 @@ TIME_UNIFORMITY_RTOL = 1e-9
 WRITE_BLOCK_ROWS = 4096
 
 #: Accepted CSV headers, each with the label of its index column (None when
-#: there is none) and the positions of the float columns the reader returns.
+#: there is none) and the positions of the float columns the reader parses.
 _SIGNAL_LAYOUTS = {("index", "re", "im"): ("index", (1, 2)), ("time", "value"): (None, (0, 1))}
-_SPECTRUM_LAYOUTS = {("m", "freq", "re", "im", "magnitude"): ("bin index", (2, 3))}
+_SPECTRUM_LAYOUTS = {("m", "freq", "re", "im", "magnitude"): ("bin index", (1, 2, 3, 4))}
 
 
 class SignalParseError(ValueError):
@@ -328,7 +328,8 @@ def read_spectrum(path) -> tuple[Spectrum, str]:
             raise SignalParseError(f"missing '# {key}=' metadata")
     if columns is None:
         raise SignalParseError("no spectrum rows found")
-    bins = _complex(*columns)
+    _, re, im, _ = columns  # freq and magnitude are parsed only to check them
+    bins = _complex(re, im)
     bad = np.flatnonzero(~np.isfinite(bins))
     if bad.size:
         raise SignalParseError(f"bin {bad[0]} is not finite", line_nos[bad[0]])

@@ -6,16 +6,22 @@ roots of unity.  Exponents are reduced with exact integer arithmetic
 ((m*n) mod alpha*N) before touching the table, so no accuracy is lost to
 large-angle evaluation even at the biggest supported sizes.  Cost is
 Theta(N * alpha*N) complex multiply-adds by construction -- this is the
-oracle; it performs no factorization and no caching beyond that one table.
+oracle; it performs no factorization.
+
+Rows are evaluated a block at a time.  Besides the table, each call builds
+one block of reduced exponents for the first rows, and every later block's
+exponents are that block plus a per-column offset; the buffers are sized
+once, to a fixed budget of _BLOCK_BYTES of table entries, whatever N and
+alpha are.
 """
 
 import numpy as np
 
 from .core import DenseFactor, Signal, Spectrum, validate_pair
 
-# Exponent-index blocks are materialized at most this many rows at a time so
-# large grids (e.g. N=4096, alpha=8) stay within a few tens of megabytes.
-_BLOCK_ROWS = 512
+#: Bytes of complex128 table entries gathered per block of rows: small
+#: enough for the block to stay in cache between the gather and the product.
+_BLOCK_BYTES = 512 * 1024
 
 
 def roots_of_unity(m: int, sign: int = -1) -> np.ndarray:
@@ -34,16 +40,42 @@ def dft_matrix(n: int, alpha: DenseFactor) -> np.ndarray:
     return table[np.outer(np.arange(m), np.arange(n)) % m]
 
 
-def _reduced_product(signal_samples: np.ndarray, m: int, sign: int) -> np.ndarray:
-    """rows-of-w @ x in row blocks, with exact mod-m exponent reduction."""
-    n = signal_samples.size
+def _reduced_product(vector: np.ndarray, m: int, sign: int, rows: int) -> np.ndarray:
+    """out[r] = sum_c w^((r*c) mod m) * vector[c] for r < rows, w = exp(sign*2j*pi/m).
+
+    Blocks of ``block`` rows share one int64 index block ``inner[i, c] =
+    (i*c) mod m``; block j adds ``base[c] = (j*block*c) mod m``, kept
+    reduced by one conditional subtraction per block, and gathers from the
+    table written out twice, so that index sums up to 2m - 2 need no
+    reduction.  The loop allocates nothing.
+    """
+    n = vector.size
     table = roots_of_unity(m, sign)
-    cols = np.arange(n)
-    out = np.empty(m, dtype=np.complex128)
-    for start in range(0, m, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, m)
-        rows = np.arange(start, stop)
-        out[start:stop] = table[(rows[:, None] * cols) % m] @ signal_samples
+    table2 = np.concatenate((table, table))
+    # At least two rows: numpy computes a one-row product with BLAS dot,
+    # which sums in another order than the gemv of larger blocks.
+    block = min(rows, max(2, _BLOCK_BYTES // (16 * n)))
+    cols = np.arange(n, dtype=np.int64)
+    inner = np.arange(block, dtype=np.int64)[:, None] * cols % m
+    step_down = block * cols % m - m
+    base = np.zeros(n, dtype=np.int64)
+    # The last block, when short, is moved back to end at row ``rows``, so
+    # that every block has ``block`` rows and every bin is summed alike.
+    tail = (rows - block) * cols % m
+    spare = np.empty_like(base)
+    idx = np.empty_like(inner)
+    w = np.empty(inner.shape, dtype=np.complex128)
+    out = np.empty(rows, dtype=np.complex128)
+    for start in range(0, rows, block):
+        if start > rows - block:
+            start, base = rows - block, tail
+        np.add(inner, base, out=idx)
+        np.take(table2, idx, out=w, mode="clip")  # "raise" would buffer ``out``
+        np.matmul(w, vector, out=out[start:start + block])
+        base += step_down  # (base + step) - m, in [-m, m)
+        np.right_shift(base, 63, out=spare)  # -1 where negative, else 0
+        np.bitwise_and(spare, m, out=spare)
+        base += spare
     return out
 
 
@@ -63,7 +95,7 @@ def naive_forward(signal: Signal, alpha: DenseFactor) -> Spectrum:
         alpha*N bins at frequencies m/(alpha*T), unscaled (no 1/N factor).
     """
     n, m = validate_pair(len(signal), alpha)
-    bins = _reduced_product(signal.samples, m, sign=-1)
+    bins = _reduced_product(signal.samples, m, sign=-1, rows=m)
     return Spectrum(bins, n, alpha, signal.duration)
 
 
@@ -75,16 +107,8 @@ def naive_inverse(spectrum: Spectrum) -> Signal:
     x'_n = sum_k x_{n+k*alpha*N}, extended periodically over n < N (the
     exponential is period-alpha*N in n, so slots n >= alpha*N repeat).
     """
-    m = spectrum.m
-    n = spectrum.origin_n
-    table = roots_of_unity(m, sign=+1)
-    cols = np.arange(m)
-    out = np.empty(n, dtype=np.complex128)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        rows = np.arange(start, stop)
-        out[start:stop] = table[(rows[:, None] * cols) % m] @ spectrum.bins
-    return Signal(out / m, spectrum.duration)
+    out = _reduced_product(spectrum.bins, spectrum.m, sign=+1, rows=spectrum.origin_n)
+    return Signal(out / spectrum.m, spectrum.duration)
 
 
 def orthogonality_kernel(n_index: int, l_index: int, n: int, alpha: DenseFactor) -> complex:

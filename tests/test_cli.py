@@ -127,6 +127,14 @@ def test_demo_sine_writes_curves(tmp_path, capsys):
     assert float(first[0]) == 0.0 and float(first[2]) == 1.0
 
 
+def test_refused_demo_sine_creates_no_directory(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run(["demo-sine", "--n", "3", "--alphas", "1/2",
+                "--output", str(out)]) == cli.EXIT_BAD_ALPHA
+    assert "is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- bench
 
 def test_bench_writes_reports_and_passes(tmp_path, capsys):
@@ -248,6 +256,7 @@ def test_too_many_bins_exits_6(tmp_path, capsys, argv):
     assert err.splitlines() == [single_error_line(err)]
     assert "exceeds the limit of 268435456 bins" in err
     assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "demo").exists()
 
 
 @pytest.mark.parametrize("argv", [

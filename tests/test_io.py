@@ -274,6 +274,10 @@ def test_spectrum_parse_errors(tmp_path, spectrum, mutate, fragment):
      None, "expected 3 bins"),
     ("# N=3\n# alpha=1/2\n# T=1\nm,freq,re,im,magnitude\n0,0,1,0,1\n",
      None, "not an integer"),
+    ("# N=2\n# alpha=1\n# T=1\nm,freq,re,im,magnitude\n0,abc,1,0,xyz\n1,1,1,0,1\n",
+     5, "expected a number, got 'abc'"),
+    ("# N=2\n# alpha=1\n# T=1\nm,freq,re,im,magnitude\n0,0,1,0,1\n1,1,1,0,\n",
+     6, "expected a number, got ''"),
 ])
 def test_spectrum_rejects_what_no_spectrum_holds(tmp_path, body, bad_line, fragment):
     path = write(tmp_path, "s.csv", body)

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,3 +168,48 @@ def test_spectrum_carries_timing():
     spectrum = naive_forward(signal, DenseFactor(2))
     assert spectrum.duration == 2.0
     assert spectrum.bin_frequency(1) == 1 / (2 * 2.0)
+
+
+# Shapes around the blocks of rows the oracle evaluates at a time: a block
+# holds max(2, 32768 // columns) rows, columns being N forward and alpha*N
+# in the inverse.
+@pytest.mark.parametrize("n, p, q", [
+    (1000, 3, 5),      # alpha*N < N; 600 rows in blocks of 32, the last one short
+    (1000, 609, 1000), # 609 rows = 19 blocks of 32 and one row left over
+    (700, 4, 7),       # 400 rows, blocks of 46
+    (20000, 3, 20000), # a block of the budget would hold under two rows
+    (20000, 1, 2000),
+    (3, 6000, 1),      # the same in the inverse: 3 rows of 18000 columns
+    (1, 1, 1),
+    (1, 5, 1),
+    (8, 1, 8),         # alpha*N = 1
+    (5, 1, 5),
+])
+def test_blocked_product_matches_the_full_matrix(n, p, q):
+    rng = np.random.default_rng(n + 7 * p + q)
+    alpha = DenseFactor(p, q)
+    samples = unit_disk(rng, n)
+    matrix = dft_matrix(n, alpha)
+    spectrum = naive_forward(Signal(samples), alpha)
+    want = matrix @ samples
+    assert np.max(np.abs(spectrum.bins - want)) <= 1e-13 * np.max(np.abs(want))
+    recovered = naive_inverse(spectrum).samples
+    want = matrix.conj().T @ spectrum.bins / spectrum.m
+    assert np.max(np.abs(recovered - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_oracle_memory_is_a_fixed_budget():
+    # Both directions gather a bounded block of table entries at a time,
+    # rather than whole (rows x columns) index and entry matrices.
+    rng = np.random.default_rng(41)
+    signal = Signal(unit_disk(rng, 3000))
+    alpha = DenseFactor(5, 3)
+    spectrum = naive_forward(signal, alpha)
+    for call in (lambda: naive_forward(signal, alpha), lambda: naive_inverse(spectrum)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
