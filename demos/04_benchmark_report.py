@@ -8,8 +8,9 @@ wall time, and the claim checkers then judge the scaling story -- the
 two savings gaps hold exactly, and multiply counts fit
 c * max(N, alpha*N) * log2(min(N, alpha*N)) with zero residual.
 
-Artifacts (a JSON report and a records CSV) land in a temp directory so
-repeated runs never pollute the working tree.
+Artifacts (a JSON report and a records CSV) are written to a temporary
+directory, listed with their sizes, and removed when the script ends, so
+repeated runs leave nothing behind.
 """
 
 import tempfile
@@ -50,9 +51,10 @@ for verdict in report.verdicts:
     for warning in verdict.warnings:
         print(f"    warning: {warning}")
 
-out_dir = Path(tempfile.mkdtemp(prefix="alpha_spectra_bench_"))
-report.write_json(out_dir / "report.json")
-report.write_csv(out_dir / "records.csv")
-print(f"\nwrote {out_dir / 'report.json'}")
-print(f"wrote {out_dir / 'records.csv'}")
+print()
+with tempfile.TemporaryDirectory(prefix="alpha_spectra_bench_") as out_dir:
+    for name, write in (("report.json", report.write_json), ("records.csv", report.write_csv)):
+        path = Path(out_dir) / name
+        write(path)
+        print(f"wrote {name}: {path.stat().st_size} bytes")
 print(f"all claims {'passed' if report.all_passed else 'FAILED'}")

@@ -27,7 +27,6 @@ from .fastpath import (
     OpCounter,
     Plan,
     alpha_fft,
-    combine,
     plan,
     predicted_adds,
     predicted_mults,
@@ -68,7 +67,6 @@ __all__ = [
     "OpCounter",
     "Plan",
     "alpha_fft",
-    "combine",
     "plan",
     "predicted_adds",
     "predicted_mults",

@@ -13,7 +13,10 @@ bins) or a row (1 x (1/alpha): a block of 1/alpha samples collapses to a
 plain sum, no multiplies).  Both N and alpha*N must therefore be powers of
 two.  The sweep below walks that recursion level-synchronously: row r of
 the working array is the subspectrum of the strided view x[r::K], so no
-input permutation or bit-reversal pass ever happens.
+input permutation or bit-reversal pass ever happens.  The levels alternate
+between two alpha*N buffers and park each level's twiddled odd half in one
+alpha*N/2 scratch, all allocated once per call; per level only the
+contiguous copy of that level's twiddle slice is allocated.
 
 Cost accounting is exact, not asymptotic: each butterfly level multiplies
 half of the alpha*N running values by a twiddle, so a transform performs
@@ -65,10 +68,10 @@ class Plan:
     """Precomputed recursion shape and twiddle table for one (N, alpha).
 
     ``twiddles`` is the read-only root table exp(-2j*pi*l/m), l < m/2
-    (empty when depth is 0).  The combines whose output length is m >> k use every 2**k-th entry,
-    twiddles[::1 << k], which is bitwise the table built from the exact
-    angles 2*pi*l/(m >> k): both angles are the same quotient scaled by a
-    power of two.
+    (empty when depth is 0).  The butterfly level whose output rows have
+    length m >> k uses every 2**k-th entry, twiddles[::1 << k], which is
+    bitwise the table built from the exact angles 2*pi*l/(m >> k): both
+    angles are the same quotient scaled by a power of two.
     """
 
     n: int
@@ -125,32 +128,13 @@ def predicted_adds(p: Plan) -> int:
     return p.m * p.depth + leaf_adds
 
 
-def combine(y, z, twiddles, counter: OpCounter | None = None) -> np.ndarray:
-    """Butterfly merge [y + w*z, y - w*z] along the last axis.
-
-    y and z are same-shape half-spectra and ``twiddles`` the matching table
-    (half the output length).  Works on stacked rows as well as single
-    nodes; per output row it costs exactly len(twiddles) multiplies and
-    2*len(twiddles) adds.
-    """
-    y = np.asarray(y)
-    z = np.asarray(z)
-    if y.shape != z.shape:
-        raise ValueError(f"half-spectra differ in shape: {y.shape} vs {z.shape}")
-    if y.shape[-1] != twiddles.shape[-1]:
-        raise ValueError(
-            f"twiddle table length {twiddles.shape[-1]} does not match "
-            f"half-spectrum length {y.shape[-1]}"
-        )
-    t = twiddles * z
-    if counter is not None:
-        counter.complex_mults += z.size
-        counter.complex_adds += 2 * y.size
-    return np.concatenate([y + t, y - t], axis=-1)
-
-
 def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) -> np.ndarray:
-    """Run the planned transform on a bare sample array; returns the bin array."""
+    """Run the planned transform on a bare sample array; returns the bin array.
+
+    The bins are a fresh array that the caller owns: no other result and
+    nothing in ``p`` shares its memory.  With a ``counter``, each butterfly
+    level adds its alpha*N/2 multiplies and alpha*N adds.
+    """
     if x.shape != (p.n,):
         raise ValueError(f"plan is for N={p.n}, got {x.shape[0] if x.ndim == 1 else x.shape} samples")
     if p.leaf is LeafKind.SINGLE_SAMPLE:
@@ -162,16 +146,30 @@ def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) 
         level = x.reshape(-1, p.m).sum(axis=0)[:, None]
         if counter is not None:
             counter.complex_adds += p.n - p.m
-    for k in range(p.depth - 1, -1, -1):
-        half = level.shape[0] // 2
+    if p.depth == 0:
+        return np.array(level, dtype=np.complex128).reshape(p.m)
+    # A level reads only the level before it, so two alpha*N buffers taken in
+    # turn hold every level; W^l z_l waits in the alpha*N/2 scratch.
+    bufs = (np.empty(p.m, dtype=np.complex128), np.empty(p.m, dtype=np.complex128))
+    scratch = np.empty(p.m // 2, dtype=np.complex128)
+    for i, k in enumerate(range(p.depth - 1, -1, -1)):
+        half, cols = level.shape[0] // 2, level.shape[1]
         # Rows [0, half) are the even-index children of rows in the merged
         # level, rows [half, 2*half) their odd siblings (residues r and
         # r + half modulo the parent stride).
         # A contiguous copy of the strided table: the butterfly multiplies
         # it against every row, and a strided operand slows that product.
         twiddles = np.ascontiguousarray(p.twiddles[::1 << k])
-        level = combine(level[:half], level[half:], twiddles, counter)
-    return np.array(level, dtype=np.complex128).reshape(p.m)
+        out = bufs[i & 1].reshape(half, 2 * cols)
+        t = scratch.reshape(half, cols)
+        np.multiply(twiddles, level[half:], out=t)
+        np.add(level[:half], t, out=out[:, :cols])
+        np.subtract(level[:half], t, out=out[:, cols:])
+        if counter is not None:
+            counter.complex_mults += half * cols
+            counter.complex_adds += 2 * half * cols
+        level = out
+    return level.reshape(p.m)
 
 
 def alpha_fft(signal: Signal, p: Plan, counter: OpCounter | None = None) -> Spectrum:

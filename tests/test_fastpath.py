@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from alpha_spectra import (
     Signal,
     UnsupportedSizeError,
     alpha_fft,
-    combine,
     naive_forward,
     plan,
     predicted_adds,
@@ -100,31 +101,71 @@ def test_twiddle_recurrence_and_halving_properties():
 
 # ------------------------------------------------------------- leaf and merge
 
-def test_combine_identity_twiddle():
-    out = combine(np.array([1.0 + 0j]), np.array([1.0 + 0j]), np.array([1.0 + 0j]))
+def reference_transform(x, p):
+    """The level loop built from fresh arrays: t = W*z, then [y + t, y - t]."""
+    if p.leaf is LeafKind.SINGLE_SAMPLE:
+        level = np.broadcast_to(x[:, None], (p.n, p.m // p.n))
+    else:
+        level = x.reshape(-1, p.m).sum(axis=0)[:, None]
+    for k in range(p.depth - 1, -1, -1):
+        half = level.shape[0] // 2
+        t = np.ascontiguousarray(p.twiddles[::1 << k]) * level[half:]
+        level = np.concatenate([level[:half] + t, level[:half] - t], axis=-1)
+    return np.array(level, dtype=np.complex128).reshape(p.m)
+
+
+def test_transform_identity_twiddle():
+    out = transform_samples(np.array([1.0 + 0j, 1.0 + 0j]), plan(2, DenseFactor(1)))
     np.testing.assert_array_equal(out, [2.0 + 0j, 0.0 + 0j])
 
 
-def test_combine_quarter_turn():
-    out = combine(np.array([0j]), np.array([1.0 + 0j]), np.array([-1j]))
-    np.testing.assert_array_equal(out, [-1j, 1j])
+def test_transform_quarter_turn():
+    # The table's W^1 = exp(-i*pi/2) carries a 6e-17 real part.
+    out = transform_samples(np.array([0j, 1.0 + 0j]), plan(2, DenseFactor(2)))
+    np.testing.assert_allclose(out, [1, -1j, -1, 1j], rtol=0, atol=1e-15)
 
 
-def test_combine_counts_and_stacked_rows():
-    counter = OpCounter()
-    y = np.ones((4, 2), dtype=complex)
-    z = np.ones((4, 2), dtype=complex)
-    out = combine(y, z, np.array([1.0, -1j]), counter)
-    assert out.shape == (4, 4)
-    assert counter.complex_mults == 8
-    assert counter.complex_adds == 16
+def test_levels_are_bitwise_the_fresh_array_loop():
+    rng = np.random.default_rng(67)
+    pairs = list(valid_power_pairs([1 << e for e in range(11)]))
+    pairs += [(65536, DenseFactor(p, q)) for p, q in [(1, 8), (1, 2), (1, 1), (2, 1), (8, 1)]]
+    for n, alpha in pairs:
+        p = plan(n, alpha)
+        samples = unit_disk(rng, n)
+        counter = OpCounter()
+        bins = transform_samples(samples, p, counter)
+        assert bins.dtype == np.complex128 and bins.shape == (p.m,)
+        assert bins.tobytes() == reference_transform(samples, p).tobytes(), (n, str(alpha))
+        assert counter.complex_mults == predicted_mults(p), (n, str(alpha))
+        assert counter.complex_adds == predicted_adds(p), (n, str(alpha))
 
 
-def test_combine_rejects_mismatched_halves():
-    with pytest.raises(ValueError):
-        combine(np.ones(2), np.ones(3), np.ones(2))
-    with pytest.raises(ValueError):
-        combine(np.ones(2), np.ones(2), np.ones(3))
+@pytest.mark.parametrize("alpha", [DenseFactor(8), DenseFactor(1)], ids=str)
+def test_transform_memory_is_under_three_bin_arrays(alpha):
+    # Two alpha*N ping-pong buffers, an alpha*N/2 scratch and the largest
+    # strided twiddle copies (alpha*N/4 + alpha*N/8) stay below
+    # 3 * 16 * alpha*N bytes.
+    p = plan(65536, alpha)
+    samples = unit_disk(np.random.default_rng(71), p.n)
+    tracemalloc.start()
+    try:
+        transform_samples(samples, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 16 * p.m, peak / (16 * p.m)
+
+
+def test_results_own_their_memory():
+    p = plan(64, DenseFactor(4))
+    table = p.twiddles.copy()
+    rng = np.random.default_rng(73)
+    first = transform_samples(unit_disk(rng, 64), p)
+    second = transform_samples(unit_disk(rng, 64), p)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, p.twiddles)
+    assert not p.twiddles.flags.writeable
+    assert p.twiddles.tobytes() == table.tobytes()
 
 
 # ------------------------------------------------------------- full transform
