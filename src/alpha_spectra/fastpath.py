@@ -137,21 +137,23 @@ def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) 
     """
     if x.shape != (p.n,):
         raise ValueError(f"plan is for N={p.n}, got {x.shape[0] if x.ndim == 1 else x.shape} samples")
+    if p.depth:
+        # A level reads only the level before it, so two alpha*N buffers taken
+        # in turn hold every level; W^l z_l waits in the alpha*N/2 scratch.
+        bufs = (np.empty(p.m, dtype=np.complex128), np.empty(p.m, dtype=np.complex128))
+        scratch = np.empty(p.m // 2, dtype=np.complex128)
     if p.leaf is LeafKind.SINGLE_SAMPLE:
         # Row r is the (alpha*N/N')-point subspectrum of x[r::N] == [x_r]:
         # one sample fanned out across m//n equal bins.
         level = np.broadcast_to(x[:, None], (p.n, p.m // p.n))
     else:
-        # Row r is the 1-bin subspectrum of the block x[r::M]: its sum.
-        level = x.reshape(-1, p.m).sum(axis=0)[:, None]
+        # Row r is the 1-bin subspectrum of the block x[r::M]: its sum, kept
+        # in the buffer that the first level does not write.
+        level = np.sum(x.reshape(-1, p.m), axis=0, out=bufs[1] if p.depth else None)[:, None]
         if counter is not None:
             counter.complex_adds += p.n - p.m
-    if p.depth == 0:
+    if not p.depth:
         return np.array(level, dtype=np.complex128).reshape(p.m)
-    # A level reads only the level before it, so two alpha*N buffers taken in
-    # turn hold every level; W^l z_l waits in the alpha*N/2 scratch.
-    bufs = (np.empty(p.m, dtype=np.complex128), np.empty(p.m, dtype=np.complex128))
-    scratch = np.empty(p.m // 2, dtype=np.complex128)
     for i, k in enumerate(range(p.depth - 1, -1, -1)):
         half, cols = level.shape[0] // 2, level.shape[1]
         # Rows [0, half) are the even-index children of rows in the merged

@@ -7,18 +7,30 @@ JSON.  Spectra go out as CSV with ``# N=", "# alpha=p/q``, ``# T=`` and
 are rendered with 17 significant digits, which round-trips doubles exactly:
 parsing an emitted file and re-emitting it reproduces the bytes.
 
-The CSV paths work on whole columns.  A reader makes one pass over the
-lines for metadata, the header and the column count, then parses each
-number column with numpy, which applies Python's ``float`` to every cell;
-only when numpy rejects a column are the rows walked cell by cell, to name
-the first bad cell and its line.  The spectrum writer takes ``freq`` from
-``Spectrum.frequencies`` and ``magnitude`` from ``np.hypot``, bitwise the
-values of ``bin_frequency`` and of ``abs`` of each bin, and the writers
-format and write their rows WRITE_BLOCK_ROWS at a time.
+The CSV paths work on whole columns.  A reader reads the file as one text
+and scans its lines up to the header for metadata.  When the rest is clean
+-- ASCII rows ended by LF alone, no comment, blank line or whitespace, and
+the header's number of commas in every row, all checked with a few
+whole-text and numpy operations -- it is split into cells in one go;
+otherwise the remaining lines are read one by one, as is a file that does
+not decode.  Either way numpy then parses each number column, applying
+Python's ``int`` or ``float`` to every cell, and only when it rejects a
+column are the rows walked cell by cell, to name the first bad cell and its
+line.  A JSON sample list of all numbers or all number pairs is converted
+in one ``np.fromiter``; any other list is walked entry by entry, to name
+the first bad sample.  Both shortcuts give the values, bit for bit, and the
+errors of the walks they skip.
+
+The spectrum writer takes ``freq`` from ``Spectrum.frequencies`` and
+``magnitude`` from ``np.hypot``, bitwise the values of ``bin_frequency`` and
+of ``abs`` of each bin, and the writers format and write their rows
+WRITE_BLOCK_ROWS at a time.
 """
 
+import io
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -114,20 +126,24 @@ def _parse_metadata(line_text, line_no, metadata):
             metadata["method"] = raw.strip()
 
 
-def _parse_columns(rows, line_nos, index_label, positions) -> list:
-    """The float columns at ``positions`` of a CSV's data lines, as arrays.
+def _parse_columns(cells, line_nos, index_label, positions) -> list:
+    """The float columns at ``positions`` of a CSV's data cells, as arrays.
 
-    ``rows`` are stripped lines with equal comma counts and ``line_nos``
-    their 1-based line numbers.  With an ``index_label``, column 0 must read
-    0, 1, 2, ... as integers.  A malformed file raises the error of its
-    first bad row, the row's cells checked from the left.
+    ``cells`` are the cells of the data rows in order, the same number per
+    row, and ``line_nos`` the rows' 1-based line numbers.  With an
+    ``index_label``, column 0 must read 0, 1, 2, ... as integers.  A
+    malformed file raises the error of its first bad row, the row's cells
+    checked from the left.
     """
-    width = rows[0].count(",") + 1
-    cells = ",".join(rows).split(",")
+    width = len(cells) // len(line_nos)
     try:
-        if index_label is None or cells[::width] == list(map(str, range(len(rows)))):
+        # numpy reads each index cell with Python's int, so a column that
+        # passes is one the walk below accepts.
+        if index_label is None or np.array_equal(
+            np.array(cells[::width], dtype=np.int64), np.arange(len(line_nos))
+        ):
             return [np.array(cells[k::width], dtype=float) for k in positions]
-    except ValueError:  # some cell is not a number to Python's float
+    except (ValueError, OverflowError):  # some cell is not a number to int or float
         pass
     # Cell by cell, stripped: float() rejects some characters that strip() removes.
     cells = [cell.strip() for cell in cells]
@@ -149,40 +165,102 @@ def _parse_columns(rows, line_nos, index_label, positions) -> list:
     return [np.array(cells[k::width], dtype=float) for k in positions]
 
 
+def _clean_rows(rows_text, commas) -> int:
+    """The number of rows in ``rows_text`` when it is clean, else 0.
+
+    Clean means ASCII rows split by LF alone, each with exactly ``commas``
+    commas, no ``#`` and no byte at or below the space other than the row
+    breaks: nothing for strip() to remove, no blank or comment line and no
+    other line break.  Such rows are their own stripped lines, so their
+    cells are the per-line loop's cells.
+    """
+    if not rows_text.isascii():
+        return 0
+    raw = rows_text.encode("ascii")
+    if b"#" in raw:
+        return 0
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    breaks = np.flatnonzero(codes == 10)
+    rows = breaks.size + 1
+    if np.count_nonzero(codes <= 32) != breaks.size:  # CR, tab, space, \x1c-\x1f ...
+        return 0
+    # Sorted comma positions, cut into ``commas`` per row: each row holds
+    # exactly its share when its first comma follows the row's start and its
+    # last precedes the row's end.
+    at = np.flatnonzero(codes == 44)
+    if at.size != rows * commas:
+        return 0
+    at = at.reshape(rows, commas)
+    if not (np.all(at[1:, 0] > breaks) and np.all(at[:-1, -1] < breaks)):
+        return 0
+    return rows
+
+
+def _scan_csv(lines, layouts, text=None):
+    """The per-line loop of _read_csv over the text stream ``lines``.
+
+    When ``text`` is the whole text of ``lines``, clean rows after the
+    header (see _clean_rows) are split into cells in one go; anything else
+    goes on line by line.
+    """
+    metadata = {}
+    header = None
+    rows = []
+    line_nos = []
+    offset = 0
+    for line_no, raw in enumerate(lines, start=1):
+        offset += len(raw)
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            _parse_metadata(stripped, line_no, metadata)
+        elif header is None:
+            header = tuple(cell.strip().lower() for cell in stripped.split(","))
+            if header not in layouts:
+                expected = " or ".join(f"'{','.join(names)}'" for names in layouts)
+                raise SignalParseError(f"expected header {expected}, got {stripped!r}", line_no)
+            commas = len(header) - 1
+            if text is not None:
+                rows_text = text[offset:len(text) - text.endswith("\n")]
+                count = _clean_rows(rows_text, commas)
+                if count:
+                    cells = rows_text.replace("\n", ",").split(",")
+                    line_nos = range(line_no + 1, line_no + 1 + count)
+                    columns = _parse_columns(cells, line_nos, *layouts[header])
+                    return metadata, header, columns, line_nos
+        elif stripped.count(",") != commas:
+            raise SignalParseError(
+                f"expected {len(header)} columns, got {stripped.count(',') + 1}", line_no
+            )
+        else:
+            rows.append(stripped)
+            line_nos.append(line_no)
+    columns = (
+        _parse_columns(",".join(rows).split(","), line_nos, *layouts[header]) if rows else None
+    )
+    return metadata, header, columns, line_nos
+
+
 def _read_csv(path, layouts):
-    """One pass over a CSV's lines, then its float columns.
+    """A CSV's metadata, header and float columns.
 
     ``layouts`` maps each accepted lower-case header to its index label and
     float column positions (see _SIGNAL_LAYOUTS).  Returns (metadata,
     header, columns, line_nos): ``columns`` is None when there is no data
     row, and ``line_nos`` holds each data row's 1-based line.
     """
-    metadata = {}
-    header = None
-    rows = []
-    line_nos = []
-    with open(path, "r", newline="") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                _parse_metadata(text, line_no, metadata)
-            elif header is None:
-                header = tuple(cell.strip().lower() for cell in text.split(","))
-                if header not in layouts:
-                    expected = " or ".join(f"'{','.join(names)}'" for names in layouts)
-                    raise SignalParseError(f"expected header {expected}, got {text!r}", line_no)
-                commas = len(header) - 1
-            elif text.count(",") != commas:
-                raise SignalParseError(
-                    f"expected {len(header)} columns, got {text.count(',') + 1}", line_no
-                )
-            else:
-                rows.append(text)
-                line_nos.append(line_no)
-    columns = _parse_columns(rows, line_nos, *layouts[header]) if rows else None
-    return metadata, header, columns, line_nos
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # Decoded as open(path, "r", newline="") decodes: no newline translation.
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), newline="").read()
+    except UnicodeDecodeError:
+        # Streamed, the lines before the undecodable chunk are read first,
+        # so an error on one of them is the one reported.
+        text = None
+    with io.TextIOWrapper(io.BytesIO(data), newline="") as lines:
+        return _scan_csv(lines, layouts, text)
 
 
 def _complex(re, im) -> np.ndarray:
@@ -213,12 +291,45 @@ def read_signal_csv(path) -> Signal:
 
 
 def _json_reals(entries, key) -> np.ndarray:
-    if not all(type(entry) in (int, float) for entry in entries):
+    if not set(map(type, entries)) <= {int, float}:
         raise SignalParseError(f"'{key}' entries must be numbers", 1)
     try:
         return np.array(entries, dtype=float)
     except OverflowError:
         raise SignalParseError(f"'{key}' holds a number too large for a float", 1) from None
+
+
+def _json_samples(entries) -> np.ndarray:
+    """The samples of a non-empty list of numbers and [re, im] number pairs.
+
+    A list of all numbers or all pairs is converted in one go; any other
+    list, or one holding a number too large for a float, is walked entry by
+    entry to name the first bad sample.
+    """
+    kinds = set(map(type, entries))
+    try:
+        if kinds <= {int, float}:
+            return _complex(np.fromiter(entries, float, len(entries)), 0.0)
+        if (kinds == {list} and set(map(len, entries)) == {2}
+                and set(map(type, chain.from_iterable(entries))) <= {int, float}):
+            flat = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
+            return _complex(flat[0::2], flat[1::2])
+    except OverflowError:
+        pass
+    samples = np.empty(len(entries), dtype=np.complex128)
+    try:
+        for position, entry in enumerate(entries):
+            if type(entry) in (int, float):
+                samples[position] = complex(entry, 0.0)
+            elif isinstance(entry, list) and len(entry) == 2 and all(
+                type(part) in (int, float) for part in entry
+            ):
+                samples[position] = complex(entry[0], entry[1])
+            else:
+                raise SignalParseError(f"sample {position} must be a number or [re, im] pair", 1)
+    except OverflowError:
+        raise SignalParseError(f"sample {position} is too large for a float", 1) from None
+    return samples
 
 
 def read_signal_json(path) -> Signal:
@@ -243,22 +354,7 @@ def read_signal_json(path) -> Signal:
         entries = payload["samples"]
         if not isinstance(entries, list) or not entries:
             raise SignalParseError("'samples' must be a non-empty list", 1)
-        samples = np.empty(len(entries), dtype=np.complex128)
-        try:
-            for position, entry in enumerate(entries):
-                if type(entry) in (int, float):
-                    samples[position] = complex(entry, 0.0)
-                elif isinstance(entry, list) and len(entry) == 2 and all(
-                    type(part) in (int, float) for part in entry
-                ):
-                    samples[position] = complex(entry[0], entry[1])
-                else:
-                    raise SignalParseError(
-                        f"sample {position} must be a number or [re, im] pair", 1
-                    )
-        except OverflowError:
-            raise SignalParseError(f"sample {position} is too large for a float", 1) from None
-        return _checked_signal(samples, None, declared)
+        return _checked_signal(_json_samples(entries), None, declared)
 
     if "time" in payload and "value" in payload:
         times = payload["time"]

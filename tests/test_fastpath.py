@@ -140,12 +140,17 @@ def test_levels_are_bitwise_the_fresh_array_loop():
         assert counter.complex_adds == predicted_adds(p), (n, str(alpha))
 
 
-@pytest.mark.parametrize("alpha", [DenseFactor(8), DenseFactor(1)], ids=str)
+@pytest.mark.parametrize(
+    "alpha", [DenseFactor(8), DenseFactor(1), DenseFactor(1, 2), DenseFactor(1, 8)], ids=str
+)
 def test_transform_memory_is_under_three_bin_arrays(alpha):
     # Two alpha*N ping-pong buffers, an alpha*N/2 scratch and the largest
     # strided twiddle copies (alpha*N/4 + alpha*N/8) stay below
-    # 3 * 16 * alpha*N bytes.
-    p = plan(65536, alpha)
+    # 3 * 16 * alpha*N bytes; for alpha < 1 the block-sum leaf lives in one
+    # of the two buffers.  alpha*N is at least 65536 because every
+    # broadcasting ufunc also takes a fixed 64 KiB iterator buffer, which is
+    # half a bin array at alpha*N = 8192.
+    p = plan(65536 * alpha.q, alpha)
     samples = unit_disk(np.random.default_rng(71), p.n)
     tracemalloc.start()
     try:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import alpha_spectra.io as alpha_io
 from alpha_spectra import DenseFactor, Signal, Spectrum, bin_frequency, naive_forward
 from alpha_spectra.io import (
     WRITE_BLOCK_ROWS,
@@ -308,3 +309,23 @@ def test_seventeen_digit_floats_survive(tmp_path):
     assert loaded.samples[0].real == value
     assert loaded.samples[0].imag == value
     assert loaded.duration == value
+
+
+def test_written_files_take_the_whole_text_path(tmp_path, monkeypatch):
+    # The files the writers emit are clean: every row after the header
+    # passes the whole-text check, so none is read line by line.
+    counts = []
+    check = alpha_io._clean_rows
+
+    def counted(*args):
+        counts.append(check(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(alpha_io, "_clean_rows", counted)
+    rng = np.random.default_rng(5)
+    signal = Signal(rng.normal(size=40) + 1j * rng.normal(size=40), duration=2.0)
+    write_signal_csv(signal, tmp_path / "s.csv")
+    write_spectrum(naive_forward(signal, DenseFactor(1, 2)), tmp_path / "x.csv", "naive")
+    read_signal(tmp_path / "s.csv")
+    read_spectrum(tmp_path / "x.csv")
+    assert counts == [40, 20]

@@ -46,16 +46,26 @@ def test_forward_halving_collapses_to_two_bins():
     np.testing.assert_allclose(spectrum.bins, [a + b + c + d, a - b + c - d], atol=1e-14)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 12, 16])
-@pytest.mark.parametrize("p, q", [(1, 4), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1), (4, 1)])
-def test_forward_matches_scalar_reference(n, p, q):
-    if (n * p) % q:
-        pytest.skip("pair invalid")
+SCALAR_GRID = [
+    (p, q, n)
+    for p, q in [(1, 4), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1), (4, 1)]
+    for n in [1, 2, 3, 4, 6, 8, 12, 16]
+]
+
+
+@pytest.mark.parametrize("p, q, n", [(p, q, n) for p, q, n in SCALAR_GRID if n * p % q == 0])
+def test_forward_matches_scalar_reference(p, q, n):
     rng = np.random.default_rng(100 * n + 10 * p + q)
     samples = unit_disk(rng, n)
     got = naive_forward(Signal(samples), DenseFactor(p, q)).bins
     want = slow_reference(samples, p, q)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("p, q, n", [(p, q, n) for p, q, n in SCALAR_GRID if n * p % q])
+def test_forward_refuses_fractional_bin_count(p, q, n):
+    with pytest.raises(IncompatibleAlphaError):
+        naive_forward(Signal(np.ones(n)), DenseFactor(p, q))
 
 
 @pytest.mark.parametrize("n, p", [(8, 1), (8, 2), (16, 4), (32, 8), (64, 2)])
