@@ -32,7 +32,7 @@ from .fastpath import (
     predicted_mults,
     transform_samples,
 )
-from .baseline import PaddedSignal, aliased_reconstruct, standard_fft, zero_pad
+from .baseline import aliased_reconstruct, standard_fft, zero_pad
 from .bench import (
     BenchRecord,
     ClaimVerdict,
@@ -71,7 +71,6 @@ __all__ = [
     "predicted_adds",
     "predicted_mults",
     "transform_samples",
-    "PaddedSignal",
     "aliased_reconstruct",
     "standard_fft",
     "zero_pad",

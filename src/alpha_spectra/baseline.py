@@ -12,8 +12,6 @@ shortened spectrum returns x'_n = sum_k x_{n+k*alpha*N}, reproduced here
 directly so the round trip can be checked without any transform.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DenseFactor, Signal, Spectrum, validate_pair
@@ -21,64 +19,28 @@ from .fastpath import OpCounter, alpha_fft
 from .fastpath import plan as make_plan
 
 
-@dataclass(frozen=True, eq=False)
-class PaddedSignal:
-    """A signal extended to alpha*N samples with a zero tail.
+def zero_pad(signal: Signal, alpha: DenseFactor) -> Signal:
+    """``signal`` extended to alpha*N samples with a zero tail (alpha >= 1 only).
 
     Keeping the sample interval fixed, padding stretches the duration to
     alpha*T, which is exactly what lines the padded FFT bins up with the
     density-alpha bins: m/(padded T) == m/(alpha*T).
     """
-
-    samples: np.ndarray
-    original_n: int
-    duration: float
-
-    def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.complex128)
-        if arr.ndim != 1 or not 1 <= self.original_n <= arr.size:
-            raise ValueError(
-                f"padded length {arr.shape} incompatible with original N={self.original_n}"
-            )
-        if np.any(arr[self.original_n:] != 0):
-            raise ValueError("padding tail must be exactly zero")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def as_signal(self) -> Signal:
-        return Signal(self.samples, self.duration)
-
-
-def zero_pad(signal: Signal, alpha: DenseFactor) -> PaddedSignal:
-    """Extend ``signal`` to alpha*N samples with zeros (alpha >= 1 only)."""
     n, m = validate_pair(len(signal), alpha)
     if alpha.p < alpha.q:
         raise ValueError(f"zero-padding needs alpha >= 1, got {alpha}")
     padded = np.zeros(m, dtype=np.complex128)
     padded[:n] = signal.samples
-    return PaddedSignal(padded, n, signal.duration * (alpha.p / alpha.q))
+    return Signal(padded, signal.duration * (alpha.p / alpha.q))
 
 
-def standard_fft(samples, duration: float = 1.0, counter: OpCounter | None = None) -> Spectrum:
+def standard_fft(signal: Signal, counter: OpCounter | None = None) -> Spectrum:
     """Ordinary power-of-two FFT, run through the fast kernel at alpha = 1.
 
-    Accepts a Signal, a PaddedSignal, or a bare array (then ``duration``
-    applies).  Counts land in ``counter`` under the shared convention, so
-    they are directly comparable with any density-alpha run.
+    Counts land in ``counter`` under the shared convention, so they are
+    directly comparable with any density-alpha run.
     """
-    if isinstance(samples, PaddedSignal):
-        signal = samples.as_signal()
-    elif isinstance(samples, Signal):
-        signal = samples
-    else:
-        signal = Signal(np.asarray(samples), duration)
-    p = make_plan(len(signal), DenseFactor(1))
-    return alpha_fft(signal, p, counter)
+    return alpha_fft(signal, make_plan(len(signal), DenseFactor(1)), counter)
 
 
 def aliased_reconstruct(signal: Signal, alpha: DenseFactor) -> np.ndarray:

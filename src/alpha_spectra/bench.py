@@ -28,6 +28,15 @@ from .verify import random_unit_disk
 
 METHODS = ("alpha_fft", "zeropad_fft", "naive")
 
+#: Repetitions of a naive cell at most: its quadratic cost makes 20 impractical at large N.
+NAIVE_REPS = 3
+
+#: Smallest alpha*N judged by the alpha < 1 claim; smaller spectra only warn.
+MIN_LT1_BINS = 16
+
+#: Largest relative residual a complexity fit passes with.
+FIT_RESIDUAL_LIMIT = 0.01
+
 
 class IncompleteGridError(ValueError):
     """The record set lacks the grid points a claim check needs."""
@@ -182,7 +191,6 @@ def run_grid(
     alphas,
     methods=("alpha_fft", "zeropad_fft"),
     reps: int = 20,
-    naive_reps: int = 3,
     seed: int = 0,
     skipped: list | None = None,
 ) -> list:
@@ -194,10 +202,8 @@ def run_grid(
     collect them with the reason.  An unknown method raises ValueError up
     front.  Signals are random complex samples from the unit disk,
     deterministic in ``seed``, so counts are reproducible (they do not
-    depend on the data at all) and timings comparable.
-
-    ``naive_reps`` bounds the repetitions of the naive method separately,
-    since its quadratic cost makes 20 repeats impractical at large N.
+    depend on the data at all) and timings comparable.  The naive method
+    runs at most NAIVE_REPS repetitions.
     """
     for method in methods:
         if method not in METHODS:
@@ -216,7 +222,7 @@ def run_grid(
                         skipped.append({"N": n, "alpha_p": alpha.p, "alpha_q": alpha.q,
                                         "method": method, "reason": str(exc)})
                     continue
-                cell_reps = min(reps, naive_reps) if method == "naive" else reps
+                cell_reps = min(reps, NAIVE_REPS) if method == "naive" else reps
                 wall = _min_wall_seconds(run, cell_reps)
                 records.append(BenchRecord(n, alpha, method, mults, adds, wall, cell_reps))
     return records
@@ -267,13 +273,13 @@ def check_alpha_gt1_savings(records) -> ClaimVerdict:
     return verdict
 
 
-def check_alpha_lt1_savings(records, min_m: int = 16) -> ClaimVerdict:
+def check_alpha_lt1_savings(records) -> ClaimVerdict:
     """Exact multiply savings of a shortened spectrum over the full FFT.
 
     Compares each alpha < 1 alpha_fft record against the alpha = 1 record at
     the same N.  The gap must equal (N/2)*log2(N) - (M/2)*log2(M) exactly
     (M = alpha*N) and is never below the per-level floor (N/2)*log2(1/alpha).
-    Cells with M < ``min_m`` are asymptotically meaningless and are flagged
+    Cells with M < MIN_LT1_BINS are asymptotically meaningless and are flagged
     as warnings instead of judged.
     """
     by_cell = _index_records(records)
@@ -286,9 +292,9 @@ def check_alpha_lt1_savings(records, min_m: int = 16) -> ClaimVerdict:
         if full is None:
             continue
         _, m = validate_pair(n, alpha)
-        if m < min_m:
+        if m < MIN_LT1_BINS:
             verdict.warnings.append(
-                f"N={n}, alpha={alpha}: alpha*N={m} < {min_m}, excluded from the claim"
+                f"N={n}, alpha={alpha}: alpha*N={m} < {MIN_LT1_BINS}, excluded from the claim"
             )
             continue
         j, fft_record = full
@@ -310,14 +316,14 @@ def check_alpha_lt1_savings(records, min_m: int = 16) -> ClaimVerdict:
     return verdict
 
 
-def fit_complexity(records, residual_limit: float = 0.01) -> FitResult:
+def fit_complexity(records) -> FitResult:
     """Least-squares fit of measured multiply counts to c * max(N,M) * log2(min(N,M)).
 
     Counts are exact, so over any fixed-alpha fast-path grid the fit is
     exact as well: c comes out 1/2 for alpha >= 1 (and alpha/2 for alpha < 1,
     where the spectrum itself is the small dimension) with zero residual.
     A grid produced by a method with different scaling -- the naive
-    transform, say -- leaves residuals far beyond ``residual_limit`` and
+    transform, say -- leaves residuals far beyond FIT_RESIDUAL_LIMIT and
     fails the fit.  Needs at least four distinct N values.
     """
     ids, features, counts = [], [], []
@@ -335,7 +341,7 @@ def fit_complexity(records, residual_limit: float = 0.01) -> FitResult:
     y = np.asarray(counts, dtype=float)
     c = float(f @ y / (f @ f))
     residual = float(np.max(np.abs(y - c * f) / y))
-    return FitResult(c, residual, residual <= residual_limit, len(ids), ids)
+    return FitResult(c, residual, residual <= FIT_RESIDUAL_LIMIT, len(ids), ids)
 
 
 def make_report(records, skipped: list | None = None) -> ScalingReport:

@@ -37,9 +37,9 @@ def analytic_sine_spectrum(nu):
     return value
 
 
-def sine_signal(n: int = 64, duration: float = 1.0) -> Signal:
-    """x_k = sin(pi * k / N): one half-period across the record."""
-    return Signal(np.sin(np.pi * np.arange(n) / n), duration)
+def sine_signal(n: int = 64) -> Signal:
+    """x_k = sin(pi * k / N): one half-period across a one-second record."""
+    return Signal(np.sin(np.pi * np.arange(n) / n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,13 +66,13 @@ def _curve(spectrum: Spectrum) -> DemoCurve:
     )
 
 
-def sine_demo(n: int = 64, alphas=(1, 2, 4, 8), duration: float = 1.0) -> dict:
+def sine_demo(n: int = 64, alphas=(1, 2, 4, 8)) -> dict:
     """Half-sine spectra for each density factor, keyed by DenseFactor.
 
     Uses the fast kernel whenever the pair admits it, the naive transform
     otherwise, so arbitrary rational densities can be explored too.
     """
-    signal = sine_signal(n, duration)
+    signal = sine_signal(n)
     curves = {}
     for raw in alphas:
         alpha = raw if isinstance(raw, DenseFactor) else DenseFactor(raw)
@@ -89,20 +89,17 @@ def analytic_normalized(nu) -> np.ndarray:
     return np.abs(analytic_sine_spectrum(nu)) / SINE_DC
 
 
-def max_curve_deviation(curve: DemoCurve, lo: float = 0.0, hi: float = 4.0,
-                        step: float = 1.0 / 256.0) -> float:
-    """Worst gap between a demo curve and the analytic reference over [lo, hi].
+def max_curve_deviation(curve: DemoCurve) -> float:
+    """Worst gap between a demo curve and the analytic reference over [0, 4] Hz.
 
     The discrete points are read as a curve the way a plot draws them --
     linear interpolation between neighboring bins -- and compared with the
-    continuous reference on a grid of ``step`` Hz.  A coarse bin grid that
+    continuous reference on a grid of 1/256 Hz.  A coarse bin grid that
     jumps across spectral features (the alpha = 1 picket fence) shows up as
     a large deviation; denser grids track the reference closely.
     """
-    grid = np.arange(lo, hi + 0.5 * step, step)
+    grid = np.arange(0.0, 4.0 + 0.5 / 256.0, 1.0 / 256.0)
     if grid[-1] > curve.frequencies[-1]:
-        raise ValueError(
-            f"curve ends at {curve.frequencies[-1]:g} Hz, cannot compare up to {hi:g} Hz"
-        )
+        raise ValueError(f"curve ends at {curve.frequencies[-1]:g} Hz, cannot compare up to 4 Hz")
     interpolated = np.interp(grid, curve.frequencies, curve.normalized)
     return float(np.max(np.abs(interpolated - analytic_normalized(grid))))

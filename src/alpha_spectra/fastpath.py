@@ -181,7 +181,4 @@ def alpha_fft(signal: Signal, p: Plan, counter: OpCounter | None = None) -> Spec
     at a cost of predicted_mults(p) complex multiplies, which the optional
     ``counter`` verifies empirically.
     """
-    if len(signal) != p.n:
-        raise ValueError(f"plan is for N={p.n}, signal has {len(signal)} samples")
-    bins = transform_samples(signal.samples, p, counter)
-    return Spectrum(bins, p.n, p.alpha, signal.duration)
+    return Spectrum(transform_samples(signal.samples, p, counter), p.n, p.alpha, signal.duration)

@@ -7,7 +7,7 @@ JSON.  Spectra go out as CSV with ``# N=", "# alpha=p/q``, ``# T=`` and
 are rendered with 17 significant digits, which round-trips doubles exactly:
 parsing an emitted file and re-emitting it reproduces the bytes.
 
-The CSV paths work on whole columns.  A reader reads the file as one text
+The CSV paths work on whole columns.  A reader reads the file's bytes once
 and scans its lines up to the header for metadata.  When the rest is clean
 -- ASCII rows ended by LF alone, no comment, blank line or whitespace, and
 the header's number of commas in every row, all checked with a few
@@ -196,12 +196,27 @@ def _clean_rows(rows_text, commas) -> int:
     return rows
 
 
-def _scan_csv(lines, layouts, text=None):
+def _rows_text(data, offset):
+    """The text of ``data`` after its first ``offset`` characters, less one final LF.
+
+    Decoded as open(path, "r", newline="") decodes: no newline translation.
+    None when ``data`` does not decode.
+    """
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), newline="").read()
+    except UnicodeDecodeError:
+        return None
+    return text[offset:len(text) - text.endswith("\n")]
+
+
+def _scan_csv(lines, layouts, data):
     """The per-line loop of _read_csv over the text stream ``lines``.
 
-    When ``text`` is the whole text of ``lines``, clean rows after the
-    header (see _clean_rows) are split into cells in one go; anything else
-    goes on line by line.
+    ``data`` holds the bytes of ``lines``.  When they decode, clean rows
+    after the header (see _clean_rows) are split into cells in one go.
+    Anything else goes on line by line without the decoded text; bytes
+    that do not decode are streamed, so an error on a line before the
+    undecodable chunk is the one reported.
     """
     metadata = {}
     header = None
@@ -221,14 +236,14 @@ def _scan_csv(lines, layouts, text=None):
                 expected = " or ".join(f"'{','.join(names)}'" for names in layouts)
                 raise SignalParseError(f"expected header {expected}, got {stripped!r}", line_no)
             commas = len(header) - 1
-            if text is not None:
-                rows_text = text[offset:len(text) - text.endswith("\n")]
-                count = _clean_rows(rows_text, commas)
-                if count:
-                    cells = rows_text.replace("\n", ",").split(",")
-                    line_nos = range(line_no + 1, line_no + 1 + count)
-                    columns = _parse_columns(cells, line_nos, *layouts[header])
-                    return metadata, header, columns, line_nos
+            rows_text = _rows_text(data, offset)
+            count = 0 if rows_text is None else _clean_rows(rows_text, commas)
+            if count:
+                cells = rows_text.replace("\n", ",").split(",")
+                line_nos = range(line_no + 1, line_no + 1 + count)
+                columns = _parse_columns(cells, line_nos, *layouts[header])
+                return metadata, header, columns, line_nos
+            rows_text = None  # the loop reads on from ``lines`` alone
         elif stripped.count(",") != commas:
             raise SignalParseError(
                 f"expected {len(header)} columns, got {stripped.count(',') + 1}", line_no
@@ -236,9 +251,12 @@ def _scan_csv(lines, layouts, text=None):
         else:
             rows.append(stripped)
             line_nos.append(line_no)
-    columns = (
-        _parse_columns(",".join(rows).split(","), line_nos, *layouts[header]) if rows else None
-    )
+    if not rows:
+        return metadata, header, None, line_nos
+    # The row strings go before the split: each of them and the cells takes
+    # a few times the text's size.
+    text, rows = ",".join(rows), None
+    columns = _parse_columns(text.split(","), line_nos, *layouts[header])
     return metadata, header, columns, line_nos
 
 
@@ -252,15 +270,8 @@ def _read_csv(path, layouts):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    # Decoded as open(path, "r", newline="") decodes: no newline translation.
-    try:
-        text = io.TextIOWrapper(io.BytesIO(data), newline="").read()
-    except UnicodeDecodeError:
-        # Streamed, the lines before the undecodable chunk are read first,
-        # so an error on one of them is the one reported.
-        text = None
     with io.TextIOWrapper(io.BytesIO(data), newline="") as lines:
-        return _scan_csv(lines, layouts, text)
+        return _scan_csv(lines, layouts, data)
 
 
 def _complex(re, im) -> np.ndarray:

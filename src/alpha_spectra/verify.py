@@ -157,15 +157,7 @@ def suite_orthogonality(sizes=DEFAULT_SIZES) -> SuiteResult:
     return _result("orthogonality", 1e-12, measurements())
 
 
-def run_all(seed=0, sizes=DEFAULT_SIZES, inject_fault=False) -> list:
-    """Run every suite; ``inject_fault`` corrupts the first result (test hook)."""
+def run_all(seed=0, sizes=DEFAULT_SIZES) -> list:
+    """Run every suite."""
     sizes = tuple(sizes)
-    results = [run_sweep(sweep, seed, sizes) for sweep in SWEEPS]
-    results.append(suite_orthogonality(sizes))
-    if inject_fault:
-        first = results[0]
-        results[0] = SuiteResult(
-            first.name, first.max_error + 1.0, first.tolerance, False,
-            dict(first.worst, injected=True), first.cases,
-        )
-    return results
+    return [run_sweep(sweep, seed, sizes) for sweep in SWEEPS] + [suite_orthogonality(sizes)]

@@ -15,7 +15,7 @@ from alpha_spectra import (
 )
 from alpha_spectra.bench import write_records_csv
 
-FAST_KW = dict(reps=2, naive_reps=1)
+FAST_KW = dict(reps=2)
 
 
 def record_for(records, n, alpha, method):
@@ -86,11 +86,11 @@ def test_grid_counts_are_exact():
 
 
 def test_grid_naive_counts():
-    records = run_grid([8], [DenseFactor(1, 4)], methods=("naive",), **FAST_KW)
+    records = run_grid([8], [DenseFactor(1, 4)], methods=("naive",), reps=5)
     naive = record_for(records, 8, DenseFactor(1, 4), "naive")
     assert naive.complex_mults == 16   # N * M
     assert naive.complex_adds == 14    # (N - 1) * M
-    assert naive.repetitions == 1
+    assert naive.repetitions == 3      # capped at NAIVE_REPS
 
 
 def test_grid_collects_skips():

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from alpha_spectra import DenseFactor, Signal, cli
+from alpha_spectra import DenseFactor, Signal, cli, verify
 from alpha_spectra.io import read_spectrum, write_signal_csv
 
 
@@ -186,8 +188,10 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_reports_failure(capsys):
-    assert run(["verify", "--sizes", "2,4,8", "--inject-fault"]) == cli.EXIT_VERIFY_FAILED
+def test_verify_reports_failure(capsys, monkeypatch):
+    broken = dataclasses.replace(verify.SWEEPS[0], error=lambda signal, alpha: 1.0)
+    monkeypatch.setattr(verify, "SWEEPS", (broken,) + verify.SWEEPS[1:])
+    assert run(["verify", "--sizes", "2,4,8"]) == cli.EXIT_VERIFY_FAILED
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "worst case" in captured.err
@@ -267,6 +271,9 @@ def test_too_many_bins_exits_6(tmp_path, capsys, argv):
     ["verify", "--seed", "-1"],
     ["verify", "--sizes", "0"],
     ["demo-sine", "--output", "unused", "--n", "0"],
+    ["demo-sine", "--output", "unused", "--alphas", ","],
+    ["bench", "--grid-alpha", ","],
+    ["bench", "--methods", ","],
     ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "-1"],
     ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "nan"],
     ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "inf"],

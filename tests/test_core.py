@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import alpha_spectra
 from alpha_spectra import (
     DenseFactor,
     IncompatibleAlphaError,
@@ -161,3 +162,17 @@ def test_frequency_grid_span():
     assert spectrum.bin_frequency(0) == 0.0
     with pytest.raises(IndexError):
         spectrum.bin_frequency(m)
+
+
+def test_public_names():
+    assert sorted(alpha_spectra.__all__) == [
+        "BenchRecord", "ClaimVerdict", "DenseFactor", "FitResult", "IncompatibleAlphaError",
+        "IncompleteGridError", "LeafKind", "OpCounter", "Plan", "ScalingReport", "Signal",
+        "Spectrum", "TooManyBinsError", "UnsupportedSizeError", "__version__",
+        "aliased_reconstruct", "alpha_fft", "analytic_sine_spectrum", "bin_frequency",
+        "check_alpha_gt1_savings", "check_alpha_lt1_savings", "dft_matrix", "fit_complexity",
+        "is_power_of_two", "make_report", "max_curve_deviation", "naive_forward",
+        "naive_inverse", "orthogonality_kernel", "plan", "predicted_adds", "predicted_mults",
+        "run_grid", "sine_demo", "sine_signal", "standard_fft", "transform_samples",
+        "validate_pair", "zero_pad",
+    ]

@@ -90,9 +90,11 @@ def test_deviation_shrinks_with_density(curves):
     assert devs[3] < 0.1 * devs[0]
 
 
-def test_deviation_rejects_out_of_range_grid(curves):
-    with pytest.raises(ValueError):
-        max_curve_deviation(curves[DenseFactor(1)], hi=80.0)
+def test_deviation_rejects_out_of_range_grid():
+    # N = 2 at alpha = 1 has bins at 0 and 1 Hz, short of the 4 Hz grid.
+    (curve,) = sine_demo(2, (1,)).values()
+    with pytest.raises(ValueError, match="curve ends at 1 Hz"):
+        max_curve_deviation(curve)
 
 
 def test_rational_density_falls_back_to_naive():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,3 +330,22 @@ def test_written_files_take_the_whole_text_path(tmp_path, monkeypatch):
     read_signal(tmp_path / "s.csv")
     read_spectrum(tmp_path / "x.csv")
     assert counts == [40, 20]
+
+
+def test_line_by_line_read_peaks_near_the_whole_text_read(tmp_path):
+    # A CRLF file fails the whole-text check; the per-line loop that reads
+    # it must not keep the decoded text or the row strings next to the cells.
+    rng = np.random.default_rng(8)
+    lf = tmp_path / "lf.csv"
+    write_signal_csv(Signal(rng.normal(size=65536) + 1j * rng.normal(size=65536)), lf)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    peaks = {}
+    for path in (lf, crlf):
+        tracemalloc.start()
+        try:
+            read_signal(path)
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["crlf.csv"] <= 1.15 * peaks["lf.csv"]
