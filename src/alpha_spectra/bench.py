@@ -280,7 +280,8 @@ def check_alpha_lt1_savings(records) -> ClaimVerdict:
     the same N.  The gap must equal (N/2)*log2(N) - (M/2)*log2(M) exactly
     (M = alpha*N) and is never below the per-level floor (N/2)*log2(1/alpha).
     Cells with M < MIN_LT1_BINS are asymptotically meaningless and are flagged
-    as warnings instead of judged.
+    as warnings instead of judged; with no cell judged, the claim is
+    IncompleteGridError, not a pass.
     """
     by_cell = _index_records(records)
     verdict = ClaimVerdict("alpha_lt1_savings", True)
@@ -309,9 +310,10 @@ def check_alpha_lt1_savings(records) -> ClaimVerdict:
              "alpha_mults": fast.complex_mults, "gap": gap, "expected_gap": expected,
              "floor": floor, "ok": ok}
         )
-    if not verdict.details and not verdict.warnings:
+    if not verdict.details:
         raise IncompleteGridError(
-            "need alpha < 1 alpha_fft records plus the alpha = 1 record at the same N"
+            f"need alpha < 1 alpha_fft records with alpha*N >= {MIN_LT1_BINS} "
+            "plus the alpha = 1 record at the same N"
         )
     return verdict
 

@@ -28,6 +28,7 @@ from .core import (
     Spectrum,
     TooManyBinsError,
     UnsupportedSizeError,
+    is_power_of_two,
 )
 
 EXIT_OK = 0
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the signal duration T in seconds")
 
     demo_cmd = sub.add_parser("demo-sine", help="emit the half-sine demo curves")
-    demo_cmd.add_argument("--n", type=_positive_int_argument, default=64,
+    demo_cmd.add_argument("--n", type=_int_at_least(2), default=64,
                           help="signal length (default 64)")
     demo_cmd.add_argument("--alphas", type=_list_of(_alpha_argument),
                           default=[DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)],
@@ -170,8 +171,13 @@ def cmd_compute(args) -> int:
             if alpha.p < alpha.q:
                 print(f"error: zero-padding needs alpha >= 1, got {alpha}", file=sys.stderr)
                 return EXIT_BAD_ALPHA
-            padded = baseline.standard_fft(baseline.zero_pad(signal, alpha))
-            spectrum = Spectrum(padded.bins, len(signal), alpha, signal.duration)
+            padded = baseline.zero_pad(signal, alpha)
+            if not is_power_of_two(len(padded)):
+                raise UnsupportedSizeError(
+                    f"zero-padding needs a power-of-two alpha*N, got N={len(signal)}, "
+                    f"alpha*N={len(padded)}; use the naive transform for this pair"
+                )
+            spectrum = Spectrum(baseline.standard_fft(padded).bins, len(signal), alpha, signal.duration)
             method = "zeropad"
         else:  # auto: fast kernel when the pair allows it, else the oracle
             try:
@@ -205,7 +211,7 @@ def cmd_demo_sine(args) -> int:
     except TooManyBinsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_REPRESENTABLE
-    except (IncompatibleAlphaError, ValueError) as exc:
+    except IncompatibleAlphaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ALPHA
     out_dir = Path(args.output)

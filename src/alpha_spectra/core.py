@@ -138,10 +138,6 @@ class Signal:
         return self.samples.size
 
     @property
-    def n(self) -> int:
-        return self.samples.size
-
-    @property
     def dt(self) -> float:
         return self.duration / self.samples.size
 
@@ -174,11 +170,6 @@ class Spectrum:
     @property
     def m(self) -> int:
         return self.bins.size
-
-    def bin_frequency(self, m: int) -> float:
-        if not 0 <= m < self.bins.size:
-            raise IndexError(f"bin index {m} outside [0, {self.bins.size})")
-        return bin_frequency(m, self.alpha, self.duration)
 
     @property
     def frequencies(self) -> np.ndarray:

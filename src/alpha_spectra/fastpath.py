@@ -49,18 +49,14 @@ class LeafKind(enum.Enum):
 class OpCounter:
     """Complex multiply/add tally for a single transform invocation.
 
-    Counters only ever grow while a transform runs; reset (or use a fresh
-    instance) between runs.  Counting a multiply by a unit twiddle still
-    costs one multiply -- the convention matches what the kernel executes,
-    which is what makes the closed-form count an integer identity.
+    Counters only ever grow while a transform runs; use a fresh instance
+    per run.  Counting a multiply by a unit twiddle still costs one
+    multiply -- the convention matches what the kernel executes, which is
+    what makes the closed-form count an integer identity.
     """
 
     complex_mults: int = 0
     complex_adds: int = 0
-
-    def reset(self) -> None:
-        self.complex_mults = 0
-        self.complex_adds = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,10 +76,6 @@ class Plan:
     depth: int
     leaf: LeafKind
     twiddles: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return (self.m, self.n)
 
 
 def plan(n: int, alpha: DenseFactor) -> Plan:

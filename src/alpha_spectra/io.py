@@ -1,13 +1,13 @@
-"""Signal and spectrum file formats used by the command line.
+"""File formats of the command line: signals in, spectra out.
 
-Signals come in as CSV (columns ``index,re,im`` or ``time,value``; ``#``
-comment lines may carry ``T=<seconds>`` / ``N=<count>`` metadata) or as
-JSON.  Spectra go out as CSV with ``# N=", "# alpha=p/q``, ``# T=`` and
-``# method=`` metadata followed by ``m,freq,re,im,magnitude`` rows.  Floats
-are rendered with 17 significant digits, which round-trips doubles exactly:
-parsing an emitted file and re-emitting it reproduces the bytes.
+Signals come in as CSV (columns ``index,re,im`` or ``time,value``; a ``#``
+comment line may carry ``T=<seconds>`` or ``N=<count>`` metadata, and any
+other comment is ignored) or as JSON.  Spectra go out as CSV with
+``# N=``, ``# alpha=p/q``, ``# T=`` and ``# method=`` metadata followed by
+``m,freq,re,im,magnitude`` rows.  Floats are rendered with 17 significant
+digits, which round-trips doubles exactly.
 
-The CSV paths work on whole columns.  A reader reads the file's bytes once
+The CSV reader works on whole columns.  It reads the file's bytes once
 and scans its lines up to the header for metadata.  When the rest is clean
 -- ASCII rows ended by LF alone, no comment, blank line or whitespace, and
 the header's number of commas in every row, all checked with a few
@@ -23,8 +23,8 @@ errors of the walks they skip.
 
 The spectrum writer takes ``freq`` from ``Spectrum.frequencies`` and
 ``magnitude`` from ``np.hypot``, bitwise the values of ``bin_frequency`` and
-of ``abs`` of each bin, and the writers format and write their rows
-WRITE_BLOCK_ROWS at a time.
+of ``abs`` of each bin, and formats and writes its rows WRITE_BLOCK_ROWS at
+a time.
 """
 
 import io
@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DenseFactor, Signal, Spectrum
+from .core import Signal, Spectrum
 
 #: Relative tolerance when checking that a time column is uniformly spaced.
 TIME_UNIFORMITY_RTOL = 1e-9
@@ -46,11 +46,10 @@ WRITE_BLOCK_ROWS = 4096
 #: Accepted CSV headers, each with the label of its index column (None when
 #: there is none) and the positions of the float columns the reader parses.
 _SIGNAL_LAYOUTS = {("index", "re", "im"): ("index", (1, 2)), ("time", "value"): (None, (0, 1))}
-_SPECTRUM_LAYOUTS = {("m", "freq", "re", "im", "magnitude"): ("bin index", (1, 2, 3, 4))}
 
 
 class SignalParseError(ValueError):
-    """Malformed signal or spectrum file; ``line`` is 1-based when known."""
+    """Malformed signal file; ``line`` is 1-based when known."""
 
     def __init__(self, message, line=None):
         self.line = line
@@ -106,6 +105,7 @@ def _checked_signal(samples, times, declared, line_of=lambda position: 1) -> Sig
 
 
 def _parse_metadata(line_text, line_no, metadata):
+    """Record a ``# T=`` or ``# N=`` comment in ``metadata``; ignore any other."""
     body = line_text.lstrip("#").strip()
     if "=" in body:
         key, _, raw = body.partition("=")
@@ -117,13 +117,6 @@ def _parse_metadata(line_text, line_no, metadata):
                 metadata["N"] = int(raw.strip())
             except ValueError:
                 raise SignalParseError(f"expected an integer N, got {raw.strip()!r}", line_no) from None
-        elif key == "alpha":
-            try:
-                metadata["alpha"] = DenseFactor.from_string(raw.strip())
-            except ValueError as exc:
-                raise SignalParseError(str(exc), line_no) from None
-        elif key == "method":
-            metadata["method"] = raw.strip()
 
 
 def _parse_columns(cells, line_nos, index_label, positions) -> list:
@@ -209,7 +202,7 @@ def _rows_text(data, offset):
     return text[offset:len(text) - text.endswith("\n")]
 
 
-def _scan_csv(lines, layouts, data):
+def _scan_csv(lines, data):
     """The per-line loop of _read_csv over the text stream ``lines``.
 
     ``data`` holds the bytes of ``lines``.  When they decode, clean rows
@@ -232,8 +225,8 @@ def _scan_csv(lines, layouts, data):
             _parse_metadata(stripped, line_no, metadata)
         elif header is None:
             header = tuple(cell.strip().lower() for cell in stripped.split(","))
-            if header not in layouts:
-                expected = " or ".join(f"'{','.join(names)}'" for names in layouts)
+            if header not in _SIGNAL_LAYOUTS:
+                expected = " or ".join(f"'{','.join(names)}'" for names in _SIGNAL_LAYOUTS)
                 raise SignalParseError(f"expected header {expected}, got {stripped!r}", line_no)
             commas = len(header) - 1
             rows_text = _rows_text(data, offset)
@@ -241,7 +234,7 @@ def _scan_csv(lines, layouts, data):
             if count:
                 cells = rows_text.replace("\n", ",").split(",")
                 line_nos = range(line_no + 1, line_no + 1 + count)
-                columns = _parse_columns(cells, line_nos, *layouts[header])
+                columns = _parse_columns(cells, line_nos, *_SIGNAL_LAYOUTS[header])
                 return metadata, header, columns, line_nos
             rows_text = None  # the loop reads on from ``lines`` alone
         elif stripped.count(",") != commas:
@@ -256,22 +249,22 @@ def _scan_csv(lines, layouts, data):
     # The row strings go before the split: each of them and the cells takes
     # a few times the text's size.
     text, rows = ",".join(rows), None
-    columns = _parse_columns(text.split(","), line_nos, *layouts[header])
+    columns = _parse_columns(text.split(","), line_nos, *_SIGNAL_LAYOUTS[header])
     return metadata, header, columns, line_nos
 
 
-def _read_csv(path, layouts):
-    """A CSV's metadata, header and float columns.
+def _read_csv(path):
+    """A signal CSV's metadata, header and float columns.
 
-    ``layouts`` maps each accepted lower-case header to its index label and
-    float column positions (see _SIGNAL_LAYOUTS).  Returns (metadata,
-    header, columns, line_nos): ``columns`` is None when there is no data
-    row, and ``line_nos`` holds each data row's 1-based line.
+    The header must be one of _SIGNAL_LAYOUTS.  Returns (metadata, header,
+    columns, line_nos): ``metadata`` holds the ``T`` and ``N`` comments
+    found, ``columns`` is None when there is no data row, and ``line_nos``
+    holds each data row's 1-based line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     with io.TextIOWrapper(io.BytesIO(data), newline="") as lines:
-        return _scan_csv(lines, layouts, data)
+        return _scan_csv(lines, data)
 
 
 def _complex(re, im) -> np.ndarray:
@@ -284,7 +277,7 @@ def _complex(re, im) -> np.ndarray:
 
 def read_signal_csv(path) -> Signal:
     """Parse a signal CSV; raises SignalParseError with a line number on failure."""
-    metadata, header, columns, line_nos = _read_csv(path, _SIGNAL_LAYOUTS)
+    metadata, header, columns, line_nos = _read_csv(path)
     if header is None:
         raise SignalParseError("no header row found")
     if columns is None:
@@ -421,37 +414,3 @@ def write_spectrum(spectrum: Spectrum, path, method: str) -> None:
         _write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g\n",
                     (np.arange(bins.size, dtype=float), spectrum.frequencies,
                      bins.real, bins.imag, magnitude))
-
-
-def read_spectrum(path) -> tuple[Spectrum, str]:
-    """Parse a spectrum CSV back into (Spectrum, method).
-
-    Bins must be finite and T a positive finite number, as in the signal
-    readers; every failure is a SignalParseError.
-    """
-    metadata, _, columns, line_nos = _read_csv(path, _SPECTRUM_LAYOUTS)
-    for key in ("N", "alpha", "T"):
-        if key not in metadata:
-            raise SignalParseError(f"missing '# {key}=' metadata")
-    if columns is None:
-        raise SignalParseError("no spectrum rows found")
-    _, re, im, _ = columns  # freq and magnitude are parsed only to check them
-    bins = _complex(re, im)
-    bad = np.flatnonzero(~np.isfinite(bins))
-    if bad.size:
-        raise SignalParseError(f"bin {bad[0]} is not finite", line_nos[bad[0]])
-    duration = check_duration(metadata["T"])
-    try:
-        spectrum = Spectrum(bins, metadata["N"], metadata["alpha"], duration)
-    except ValueError as exc:  # N, alpha and the bin count do not fit together
-        raise SignalParseError(str(exc)) from None
-    return spectrum, metadata.get("method", "unknown")
-
-
-def write_signal_csv(signal: Signal, path) -> None:
-    """Signal CSV in the index,re,im form with a T metadata comment."""
-    samples = signal.samples
-    with open(path, "w") as fh:
-        fh.write(f"# T={_fmt(signal.duration)}\n# N={len(signal)}\nindex,re,im\n")
-        _write_rows(fh, "%d,%.17g,%.17g\n",
-                    (np.arange(samples.size, dtype=float), samples.real, samples.imag))

@@ -144,10 +144,9 @@ def test_lt1_savings_gap_exceeds_floor():
 def test_lt1_savings_warns_on_tiny_spectra():
     records = run_grid([256], [DenseFactor(1, 64), DenseFactor(1)],
                        methods=("alpha_fft",), **FAST_KW)
-    verdict = check_alpha_lt1_savings(records)
-    assert verdict.passed and not verdict.details
-    assert len(verdict.warnings) == 1
-    assert "alpha*N=4 < 16" in verdict.warnings[0]
+    # alpha*N = 4 is only warned about, so no cell is judged: no verdict.
+    with pytest.raises(IncompleteGridError, match="alpha\\*N >= 16"):
+        check_alpha_lt1_savings(records)
 
 
 def test_lt1_savings_needs_records():

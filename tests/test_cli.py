@@ -3,16 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from alpha_spectra import DenseFactor, Signal, cli, verify
-from alpha_spectra.io import read_spectrum, write_signal_csv
+from alpha_spectra import DenseFactor, cli, verify
+
+from file_formats import read_spectrum_csv, write_signal_csv
 
 
 @pytest.fixture
 def signal_file(tmp_path):
     rng = np.random.default_rng(11)
-    signal = Signal(rng.normal(size=8) + 1j * rng.normal(size=8))
     path = tmp_path / "signal.csv"
-    write_signal_csv(signal, path)
+    write_signal_csv(path, rng.normal(size=8) + 1j * rng.normal(size=8))
     return path
 
 
@@ -29,8 +29,8 @@ def test_compute_fft_and_naive_agree(signal_file, tmp_path):
                 "--alpha", "2", "--method", "fft"]) == cli.EXIT_OK
     assert run(["compute", "--input", str(signal_file), "--output", str(naive_out),
                 "--alpha", "2", "--method", "naive"]) == cli.EXIT_OK
-    fast, fast_method = read_spectrum(fft_out)
-    slow, slow_method = read_spectrum(naive_out)
+    fast, fast_method = read_spectrum_csv(fft_out)
+    slow, slow_method = read_spectrum_csv(naive_out)
     assert (fast_method, slow_method) == ("fft", "naive")
     assert fast.alpha == slow.alpha == DenseFactor(2)
     assert np.max(np.abs(fast.bins - slow.bins)) < 1e-10
@@ -40,7 +40,7 @@ def test_compute_zeropad_labels_alpha(signal_file, tmp_path):
     out = tmp_path / "pad.csv"
     assert run(["compute", "--input", str(signal_file), "--output", str(out),
                 "--alpha", "4", "--method", "zeropad"]) == cli.EXIT_OK
-    spectrum, method = read_spectrum(out)
+    spectrum, method = read_spectrum_csv(out)
     assert method == "zeropad"
     assert spectrum.origin_n == 8          # original length, not the padded one
     assert spectrum.alpha == DenseFactor(4)
@@ -49,11 +49,11 @@ def test_compute_zeropad_labels_alpha(signal_file, tmp_path):
 
 def test_compute_auto_falls_back_to_naive(tmp_path):
     path = tmp_path / "four.csv"
-    write_signal_csv(Signal([1.0, 2.0, 3.0, 4.0]), path)
+    write_signal_csv(path, [1.0, 2.0, 3.0, 4.0])
     out = tmp_path / "out.csv"
     assert run(["compute", "--input", str(path), "--output", str(out),
                 "--alpha", "3/2"]) == cli.EXIT_OK
-    spectrum, method = read_spectrum(out)
+    spectrum, method = read_spectrum_csv(out)
     assert method == "naive"               # M = 6 keeps the fast kernel out
     assert len(spectrum.bins) == 6
 
@@ -62,7 +62,7 @@ def test_compute_duration_override(signal_file, tmp_path):
     out = tmp_path / "out.csv"
     assert run(["compute", "--input", str(signal_file), "--output", str(out),
                 "--duration", "2.0"]) == cli.EXIT_OK
-    spectrum, _ = read_spectrum(out)
+    spectrum, _ = read_spectrum_csv(out)
     assert spectrum.duration == 2.0
     assert spectrum.frequencies[1] == 0.5
 
@@ -91,11 +91,21 @@ def test_compute_incompatible_alpha(signal_file, tmp_path, capsys):
 
 def test_compute_fft_rejects_awkward_sizes(tmp_path, capsys):
     path = tmp_path / "twelve.csv"
-    write_signal_csv(Signal(np.ones(12)), path)
+    write_signal_csv(path, np.ones(12))
     code = run(["compute", "--input", str(path), "--output", str(tmp_path / "out.csv"),
                 "--method", "fft"])
     assert code == cli.EXIT_BAD_SIZE
     assert "--method naive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, alpha, m", [(12, "3", 36), (16, "3/2", 24)])
+def test_compute_zeropad_names_the_input_length(tmp_path, capsys, n, alpha, m):
+    path = tmp_path / "signal.csv"
+    write_signal_csv(path, np.ones(n))
+    code = run(["compute", "--input", str(path), "--output", str(tmp_path / "out.csv"),
+                "--alpha", alpha, "--method", "zeropad"])
+    assert code == cli.EXIT_BAD_SIZE
+    assert f"got N={n}, alpha*N={m};" in single_error_line(capsys.readouterr().err)
 
 
 def test_compute_zeropad_rejects_thinning(signal_file, tmp_path, capsys):
@@ -165,6 +175,16 @@ def test_bench_reports_claim_failure(tmp_path, capsys, monkeypatch):
     code = run(["bench", "--grid-n", "64", "--grid-alpha", "2", "--reps", "1"])
     assert code == cli.EXIT_CLAIM_FAILED
     assert "claim alpha_gt1_savings: FAIL" in capsys.readouterr().out
+
+
+def test_bench_leaves_out_an_unjudged_claim(capsys):
+    # Every alpha < 1 spectrum here is below bench.MIN_LT1_BINS bins, so the
+    # alpha < 1 claim judges no cell and is not reported.
+    code = run(["bench", "--grid-n", "1,2", "--grid-alpha", "1/2,1,2", "--reps", "1"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert "claim alpha_gt1_savings: pass" in out
+    assert "alpha_lt1_savings" not in out
 
 
 def test_bench_empty_grid(tmp_path, capsys):
@@ -248,7 +268,7 @@ def test_compute_refuses_overflowing_bins(tmp_path, capsys, method):
     ["compute", "--input", "{one}", "--output", "{tmp}/out.csv", "--alpha", "100000000000"],
     ["compute", "--input", "{one}", "--output", "{tmp}/out.csv", "--alpha", "268435457",
      "--method", "naive"],
-    ["demo-sine", "--n", "1", "--alphas", "100000000000", "--output", "{tmp}/demo"],
+    ["demo-sine", "--n", "2", "--alphas", "100000000000", "--output", "{tmp}/demo"],
 ], ids=["compute", "compute-naive", "demo-sine"])
 def test_too_many_bins_exits_6(tmp_path, capsys, argv):
     # Refused by validate_pair before anything of alpha*N is allocated.
@@ -271,6 +291,7 @@ def test_too_many_bins_exits_6(tmp_path, capsys, argv):
     ["verify", "--seed", "-1"],
     ["verify", "--sizes", "0"],
     ["demo-sine", "--output", "unused", "--n", "0"],
+    ["demo-sine", "--output", "unused", "--n", "1"],
     ["demo-sine", "--output", "unused", "--alphas", ","],
     ["bench", "--grid-alpha", ","],
     ["bench", "--methods", ","],

@@ -147,10 +147,9 @@ def test_spectrum_frequencies_match_scalar_map():
     freqs = spectrum.frequencies
     assert freqs.shape == (12,)
     for m in range(12):
-        assert freqs[m] == spectrum.bin_frequency(m)  # identical arithmetic, identical bits
+        # identical arithmetic, identical bits
+        assert freqs[m] == bin_frequency(m, spectrum.alpha, spectrum.duration)
     assert np.all(np.diff(freqs) > 0)
-    with pytest.raises(IndexError):
-        spectrum.bin_frequency(12)
 
 
 def test_frequency_grid_span():
@@ -159,9 +158,8 @@ def test_frequency_grid_span():
     _, m = validate_pair(n, alpha)
     assert bin_frequency(m, alpha, duration) == n / duration
     spectrum = Spectrum(np.zeros(m), n, alpha, duration)
-    assert spectrum.bin_frequency(0) == 0.0
-    with pytest.raises(IndexError):
-        spectrum.bin_frequency(m)
+    assert spectrum.frequencies[0] == 0.0
+    assert spectrum.frequencies[-1] == bin_frequency(m - 1, alpha, duration)
 
 
 def test_public_names():

@@ -177,7 +177,7 @@ def test_spectrum_carries_timing():
     signal = Signal(np.ones(4), duration=2.0)
     spectrum = naive_forward(signal, DenseFactor(2))
     assert spectrum.duration == 2.0
-    assert spectrum.bin_frequency(1) == 1 / (2 * 2.0)
+    assert spectrum.frequencies[1] == 1 / (2 * 2.0)
 
 
 # Shapes around the blocks of rows the oracle evaluates at a time: a block

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from alpha_spectra import DenseFactor, Signal, plan, transform_samples
 from alpha_spectra.io import (
     _SIGNAL_LAYOUTS,
-    _SPECTRUM_LAYOUTS,
     SignalParseError,
     _checked_signal,
     _parse_metadata,
@@ -205,7 +204,7 @@ def reference_parse_columns(rows, line_nos, index_label, positions):
     return [np.array([float(cell) for cell in cells[k::width]]) for k in positions]
 
 
-def reference_read_csv(path, layouts):
+def reference_read_csv(path):
     metadata, header, rows, line_nos = {}, None, [], []
     with open(path, "r", newline="") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -216,8 +215,8 @@ def reference_read_csv(path, layouts):
                 _parse_metadata(text, line_no, metadata)
             elif header is None:
                 header = tuple(cell.strip().lower() for cell in text.split(","))
-                if header not in layouts:
-                    expected = " or ".join(f"'{','.join(names)}'" for names in layouts)
+                if header not in _SIGNAL_LAYOUTS:
+                    expected = " or ".join(f"'{','.join(names)}'" for names in _SIGNAL_LAYOUTS)
                     raise SignalParseError(f"expected header {expected}, got {text!r}", line_no)
             elif text.count(",") != len(header) - 1:
                 raise SignalParseError(
@@ -226,7 +225,7 @@ def reference_read_csv(path, layouts):
             else:
                 rows.append(text)
                 line_nos.append(line_no)
-    columns = reference_parse_columns(rows, line_nos, *layouts[header]) if rows else None
+    columns = reference_parse_columns(rows, line_nos, *_SIGNAL_LAYOUTS[header]) if rows else None
     return metadata, header, columns, line_nos
 
 
@@ -243,12 +242,10 @@ def outcome(read, *args):
     return ("csv", repr(metadata), header, columns, list(line_nos))
 
 
-CSV_LAYOUTS = [("index,re,im", _SIGNAL_LAYOUTS), ("time,value", _SIGNAL_LAYOUTS),
-               ("m,freq,re,im,magnitude", _SPECTRUM_LAYOUTS)]
 ODD_INDEX = st.sampled_from(["01", "+1", "1_0", "١٢", "-0", "x", "9" * 30, "", "2.0"])
 ODD_CELL = st.sampled_from(["1_0", "١٢", "", "abc", "nan", "-inf", "1e400", "-0.0", "0x1"])
 PAD = st.sampled_from([" ", "\t", "\x1c", "\x0b", " \t"])
-BETWEEN = st.sampled_from(["", "  ", "\t", "# note", "# T=2.5", "# N=x", "\x1c"])
+BETWEEN = st.sampled_from(["", "  ", "\t", "# note", "# T=2.5", "# N=x", "# alpha=x", "\x1c"])
 LINE_END = st.sampled_from(["\r\n", "\r"])
 RARE = st.sampled_from([False] * 24 + [True])  # shrinks towards False
 CELL_SHIFT = st.sampled_from([0] * 16 + [1, -1, 2, -2])
@@ -257,14 +254,14 @@ CELL_SHIFT = st.sampled_from([0] * 16 + [1, -1, 2, -2])
 @st.composite
 def differential_csv(draw):
     """Mostly clean CSV text, each kind of dirt drawn rarely and on its own."""
-    header, layouts = draw(st.sampled_from(CSV_LAYOUTS))
+    header = draw(st.sampled_from(["index,re,im", "time,value"]))
     rare = lambda: draw(RARE)  # noqa: E731
     lines = []
     if draw(st.booleans()):
         lines.append(f"# T={draw(st.sampled_from(['1', '0.5', 'nan', 'x']))}")
     lines.append(f"# N={draw(st.integers(0, 6))}")
-    if header == "m,freq,re,im,magnitude":
-        lines += ["# alpha=1/2", "# method=fft"]
+    if draw(st.booleans()):  # a spectrum's metadata, which a signal ignores
+        lines += [f"# alpha={draw(st.sampled_from(['1/2', 'abc']))}", "# method=fft"]
     lines.append(header.upper() if rare() else header)
     carry = 0
     for index in range(draw(st.integers(0, 6))):
@@ -301,22 +298,20 @@ def differential_csv(draw):
         text = text.replace("\n", draw(LINE_END))
     if rare():
         text = text.rstrip("\n")
-    return text, layouts
+    return text
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(differential_csv())
-@example(("index,re,im\n0,1.0,2.0,1\n1,3.0\n2,4.0,5.0\n", _SIGNAL_LAYOUTS))
-@example(("index,re,im\n0,1.0\n1,2.0,3.0,4.0\n", _SIGNAL_LAYOUTS))
-@example(("time,value\n0,1\n#0.5,2\n1,3\n", _SIGNAL_LAYOUTS))
-@example(("index,re,im\n0,1.0\r,2.0\n", _SIGNAL_LAYOUTS))
-@example(("# N=2\n# alpha=1/2\n# T=1\nm,freq,re,im,magnitude\n0,0,1,0,1\n\n1,1,1,0,1",
-          _SPECTRUM_LAYOUTS))
-def test_read_csv_is_the_per_line_loop(fuzz_dir, case):
-    text, layouts = case
+@example("index,re,im\n0,1.0,2.0,1\n1,3.0\n2,4.0,5.0\n")
+@example("index,re,im\n0,1.0\n1,2.0,3.0,4.0\n")
+@example("time,value\n0,1\n#0.5,2\n1,3\n")
+@example("index,re,im\n0,1.0\r,2.0\n")
+@example("# N=2\n# alpha=1/2\n# T=1\nindex,re,im\n0,1,0\n\n1,1,1")
+def test_read_csv_is_the_per_line_loop(fuzz_dir, text):
     path = fuzz_dir / "d.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert outcome(_read_csv, path, layouts) == outcome(reference_read_csv, path, layouts)
+    assert outcome(_read_csv, path) == outcome(reference_read_csv, path)
 
 
 def test_undecodable_tail_leaves_the_header_error_first(tmp_path):
@@ -327,8 +322,7 @@ def test_undecodable_tail_leaves_the_header_error_first(tmp_path):
     with pytest.raises(SignalParseError, match="expected header") as info:
         read_signal(path)
     assert info.value.line == 1
-    assert outcome(_read_csv, path, _SIGNAL_LAYOUTS) == outcome(
-        reference_read_csv, path, _SIGNAL_LAYOUTS)
+    assert outcome(_read_csv, path) == outcome(reference_read_csv, path)
 
 
 def reference_read_signal_json(path):
