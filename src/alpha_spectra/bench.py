@@ -34,7 +34,8 @@ NAIVE_REPS = 3
 #: Smallest alpha*N judged by the alpha < 1 claim; smaller spectra only warn.
 MIN_LT1_BINS = 16
 
-#: Largest relative residual a complexity fit passes with.
+#: Largest relative residual a complexity fit passes with, and largest
+#: relative gap between its fitted c and the expected constant.
 FIT_RESIDUAL_LIMIT = 0.01
 
 
@@ -374,10 +375,13 @@ def make_report(records, skipped: list | None = None) -> ScalingReport:
             continue
         small_is_m = alpha.p < alpha.q
         expected_c = 0.5 * (alpha.p / alpha.q) if small_is_m else 0.5
+        # The paper's constant, not only the shape: a grid whose counts are all
+        # doubled fits its own c exactly and must still fail.
+        c_ok = abs(fit.c - expected_c) <= FIT_RESIDUAL_LIMIT * expected_c
         verdicts.append(
             ClaimVerdict(
                 claim=f"complexity_fit_alpha_{alpha.p}_{alpha.q}",
-                passed=fit.passed,
+                passed=fit.passed and c_ok,
                 record_ids=[records.index(r) for r in group],
                 details=[{"c": fit.c, "expected_c": expected_c,
                           "max_rel_residual": fit.max_rel_residual,

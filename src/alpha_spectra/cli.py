@@ -266,13 +266,17 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     results = verify.run_all(seed=args.seed, sizes=args.sizes)
-    failed = [r for r in results if not r.passed]
+    # A suite that checked no case neither passes nor fails.
+    failed = [r for r in results if r.cases and not r.passed]
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
+        status = "SKIP" if not result.cases else "PASS" if result.passed else "FAIL"
         print(f"{result.name}: max error {result.max_error:.3e} "
               f"(tolerance {result.tolerance:.0e}, {result.cases} cases) {status}")
     for result in failed:
         print(f"  worst case for {result.name}: {result.worst}", file=sys.stderr)
+    if not any(r.cases for r in results):
+        print("error: no suite checked any case at these --sizes", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 

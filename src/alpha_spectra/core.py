@@ -60,7 +60,7 @@ class DenseFactor:
     q: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.p, self.q)):
             raise ValueError(f"density factor wants integers, got {self.p!r}/{self.q!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError(f"density factor must be positive, got {self.p}/{self.q}")

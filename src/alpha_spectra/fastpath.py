@@ -11,12 +11,28 @@ Splitting stops after log2(min(N, alpha*N)) halvings, when the matrix
 degenerates to a column (alpha x 1: one sample fans out to alpha equal
 bins) or a row (1 x (1/alpha): a block of 1/alpha samples collapses to a
 plain sum, no multiplies).  Both N and alpha*N must therefore be powers of
-two.  The sweep below walks that recursion level-synchronously: row r of
-the working array is the subspectrum of the strided view x[r::K], so no
-input permutation or bit-reversal pass ever happens.  The levels alternate
-between two alpha*N buffers and park each level's twiddled odd half in one
-alpha*N/2 scratch, all allocated once per call; per level only the
-contiguous copy of that level's twiddle slice is allocated.
+two.  Level by level, row r of the working array is the subspectrum of the
+strided view x[r::K] for the level's K rows, so no input permutation or
+bit-reversal pass ever happens.
+
+The levels run in two phases so that each one works on a block of
+_BLOCK_BINS values, which stays in cache, instead of streaming every
+alpha*N-bin level through memory (the four-step split: Bailey 1990, "FFTs
+in external or hierarchical memory").  Leaf rows r, r+S, r+2S, ... only
+ever merge with each other until S rows are left, so
+
+* phase 1 runs each of the S residue classes as its own transform of
+  alpha*N/S bins, in the row of the (S, alpha*N/S) bin array that its
+  result ends in, and
+* phase 2 runs the last log2(S) levels over that array one block of
+  columns at a time.
+
+S is the number of blocks in alpha*N bins, at most the number of leaf
+rows; at alpha*N <= _BLOCK_BINS it is 1 and phase 1 is the whole
+transform.  Each block's levels alternate between its place in the bin
+array and one work block, and every butterfly multiplies the same operands
+by the same twiddle entry as a level-by-level sweep would, so the bins are
+bitwise those of that sweep.
 
 Cost accounting is exact, not asymptotic: each butterfly level multiplies
 half of the alpha*N running values by a twiddle, so a transform performs
@@ -38,6 +54,19 @@ from .core import (
     is_power_of_two,
     validate_pair,
 )
+
+
+#: Values one block of the sweep holds: 512 KiB of complex128, the block
+#: budget of the oracle, small enough to stay in cache across its levels.
+_BLOCK_BINS = 32768
+
+#: Fewest columns in a phase-2 block, and numpy's ufunc buffer size (in
+#: values) while the levels run.  With its default buffer of 8192 values,
+#: numpy copies operands whose contiguous runs are shorter than about half
+#: the buffer through it; at (65536, 8) those copies took nearly half of
+#: the blocked kernel's time.  A buffer no longer than the blocks' runs
+#: avoids them.
+_MIN_RUN = 16
 
 
 class LeafKind(enum.Enum):
@@ -67,7 +96,9 @@ class Plan:
     (empty when depth is 0).  The butterfly level whose output rows have
     length m >> k uses every 2**k-th entry, twiddles[::1 << k], which is
     bitwise the table built from the exact angles 2*pi*l/(m >> k): both
-    angles are the same quotient scaled by a power of two.
+    angles are the same quotient scaled by a power of two.  Phase 1 of the
+    sweep reads its levels' entries through contiguous copies of these
+    views; phase 2 reads the views themselves, a block of columns at a time.
     """
 
     n: int
@@ -120,50 +151,100 @@ def predicted_adds(p: Plan) -> int:
     return p.m * p.depth + leaf_adds
 
 
+def _butterfly(twiddles, level, out, counter):
+    """One butterfly level: out[:, 0] = y + W*z and out[:, 1] = y - W*z.
+
+    ``y`` and ``z`` are the first and second halves of ``level``'s rows: the
+    even-index children of the merged rows and their odd siblings (residues
+    r and r + half modulo the merged level's stride).  ``twiddles``
+    broadcasts against one half.  W*z waits in out[:, 1], so a level needs
+    no scratch.  The twiddle stays the first factor: numpy's vector complex
+    product is not commutative to the last bit.
+    """
+    half = level.shape[0] // 2
+    y, z = level[:half], level[half:]
+    low, high = out[:, 0], out[:, 1]
+    np.multiply(twiddles, z, out=high)
+    np.add(y, high, out=low)
+    np.subtract(y, high, out=high)
+    if counter is not None:
+        counter.complex_mults += high.size
+        counter.complex_adds += 2 * high.size
+
+
 def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) -> np.ndarray:
     """Run the planned transform on a bare sample array; returns the bin array.
 
     The bins are a fresh array that the caller owns: no other result and
-    nothing in ``p`` shares its memory.  With a ``counter``, each butterfly
-    level adds its alpha*N/2 multiplies and alpha*N adds.
+    nothing in ``p`` shares its memory.  Besides the bins, a call allocates
+    one work block of at most alpha*N values and contiguous copies of the
+    phase-1 twiddle slices (under alpha*N/2 values).  With a ``counter``,
+    each butterfly adds one multiply and two adds where it runs: alpha*N/2
+    multiplies and alpha*N adds per level.
     """
     if x.shape != (p.n,):
         raise ValueError(f"plan is for N={p.n}, got {x.shape[0] if x.ndim == 1 else x.shape} samples")
-    if p.depth:
-        # A level reads only the level before it, so two alpha*N buffers taken
-        # in turn hold every level; W^l z_l waits in the alpha*N/2 scratch.
-        bufs = (np.empty(p.m, dtype=np.complex128), np.empty(p.m, dtype=np.complex128))
-        scratch = np.empty(p.m // 2, dtype=np.complex128)
+    m = p.m
+    leaves = p.n if p.leaf is LeafKind.SINGLE_SAMPLE else m
+    classes = min(leaves, max(1, m // _BLOCK_BINS))
+    span, height = m // classes, leaves // classes
+    late = classes.bit_length() - 1
+    early = p.depth - late
+    width = min(span, max(_BLOCK_BINS // classes, _MIN_RUN))
+    bins = np.empty(m, dtype=np.complex128)
+    rows = bins.reshape(classes, span)
+    # Class r's leaf rows r, r + S, ... sit at the head of row r.
     if p.leaf is LeafKind.SINGLE_SAMPLE:
-        # Row r is the (alpha*N/N')-point subspectrum of x[r::N] == [x_r]:
+        # Leaf row r is the (alpha*N/N')-point subspectrum of x[r::N] == [x_r]:
         # one sample fanned out across m//n equal bins.
-        level = np.broadcast_to(x[:, None], (p.n, p.m // p.n))
+        rows[:, :height] = x.reshape(height, classes).T
+        if not early:
+            rows[...] = rows[:, :1]
     else:
-        # Row r is the 1-bin subspectrum of the block x[r::M]: its sum, kept
-        # in the buffer that the first level does not write.
-        level = np.sum(x.reshape(-1, p.m), axis=0, out=bufs[1] if p.depth else None)[:, None]
+        # Leaf row r is the 1-bin subspectrum of the block x[r::M]: its sum.
+        np.sum(x.reshape(-1, height, classes), axis=0, out=rows.T)
         if counter is not None:
-            counter.complex_adds += p.n - p.m
-    if not p.depth:
-        return np.array(level, dtype=np.complex128).reshape(p.m)
-    for i, k in enumerate(range(p.depth - 1, -1, -1)):
-        half, cols = level.shape[0] // 2, level.shape[1]
-        # Rows [0, half) are the even-index children of rows in the merged
-        # level, rows [half, 2*half) their odd siblings (residues r and
-        # r + half modulo the parent stride).
-        # A contiguous copy of the strided table: the butterfly multiplies
-        # it against every row, and a strided operand slows that product.
-        twiddles = np.ascontiguousarray(p.twiddles[::1 << k])
-        out = bufs[i & 1].reshape(half, 2 * cols)
-        t = scratch.reshape(half, cols)
-        np.multiply(twiddles, level[half:], out=t)
-        np.add(level[:half], t, out=out[:, :cols])
-        np.subtract(level[:half], t, out=out[:, cols:])
-        if counter is not None:
-            counter.complex_mults += half * cols
-            counter.complex_adds += 2 * half * cols
-        level = out
-    return level.reshape(p.m)
+            counter.complex_adds += p.n - m
+    work = np.empty(max(span if early else 0, classes * width if late else 0), dtype=np.complex128)
+    # Phase-1 level j merges rows of 2**j * (m // leaves) columns.
+    tables = [np.ascontiguousarray(p.twiddles[:: leaves >> (j + 1)]) for j in range(early)]
+    with np.errstate():
+        np.setbufsize(_MIN_RUN)
+        for r in range(classes):
+            # One column of leaves: the first level's twiddles fan each one
+            # out across its m // leaves equal bins.
+            level = rows[r, :height, None]
+            if early % 2:  # the first level writes row r, so the leaves move out
+                level = work[:height, None]
+                np.copyto(level, rows[r, :height, None])
+            for j, twiddles in enumerate(tables):
+                h, cols = height >> j, len(twiddles)
+                flat = rows[r] if (early - j) % 2 else work[:span]
+                if h > 2 * cols:
+                    # Many short rows: store the output column by column, so
+                    # that the operands run along the rows.
+                    out = flat.reshape(2, cols, h // 2).transpose(2, 0, 1)
+                    merged = flat.reshape(2 * cols, h // 2).T
+                else:
+                    out = flat.reshape(h // 2, 2, cols)
+                    merged = flat.reshape(h // 2, 2 * cols)
+                _butterfly(twiddles, level, out, counter)
+                level = merged
+        for c0 in range(0, span if late else 0, width):
+            region = rows[:, c0:c0 + width]
+            level = region
+            if late % 2:  # the first level writes the region, so it moves out
+                level = work[: classes * width].reshape(classes, width)
+                np.copyto(level, region)
+            for i in range(late):
+                # Level i merges rows of 2**i chunks of ``width`` columns;
+                # chunk t holds columns t * span + c0 onwards.
+                flat = region if (late - i) % 2 else work[: classes * width].reshape(classes, width)
+                twiddles = p.twiddles[:: classes >> (i + 1)].reshape(1 << i, span)[:, c0:c0 + width]
+                _butterfly(twiddles, level.reshape(classes >> i, 1 << i, width),
+                           flat.reshape(classes >> (i + 1), 2, 1 << i, width), counter)
+                level = flat
+    return bins
 
 
 def alpha_fft(signal: Signal, p: Plan, counter: OpCounter | None = None) -> Spectrum:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -213,6 +214,21 @@ def test_report_fit_constants(small_report):
     assert by_name["complexity_fit_alpha_1_1"]["c"] == 0.5
     assert by_name["complexity_fit_alpha_2_1"]["c"] == 0.5
     assert all(d["max_rel_residual"] == 0.0 for d in by_name.values())
+
+
+def test_report_fit_checks_the_constant(small_report):
+    # Doubled counts still fit c * M * log2(min) exactly, but with c = 1.0
+    # where the paper's constant is 0.5.
+    doubled = [dataclasses.replace(r, complex_mults=2 * r.complex_mults)
+               if r.method == "alpha_fft" and r.alpha == DenseFactor(2) else r
+               for r in small_report.records]
+    verdicts = {v.claim: v for v in make_report(doubled).verdicts}
+    fit = verdicts["complexity_fit_alpha_2_1"]
+    assert fit.details[0]["c"] == 1.0
+    assert fit.details[0]["expected_c"] == 0.5
+    assert fit.details[0]["max_rel_residual"] == 0.0
+    assert not fit.passed
+    assert verdicts["complexity_fit_alpha_1_1"].passed
 
 
 def test_report_json_round_trip(small_report, tmp_path):

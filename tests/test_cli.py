@@ -217,6 +217,28 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert "worst case" in captured.err
 
 
+@pytest.mark.parametrize("sizes, skipped", [
+    ("3", ["oracle_equivalence", "zero_pad_equivalence", "aliasing"]),
+    ("128", ["orthogonality"]),
+])
+def test_verify_skips_suites_without_cases(capsys, sizes, skipped):
+    assert run(["verify", "--sizes", sizes]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.endswith("0 cases) SKIP")] == skipped
+    assert sum(line.endswith(" PASS") for line in lines) == 5 - len(skipped)
+
+
+def test_verify_with_no_case_is_an_error(capsys, monkeypatch):
+    # 96 is not a power of two and above the orthogonality cut-off, so the
+    # two fast-path suites and the orthogonality sweep check nothing.
+    monkeypatch.setattr(verify, "SWEEPS", verify.SWEEPS[:2])
+    assert run(["verify", "--sizes", "96"]) == cli.EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out.count("SKIP") == 3
+    assert "PASS" not in captured.out
+    assert "no suite checked any case" in single_error_line(captured.err)
+
+
 # ---------------------------------------------------------- boundary probes
 
 def single_error_line(err):

@@ -34,6 +34,13 @@ def test_dense_factor_rejects_floats():
         DenseFactor(1.5, 1)
 
 
+@pytest.mark.parametrize("p, q", [(True, 2), (2, True), (True, True), (False, 1)])
+def test_dense_factor_rejects_bools(p, q):
+    # bool is an int subclass, so True would otherwise read as 1.
+    with pytest.raises(ValueError, match="wants integers"):
+        DenseFactor(p, q)
+
+
 @pytest.mark.parametrize("text, expected", [
     ("1/2", DenseFactor(1, 2)),
     ("8", DenseFactor(8)),

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from alpha_spectra import fastpath
 from alpha_spectra import (
     DenseFactor,
     LeafKind,
@@ -125,31 +126,53 @@ def test_transform_quarter_turn():
     np.testing.assert_allclose(out, [1, -1j, -1, 1j], rtol=0, atol=1e-15)
 
 
+def assert_bitwise_reference(n, alpha, rng):
+    """Bins bitwise those of the fresh-array loop, counts those of the closed forms."""
+    p = plan(n, alpha)
+    samples = unit_disk(rng, n)
+    counter = OpCounter()
+    bins = transform_samples(samples, p, counter)
+    assert bins.dtype == np.complex128 and bins.shape == (p.m,)
+    assert bins.tobytes() == reference_transform(samples, p).tobytes(), (n, str(alpha))
+    assert counter.complex_mults == predicted_mults(p), (n, str(alpha))
+    assert counter.complex_adds == predicted_adds(p), (n, str(alpha))
+
+
 def test_levels_are_bitwise_the_fresh_array_loop():
     rng = np.random.default_rng(67)
     pairs = list(valid_power_pairs([1 << e for e in range(11)]))
     pairs += [(65536, DenseFactor(p, q)) for p, q in [(1, 8), (1, 2), (1, 1), (2, 1), (8, 1)]]
+    # alpha*N above one block of 32768 values: there are alpha*N / 32768
+    # residue classes, or one per leaf row where the leaf rows are no more
+    # than that ((2, 2**15), (2, 2**16), (4, 2**15)) and phase 1 only fans
+    # the samples out.
+    pairs += [(2, DenseFactor(1 << 15)), (2, DenseFactor(1 << 16)), (4, DenseFactor(1 << 15)),
+              (16, DenseFactor(1 << 12)), (1 << 17, DenseFactor(1, 2)), (1 << 18, DenseFactor(1, 4))]
     for n, alpha in pairs:
-        p = plan(n, alpha)
-        samples = unit_disk(rng, n)
-        counter = OpCounter()
-        bins = transform_samples(samples, p, counter)
-        assert bins.dtype == np.complex128 and bins.shape == (p.m,)
-        assert bins.tobytes() == reference_transform(samples, p).tobytes(), (n, str(alpha))
-        assert counter.complex_mults == predicted_mults(p), (n, str(alpha))
-        assert counter.complex_adds == predicted_adds(p), (n, str(alpha))
+        assert_bitwise_reference(n, alpha, rng)
+
+
+@pytest.mark.parametrize("block", [4, 64, 1024])
+def test_small_blocks_are_bitwise_the_fresh_array_loop(monkeypatch, block):
+    # Shrunk blocks run both phases on small inputs: blocks of 4 values
+    # outnumber the leaf rows at alpha = 8, and at 64 values most phase-2
+    # blocks are held to their floor of 16 columns.
+    monkeypatch.setattr(fastpath, "_BLOCK_BINS", block)
+    rng = np.random.default_rng(block)
+    for n, alpha in valid_power_pairs([1 << e for e in range(11)]):
+        assert_bitwise_reference(n, alpha, rng)
 
 
 @pytest.mark.parametrize(
     "alpha", [DenseFactor(8), DenseFactor(1), DenseFactor(1, 2), DenseFactor(1, 8)], ids=str
 )
 def test_transform_memory_is_under_three_bin_arrays(alpha):
-    # Two alpha*N ping-pong buffers, an alpha*N/2 scratch and the largest
-    # strided twiddle copies (alpha*N/4 + alpha*N/8) stay below
-    # 3 * 16 * alpha*N bytes; for alpha < 1 the block-sum leaf lives in one
-    # of the two buffers.  alpha*N is at least 65536 because every
-    # broadcasting ufunc also takes a fixed 64 KiB iterator buffer, which is
-    # half a bin array at alpha*N = 8192.
+    # The bin array, which also holds the leaves (the block sums for
+    # alpha < 1), one work block of at most alpha*N values and the
+    # contiguous phase-1 twiddle copies (under alpha*N/2 values) stay below
+    # 3 * 16 * alpha*N bytes: 2.0x at alpha <= 1 here, 1.13x at alpha = 8.
+    # alpha*N is at least 65536 because a ufunc may also take an iterator
+    # buffer, which is sizeable next to a small bin array.
     p = plan(65536 * alpha.q, alpha)
     samples = unit_disk(np.random.default_rng(71), p.n)
     tracemalloc.start()
