@@ -11,10 +11,12 @@ Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed
 input, an invalid argument or an unwritable output, 3 alpha incompatible
 with the signal length, 4 size unsupported by the requested method,
 5 benchmark claim failure, 6 result not representable: more than
-core.MAX_BINS bins, or a spectrum whose bins overflow a double.
+core.MAX_BINS bins, or a spectrum whose bins or frequencies overflow a
+double.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from .core import (
     Spectrum,
     TooManyBinsError,
     UnsupportedSizeError,
+    bin_frequency,
     is_power_of_two,
 )
 
@@ -146,8 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Overflow to inf (and inf - inf to nan) in the transform is reported as exit
-# code 6 naming the first non-finite bin, not as a numpy warning.
+# Overflow to inf (and inf - inf to nan) in the transform or the frequency grid
+# is reported as exit code 6 naming the first non-finite bin or frequency, not
+# as a numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_compute(args) -> int:
     try:
@@ -177,7 +181,8 @@ def cmd_compute(args) -> int:
                     f"zero-padding needs a power-of-two alpha*N, got N={len(signal)}, "
                     f"alpha*N={len(padded)}; use the naive transform for this pair"
                 )
-            spectrum = Spectrum(baseline.standard_fft(padded).bins, len(signal), alpha, signal.duration)
+            spectrum = Spectrum._adopt(baseline.standard_fft(padded).bins, len(signal), alpha,
+                                       signal.duration)
             method = "zeropad"
         else:  # auto: fast kernel when the pair allows it, else the oracle
             try:
@@ -196,6 +201,12 @@ def cmd_compute(args) -> int:
     bad = np.flatnonzero(~np.isfinite(spectrum.bins))
     if bad.size:
         print(f"error: bin {bad[0]} is not finite: the spectrum overflows a double",
+              file=sys.stderr)
+        return EXIT_NOT_REPRESENTABLE
+    # Frequencies rise with the bin index: if the last one is finite, all are.
+    if not math.isfinite(bin_frequency(spectrum.m - 1, alpha, spectrum.duration)):
+        bad = np.flatnonzero(~np.isfinite(spectrum.frequencies))
+        print(f"error: frequency of bin {bad[0]} is not finite: 1/(alpha*T) overflows a double",
               file=sys.stderr)
         return EXIT_NOT_REPRESENTABLE
 

@@ -144,7 +144,13 @@ class Signal:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """M = alpha*N complex bins over [0, N/T) Hz at spacing 1/(alpha*T)."""
+    """M = alpha*N complex bins over [0, N/T) Hz at spacing 1/(alpha*T).
+
+    ``bins`` is a read-only complex128 array.  ``Spectrum(bins, ...)``
+    copies its input, so a caller's array is never frozen.  The transforms
+    build theirs with ``Spectrum._adopt``, which takes over the fresh array
+    they made instead of copying it.
+    """
 
     bins: np.ndarray
     origin_n: int
@@ -152,12 +158,29 @@ class Spectrum:
     duration: float = 1.0
 
     def __post_init__(self):
-        arr = np.array(self.bins, dtype=np.complex128)
+        self._take(np.array(self.bins, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, bins: np.ndarray, origin_n: int, alpha: DenseFactor,
+               duration: float = 1.0) -> "Spectrum":
+        """A Spectrum holding ``bins`` itself, marked read-only, not a copy.
+
+        ``bins`` must be a complex128 array that no one else writes to.
+        """
+        spectrum = object.__new__(cls)
+        object.__setattr__(spectrum, "origin_n", origin_n)
+        object.__setattr__(spectrum, "alpha", alpha)
+        object.__setattr__(spectrum, "duration", duration)
+        spectrum._take(bins)
+        return spectrum
+
+    def _take(self, arr):
+        """Check ``arr`` against the metadata, freeze it and store it as the bins."""
         _, m = validate_pair(self.origin_n, self.alpha)
-        if arr.ndim != 1 or arr.size != m:
+        if arr.dtype != np.complex128 or arr.ndim != 1 or arr.size != m:
             raise ValueError(
-                f"expected {m} bins for N={self.origin_n}, alpha={self.alpha}, "
-                f"got shape {arr.shape}"
+                f"expected {m} complex128 bins for N={self.origin_n}, alpha={self.alpha}, "
+                f"got {arr.dtype} of shape {arr.shape}"
             )
         if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")

@@ -41,6 +41,7 @@ half of the alpha*N running values by a twiddle, so a transform performs
 alpha > 1.
 """
 
+import contextlib
 import enum
 from dataclasses import dataclass
 
@@ -67,6 +68,12 @@ _BLOCK_BINS = 32768
 #: the blocked kernel's time.  A buffer no longer than the blocks' runs
 #: avoids them.
 _MIN_RUN = 16
+
+#: Fewest bins for which the levels run under the ``_MIN_RUN`` buffer and
+#: read contiguous copies of their twiddles.  Below it no operand holds more
+#: than 256 values, and numpy's copies through its default buffer cost less
+#: than entering that scope and making the copies (about 2 us a call).
+_SCOPED_BINS = 1024
 
 
 class LeafKind(enum.Enum):
@@ -96,9 +103,11 @@ class Plan:
     (empty when depth is 0).  The butterfly level whose output rows have
     length m >> k uses every 2**k-th entry, twiddles[::1 << k], which is
     bitwise the table built from the exact angles 2*pi*l/(m >> k): both
-    angles are the same quotient scaled by a power of two.  Phase 1 of the
-    sweep reads its levels' entries through contiguous copies of these
-    views; phase 2 reads the views themselves, a block of columns at a time.
+    angles are the same quotient scaled by a power of two.  From
+    _SCOPED_BINS bins up, phase 1 of the sweep reads its levels' entries
+    through contiguous copies of these views; phase 2, and phase 1 of smaller
+    transforms, read the views themselves.  The table is the plan's own: no
+    transform result shares its memory.
     """
 
     n: int
@@ -111,6 +120,9 @@ class Plan:
 
 def plan(n: int, alpha: DenseFactor) -> Plan:
     """Validate (N, alpha) for the fast path and precompute its twiddles.
+
+    The table of alpha*N/2 entries is built in place, in the one array the
+    plan keeps, with no temporary of its size.
 
     Raises
     ------
@@ -129,7 +141,12 @@ def plan(n: int, alpha: DenseFactor) -> Plan:
     depth = min(n, m).bit_length() - 1
     leaf = LeafKind.SINGLE_SAMPLE if alpha.p >= alpha.q else LeafKind.BLOCK_SUM
     # With no butterfly level (N = 1 or alpha*N = 1) no entry is ever read.
-    twiddles = np.exp(-2j * np.pi * np.arange(m // 2 if depth else 0) / m)
+    # Bitwise np.exp(-2j * np.pi * np.arange(k) / m): the same complex128
+    # operations on the same values, the scalar still the first factor.
+    twiddles = np.arange(m // 2 if depth else 0, dtype=np.complex128)
+    np.multiply(-2j * np.pi, twiddles, out=twiddles)
+    np.divide(twiddles, m, out=twiddles)
+    np.exp(twiddles, out=twiddles)
     twiddles.setflags(write=False)
     return Plan(n, m, alpha, depth, leaf, twiddles)
 
@@ -175,12 +192,14 @@ def _butterfly(twiddles, level, out, counter):
 def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) -> np.ndarray:
     """Run the planned transform on a bare sample array; returns the bin array.
 
-    The bins are a fresh array that the caller owns: no other result and
-    nothing in ``p`` shares its memory.  Besides the bins, a call allocates
-    one work block of at most alpha*N values and contiguous copies of the
-    phase-1 twiddle slices (under alpha*N/2 values).  With a ``counter``,
-    each butterfly adds one multiply and two adds where it runs: alpha*N/2
-    multiplies and alpha*N adds per level.
+    The bins are a fresh, writable array that the caller owns: it shares no
+    memory with another result, with ``p`` or with ``x``, so ``alpha_fft``
+    hands it to its Spectrum without a copy.  Besides the bins, a call
+    allocates one work block of at most alpha*N values and, from
+    _SCOPED_BINS bins up, contiguous copies of the phase-1 twiddle slices
+    (under alpha*N/2 values).  With a ``counter``, each butterfly adds one
+    multiply and two adds where it runs: alpha*N/2 multiplies and alpha*N
+    adds per level.
     """
     if x.shape != (p.n,):
         raise ValueError(f"plan is for N={p.n}, got {x.shape[0] if x.ndim == 1 else x.shape} samples")
@@ -206,10 +225,14 @@ def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) 
         if counter is not None:
             counter.complex_adds += p.n - m
     work = np.empty(max(span if early else 0, classes * width if late else 0), dtype=np.complex128)
+    scoped = m >= _SCOPED_BINS
     # Phase-1 level j merges rows of 2**j * (m // leaves) columns.
-    tables = [np.ascontiguousarray(p.twiddles[:: leaves >> (j + 1)]) for j in range(early)]
-    with np.errstate():
-        np.setbufsize(_MIN_RUN)
+    tables = [p.twiddles[:: leaves >> (j + 1)] for j in range(early)]
+    if scoped:
+        tables = [np.ascontiguousarray(t) for t in tables]
+    with np.errstate() if scoped else contextlib.nullcontext():
+        if scoped:
+            np.setbufsize(_MIN_RUN)
         for r in range(classes):
             # One column of leaves: the first level's twiddles fan each one
             # out across its m // leaves equal bins.
@@ -252,6 +275,9 @@ def alpha_fft(signal: Signal, p: Plan, counter: OpCounter | None = None) -> Spec
 
     Numerically equivalent to ``oracle.naive_forward`` (same unscaled bins)
     at a cost of predicted_mults(p) complex multiplies, which the optional
-    ``counter`` verifies empirically.
+    ``counter`` verifies empirically.  The Spectrum takes over the bin array
+    that ``transform_samples`` made and marks it read-only; the bins are
+    never copied.
     """
-    return Spectrum(transform_samples(signal.samples, p, counter), p.n, p.alpha, signal.duration)
+    bins = transform_samples(signal.samples, p, counter)
+    return Spectrum._adopt(bins, p.n, p.alpha, signal.duration)

@@ -92,11 +92,12 @@ def naive_forward(signal: Signal, alpha: DenseFactor) -> Spectrum:
     Returns
     -------
     Spectrum
-        alpha*N bins at frequencies m/(alpha*T), unscaled (no 1/N factor).
+        alpha*N bins at frequencies m/(alpha*T), unscaled (no 1/N factor),
+        in the read-only array that the product wrote; it is not copied.
     """
     n, m = validate_pair(len(signal), alpha)
     bins = _reduced_product(signal.samples, m, sign=-1, rows=m)
-    return Spectrum(bins, n, alpha, signal.duration)
+    return Spectrum._adopt(bins, n, alpha, signal.duration)
 
 
 def naive_inverse(spectrum: Spectrum) -> Signal:

@@ -286,6 +286,51 @@ def test_compute_refuses_overflowing_bins(tmp_path, capsys, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["auto", "naive", "zeropad"])
+@pytest.mark.parametrize("source", ["flag", "header"])
+def test_compute_refuses_overflowing_frequencies(tmp_path, capsys, method, source):
+    # Spacing 1/(alpha*T) = 1e320: every frequency past bin 0 is inf.
+    path = tmp_path / "short.csv"
+    write_signal_csv(path, [1.0, 2.0, 3.0, 4.0], duration=1e-320 if source == "header" else 1.0)
+    out = tmp_path / "out.csv"
+    argv = ["compute", "--input", str(path), "--output", str(out), "--method", method,
+            "--alpha", "2"]
+    if source == "flag":
+        argv += ["--duration", "1e-320"]
+    assert run(argv) == cli.EXIT_NOT_REPRESENTABLE
+    err = capsys.readouterr().err
+    assert err.splitlines() == [single_error_line(err)]
+    assert err.startswith("error: frequency of bin 1 is not finite")
+    assert not out.exists()
+
+
+def test_compute_zeropad_bins_own_their_memory(signal_file, tmp_path, monkeypatch):
+    seen = {}
+    read, write, make_plan = cli.io.read_signal, cli.io.write_spectrum, cli.baseline.make_plan
+
+    def read_signal(path):
+        seen["signal"] = read(path)
+        return seen["signal"]
+
+    def write_spectrum(spectrum, path, method):
+        seen["spectrum"] = spectrum
+        write(spectrum, path, method)
+
+    def plan(n, alpha):
+        seen["plan"] = make_plan(n, alpha)
+        return seen["plan"]
+
+    monkeypatch.setattr(cli.io, "read_signal", read_signal)
+    monkeypatch.setattr(cli.io, "write_spectrum", write_spectrum)
+    monkeypatch.setattr(cli.baseline, "make_plan", plan)
+    assert run(["compute", "--input", str(signal_file), "--output", str(tmp_path / "pad.csv"),
+                "--alpha", "4", "--method", "zeropad"]) == cli.EXIT_OK
+    bins = seen["spectrum"].bins
+    assert not bins.flags.writeable
+    assert not np.shares_memory(bins, seen["plan"].twiddles)
+    assert not np.shares_memory(bins, seen["signal"].samples)
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--input", "{one}", "--output", "{tmp}/out.csv", "--alpha", "100000000000"],
     ["compute", "--input", "{one}", "--output", "{tmp}/out.csv", "--alpha", "268435457",

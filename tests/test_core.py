@@ -149,6 +149,52 @@ def test_spectrum_bin_count_must_match():
         Spectrum(np.zeros(6), 4, DenseFactor(3, 8))
 
 
+def test_spectrum_copies_a_callers_array():
+    arr = np.arange(8, dtype=np.complex128)
+    spectrum = Spectrum(arr, 4, DenseFactor(2))
+    assert arr.flags.writeable
+    assert not np.shares_memory(arr, spectrum.bins)
+    assert not spectrum.bins.flags.writeable
+    arr[0] = 5  # the caller's array stays theirs
+    assert spectrum.bins[0] == 0
+
+
+def test_adopt_takes_over_a_fresh_array():
+    arr = np.arange(8, dtype=np.complex128)
+    spectrum = Spectrum._adopt(arr, 4, DenseFactor(2), 0.5)
+    assert spectrum.bins is arr
+    assert not arr.flags.writeable
+    assert (spectrum.origin_n, spectrum.alpha, spectrum.duration) == (4, DenseFactor(2), 0.5)
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 4), ()], ids=str)
+def test_adopt_rejects_a_wrong_shape_like_the_public_constructor(shape):
+    bins = np.zeros(shape, dtype=np.complex128)
+    with pytest.raises(ValueError) as public:
+        Spectrum(bins, 4, DenseFactor(2))
+    with pytest.raises(ValueError) as adopted:
+        Spectrum._adopt(bins, 4, DenseFactor(2))
+    assert str(adopted.value) == str(public.value)
+    assert bins.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex64, np.int64])
+def test_adopt_rejects_another_dtype(dtype):
+    # The public constructor converts these in its copy; nothing to adopt.
+    bins = np.zeros(8, dtype=dtype)
+    with pytest.raises(ValueError, match="expected 8 complex128 bins"):
+        Spectrum._adopt(bins, 4, DenseFactor(2))
+    assert bins.flags.writeable
+    assert Spectrum(bins, 4, DenseFactor(2)).bins.dtype == np.complex128
+
+
+def test_adopt_checks_the_pair_and_duration_like_the_public_constructor():
+    with pytest.raises(IncompatibleAlphaError):
+        Spectrum._adopt(np.zeros(6, dtype=np.complex128), 4, DenseFactor(3, 8))
+    with pytest.raises(ValueError, match="duration must be positive"):
+        Spectrum._adopt(np.zeros(8, dtype=np.complex128), 4, DenseFactor(2), 0.0)
+
+
 def test_spectrum_frequencies_match_scalar_map():
     spectrum = Spectrum(np.zeros(12), 8, DenseFactor(3, 2), duration=2.5)
     freqs = spectrum.frequencies

@@ -86,6 +86,30 @@ def test_twiddle_tables_match_exact_angles():
         plan(16, DenseFactor(4)).twiddles[0] = 0  # read-only
 
 
+@pytest.mark.parametrize("m", [1 << 19, 1 << 20, 1 << 21])
+def test_long_twiddle_tables_are_the_fresh_array_expression(m):
+    # Tables this long run numpy's vector loops over long runs, and the table
+    # is built in place there; its bits must still be those of the expression.
+    expected = np.exp(-2j * np.pi * np.arange(m // 2) / m)
+    assert plan(m, DenseFactor(1)).twiddles.tobytes() == expected.tobytes()
+
+
+def traced_peak(call):
+    """Peak traced memory, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plan_builds_its_table_in_place():
+    table_bytes = 16 * (65536 * 8 // 2)
+    peak = traced_peak(lambda: plan(65536, DenseFactor(8)))
+    assert peak <= 1.1 * table_bytes, peak / table_bytes
+
+
 def test_twiddle_recurrence_and_halving_properties():
     # W^(l+1) = W^1 * W^l, the half-size table is every other entry of the
     # full one, and the second half of the circle is the negated first half.
@@ -175,13 +199,26 @@ def test_transform_memory_is_under_three_bin_arrays(alpha):
     # buffer, which is sizeable next to a small bin array.
     p = plan(65536 * alpha.q, alpha)
     samples = unit_disk(np.random.default_rng(71), p.n)
-    tracemalloc.start()
-    try:
-        transform_samples(samples, p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: transform_samples(samples, p))
     assert peak < 3 * 16 * p.m, peak / (16 * p.m)
+
+
+def test_alpha_fft_adds_no_bin_array():
+    # The Spectrum takes over the kernel's bins instead of copying them.
+    p = plan(65536, DenseFactor(8))
+    signal = Signal(unit_disk(np.random.default_rng(79), p.n))
+    kernel = traced_peak(lambda: transform_samples(signal.samples, p))
+    wrapped = traced_peak(lambda: alpha_fft(signal, p))
+    assert wrapped <= 1.03 * kernel, wrapped / kernel
+
+
+def test_alpha_fft_bins_own_their_memory():
+    p = plan(64, DenseFactor(4))
+    signal = Signal(unit_disk(np.random.default_rng(83), 64))
+    spectrum = alpha_fft(signal, p)
+    assert not spectrum.bins.flags.writeable
+    assert not np.shares_memory(spectrum.bins, p.twiddles)
+    assert not np.shares_memory(spectrum.bins, signal.samples)
 
 
 def test_results_own_their_memory():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from alpha_spectra import oracle
 from alpha_spectra import (
     DenseFactor,
     IncompatibleAlphaError,
@@ -178,6 +179,24 @@ def test_spectrum_carries_timing():
     spectrum = naive_forward(signal, DenseFactor(2))
     assert spectrum.duration == 2.0
     assert spectrum.frequencies[1] == 1 / (2 * 2.0)
+
+
+def test_forward_takes_over_its_product(monkeypatch):
+    # The Spectrum holds the product's own array, read-only, and shares no
+    # memory with the input.
+    made = []
+    original = oracle._reduced_product
+
+    def product(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(oracle, "_reduced_product", product)
+    signal = Signal(unit_disk(np.random.default_rng(43), 12))
+    spectrum = naive_forward(signal, DenseFactor(4, 3))
+    assert spectrum.bins is made[0]
+    assert not spectrum.bins.flags.writeable
+    assert not np.shares_memory(spectrum.bins, signal.samples)
 
 
 # Shapes around the blocks of rows the oracle evaluates at a time: a block
