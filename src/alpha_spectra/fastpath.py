@@ -41,7 +41,6 @@ half of the alpha*N running values by a twiddle, so a transform performs
 alpha > 1.
 """
 
-import contextlib
 import enum
 from dataclasses import dataclass
 
@@ -68,12 +67,6 @@ _BLOCK_BINS = 32768
 #: the blocked kernel's time.  A buffer no longer than the blocks' runs
 #: avoids them.
 _MIN_RUN = 16
-
-#: Fewest bins for which the levels run under the ``_MIN_RUN`` buffer and
-#: read contiguous copies of their twiddles.  Below it no operand holds more
-#: than 256 values, and numpy's copies through its default buffer cost less
-#: than entering that scope and making the copies (about 2 us a call).
-_SCOPED_BINS = 1024
 
 
 class LeafKind(enum.Enum):
@@ -103,11 +96,10 @@ class Plan:
     (empty when depth is 0).  The butterfly level whose output rows have
     length m >> k uses every 2**k-th entry, twiddles[::1 << k], which is
     bitwise the table built from the exact angles 2*pi*l/(m >> k): both
-    angles are the same quotient scaled by a power of two.  From
-    _SCOPED_BINS bins up, phase 1 of the sweep reads its levels' entries
-    through contiguous copies of these views; phase 2, and phase 1 of smaller
-    transforms, read the views themselves.  The table is the plan's own: no
-    transform result shares its memory.
+    angles are the same quotient scaled by a power of two.  Phase 1 of the
+    sweep reads its levels' entries through contiguous copies of these
+    views; phase 2 reads the views themselves, a block of columns at a time.
+    The table is the plan's own: no transform result shares its memory.
     """
 
     n: int
@@ -195,11 +187,10 @@ def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) 
     The bins are a fresh, writable array that the caller owns: it shares no
     memory with another result, with ``p`` or with ``x``, so ``alpha_fft``
     hands it to its Spectrum without a copy.  Besides the bins, a call
-    allocates one work block of at most alpha*N values and, from
-    _SCOPED_BINS bins up, contiguous copies of the phase-1 twiddle slices
-    (under alpha*N/2 values).  With a ``counter``, each butterfly adds one
-    multiply and two adds where it runs: alpha*N/2 multiplies and alpha*N
-    adds per level.
+    allocates one work block of at most alpha*N values and contiguous
+    copies of the phase-1 twiddle slices (under alpha*N/2 values).  With a
+    ``counter``, each butterfly adds one multiply and two adds where it
+    runs: alpha*N/2 multiplies and alpha*N adds per level.
     """
     if x.shape != (p.n,):
         raise ValueError(f"plan is for N={p.n}, got {x.shape[0] if x.ndim == 1 else x.shape} samples")
@@ -225,14 +216,10 @@ def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) 
         if counter is not None:
             counter.complex_adds += p.n - m
     work = np.empty(max(span if early else 0, classes * width if late else 0), dtype=np.complex128)
-    scoped = m >= _SCOPED_BINS
     # Phase-1 level j merges rows of 2**j * (m // leaves) columns.
-    tables = [p.twiddles[:: leaves >> (j + 1)] for j in range(early)]
-    if scoped:
-        tables = [np.ascontiguousarray(t) for t in tables]
-    with np.errstate() if scoped else contextlib.nullcontext():
-        if scoped:
-            np.setbufsize(_MIN_RUN)
+    tables = [np.ascontiguousarray(p.twiddles[:: leaves >> (j + 1)]) for j in range(early)]
+    with np.errstate():
+        np.setbufsize(_MIN_RUN)
         for r in range(classes):
             # One column of leaves: the first level's twiddles fan each one
             # out across its m // leaves equal bins.

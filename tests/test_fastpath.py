@@ -212,15 +212,6 @@ def test_alpha_fft_adds_no_bin_array():
     assert wrapped <= 1.03 * kernel, wrapped / kernel
 
 
-def test_alpha_fft_bins_own_their_memory():
-    p = plan(64, DenseFactor(4))
-    signal = Signal(unit_disk(np.random.default_rng(83), 64))
-    spectrum = alpha_fft(signal, p)
-    assert not spectrum.bins.flags.writeable
-    assert not np.shares_memory(spectrum.bins, p.twiddles)
-    assert not np.shares_memory(spectrum.bins, signal.samples)
-
-
 def test_results_own_their_memory():
     p = plan(64, DenseFactor(4))
     table = p.twiddles.copy()
@@ -229,6 +220,12 @@ def test_results_own_their_memory():
     second = transform_samples(unit_disk(rng, 64), p)
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, p.twiddles)
+    # alpha_fft's Spectrum holds such an array itself, read-only.
+    signal = Signal(unit_disk(rng, 64))
+    spectrum = alpha_fft(signal, p)
+    assert not spectrum.bins.flags.writeable
+    assert not np.shares_memory(spectrum.bins, p.twiddles)
+    assert not np.shares_memory(spectrum.bins, signal.samples)
     assert not p.twiddles.flags.writeable
     assert p.twiddles.tobytes() == table.tobytes()
 
