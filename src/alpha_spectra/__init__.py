@@ -23,7 +23,6 @@ from .core import (
 )
 from .oracle import dft_matrix, naive_forward, naive_inverse, orthogonality_kernel
 from .fastpath import (
-    LeafKind,
     OpCounter,
     Plan,
     alpha_fft,
@@ -36,7 +35,6 @@ from .baseline import aliased_reconstruct, standard_fft, zero_pad
 from .bench import (
     BenchRecord,
     ClaimVerdict,
-    FitResult,
     IncompleteGridError,
     ScalingReport,
     check_alpha_gt1_savings,
@@ -63,7 +61,6 @@ __all__ = [
     "naive_forward",
     "naive_inverse",
     "orthogonality_kernel",
-    "LeafKind",
     "OpCounter",
     "Plan",
     "alpha_fft",
@@ -76,7 +73,6 @@ __all__ = [
     "zero_pad",
     "BenchRecord",
     "ClaimVerdict",
-    "FitResult",
     "IncompleteGridError",
     "ScalingReport",
     "check_alpha_gt1_savings",

@@ -95,15 +95,6 @@ class ClaimVerdict:
 
 
 @dataclass
-class FitResult:
-    c: float
-    max_rel_residual: float
-    passed: bool
-    n_points: int
-    record_ids: list = field(default_factory=list)
-
-
-@dataclass
 class ScalingReport:
     records: list
     verdicts: list
@@ -126,17 +117,13 @@ class ScalingReport:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        write_records_csv(self.records, path)
-
-
-def write_records_csv(records, path) -> None:
-    """Records as CSV with columns N, alpha_p, alpha_q, method, mults, adds, wall_ns, reps."""
-    fields = ["N", "alpha_p", "alpha_q", "method", "mults", "adds", "wall_ns", "reps"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for record in records:
-            writer.writerow(record.to_row())
+        """Records as CSV with columns N, alpha_p, alpha_q, method, mults, adds, wall_ns, reps."""
+        fields = ["N", "alpha_p", "alpha_q", "method", "mults", "adds", "wall_ns", "reps"]
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer.writeheader()
+            for record in self.records:
+                writer.writerow(record.to_row())
 
 
 def _min_wall_seconds(run, reps: int) -> float:
@@ -233,29 +220,22 @@ def _log2_int(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _index_records(records):
-    by_cell = {}
-    for i, record in enumerate(records):
-        by_cell[(record.n, record.alpha, record.method)] = (i, record)
-    return by_cell
-
-
 def check_alpha_gt1_savings(records) -> ClaimVerdict:
     """Exact multiply savings of the direct dense transform over padding.
 
-    For every N carrying both an alpha_fft and a zeropad_fft record at the
-    same alpha > 1, the count gap must equal (alpha*N/2) * log2(alpha)
-    exactly -- growing in proportion to alpha*N*log(alpha) across the grid.
+    Each alpha_fft record at alpha > 1 with a zeropad_fft record at the same
+    (N, alpha) is judged, in record order: the count gap must equal
+    (alpha*N/2) * log2(alpha) exactly -- growing in proportion to
+    alpha*N*log(alpha) across the grid.
     """
-    by_cell = _index_records(records)
+    by_cell = {(r.n, r.alpha, r.method): i for i, r in enumerate(records)}
     verdict = ClaimVerdict("alpha_gt1_savings", True)
-    for (n, alpha, method), (i, fast) in sorted(by_cell.items(), key=lambda kv: kv[1][0]):
-        if method != "alpha_fft" or alpha.p <= alpha.q:
+    for i, fast in enumerate(records):
+        n, alpha = fast.n, fast.alpha
+        j = by_cell.get((n, alpha, "zeropad_fft"))
+        if fast.method != "alpha_fft" or alpha.p <= alpha.q or j is None:
             continue
-        padded = by_cell.get((n, alpha, "zeropad_fft"))
-        if padded is None:
-            continue
-        j, pad = padded
+        pad = records[j]
         _, m = validate_pair(n, alpha)
         expected = (m // 2) * _log2_int(alpha.p // alpha.q)
         gap = pad.complex_mults - fast.complex_mults
@@ -277,21 +257,20 @@ def check_alpha_gt1_savings(records) -> ClaimVerdict:
 def check_alpha_lt1_savings(records) -> ClaimVerdict:
     """Exact multiply savings of a shortened spectrum over the full FFT.
 
-    Compares each alpha < 1 alpha_fft record against the alpha = 1 record at
-    the same N.  The gap must equal (N/2)*log2(N) - (M/2)*log2(M) exactly
-    (M = alpha*N) and is never below the per-level floor (N/2)*log2(1/alpha).
-    Cells with M < MIN_LT1_BINS are asymptotically meaningless and are flagged
-    as warnings instead of judged; with no cell judged, the claim is
-    IncompleteGridError, not a pass.
+    Compares each alpha < 1 alpha_fft record, in record order, against the
+    alpha = 1 record at the same N.  The gap must equal (N/2)*log2(N) -
+    (M/2)*log2(M) exactly (M = alpha*N) and is never below the per-level
+    floor (N/2)*log2(1/alpha).  Cells with M < MIN_LT1_BINS are
+    asymptotically meaningless and are flagged as warnings instead of
+    judged; with no cell judged, the claim is IncompleteGridError, not a
+    pass.
     """
-    by_cell = _index_records(records)
+    by_cell = {(r.n, r.alpha, r.method): i for i, r in enumerate(records)}
     verdict = ClaimVerdict("alpha_lt1_savings", True)
-    one = DenseFactor(1)
-    for (n, alpha, method), (i, fast) in sorted(by_cell.items(), key=lambda kv: kv[1][0]):
-        if method != "alpha_fft" or alpha.p >= alpha.q:
-            continue
-        full = by_cell.get((n, one, "alpha_fft"))
-        if full is None:
+    for i, fast in enumerate(records):
+        n, alpha = fast.n, fast.alpha
+        j = by_cell.get((n, DenseFactor(1), "alpha_fft"))
+        if fast.method != "alpha_fft" or alpha.p >= alpha.q or j is None:
             continue
         _, m = validate_pair(n, alpha)
         if m < MIN_LT1_BINS:
@@ -299,7 +278,7 @@ def check_alpha_lt1_savings(records) -> ClaimVerdict:
                 f"N={n}, alpha={alpha}: alpha*N={m} < {MIN_LT1_BINS}, excluded from the claim"
             )
             continue
-        j, fft_record = full
+        fft_record = records[j]
         expected = (n // 2) * _log2_int(n) - (m // 2) * _log2_int(m)
         floor = (n // 2) * _log2_int(alpha.q // alpha.p)
         gap = fft_record.complex_mults - fast.complex_mults
@@ -319,40 +298,53 @@ def check_alpha_lt1_savings(records) -> ClaimVerdict:
     return verdict
 
 
-def fit_complexity(records) -> FitResult:
-    """Least-squares fit of measured multiply counts to c * max(N,M) * log2(min(N,M)).
+def fit_complexity(records) -> ClaimVerdict:
+    """Judge one density's multiply counts against c * max(N,M) * log2(min(N,M)).
 
-    Counts are exact, so over any fixed-alpha fast-path grid the fit is
-    exact as well: c comes out 1/2 for alpha >= 1 (and alpha/2 for alpha < 1,
-    where the spectrum itself is the small dimension) with zero residual.
-    A grid produced by a method with different scaling -- the naive
-    transform, say -- leaves residuals far beyond FIT_RESIDUAL_LIMIT and
-    fails the fit.  Needs at least four distinct N values.
+    ``records`` share one alpha.  The verdict passes when the least-squares
+    c is the paper's constant (1/2 for alpha >= 1, alpha/2 for alpha < 1)
+    and every count is c times its feature, each to within a relative
+    FIT_RESIDUAL_LIMIT.  Exact fast-path counts pass with zero residual;
+    the naive transform's counts and doubled ones (c = 1) fail.  record_ids
+    index ``records``; cells with min(N, M) = 1 carry no scaling information
+    and stay out of the fit.  Needs at least four distinct N values.
     """
-    ids, features, counts = [], [], []
-    for i, record in enumerate(records):
+    features, counts, sizes = [], [], set()
+    for record in records:
         _, m = validate_pair(record.n, record.alpha)
         small = min(record.n, m)
-        if small == 1:
-            continue  # log term vanishes; the cell carries no scaling information
-        ids.append(i)
-        features.append(max(record.n, m) * _log2_int(small))
-        counts.append(record.complex_mults)
-    if len(set(records[i].n for i in ids)) < 4:
+        if small > 1:
+            sizes.add(record.n)
+            features.append(max(record.n, m) * _log2_int(small))
+            counts.append(record.complex_mults)
+    if len(sizes) < 4:
         raise IncompleteGridError("complexity fit needs at least 4 distinct N values")
+    alpha = records[0].alpha
+    if any(record.alpha != alpha for record in records):
+        raise ValueError("complexity fit needs records of one density factor")
     f = np.asarray(features, dtype=float)
     y = np.asarray(counts, dtype=float)
     c = float(f @ y / (f @ f))
     residual = float(np.max(np.abs(y - c * f) / y))
-    return FitResult(c, residual, residual <= FIT_RESIDUAL_LIMIT, len(ids), ids)
+    expected_c = 0.5 * (alpha.p / alpha.q) if alpha.p < alpha.q else 0.5
+    c_ok = abs(c - expected_c) <= FIT_RESIDUAL_LIMIT * expected_c
+    return ClaimVerdict(
+        claim=f"complexity_fit_alpha_{alpha.p}_{alpha.q}",
+        passed=residual <= FIT_RESIDUAL_LIMIT and c_ok,
+        record_ids=list(range(len(records))),
+        details=[{"c": c, "expected_c": expected_c, "max_rel_residual": residual,
+                  "n_points": len(features)}],
+    )
 
 
 def make_report(records, skipped: list | None = None) -> ScalingReport:
     """Attach every evaluable claim verdict to a set of records.
 
-    Claims whose grid points are absent (say, no alpha < 1 cells were
-    requested) are left out rather than failed; the default command-line
-    grid exercises all of them.
+    The savings checks come first, then one ``fit_complexity`` verdict per
+    alpha of the alpha_fft records, in ascending alpha, with record_ids into
+    ``records``.  Claims whose grid points are absent (say, no alpha < 1
+    cells were requested) are left out rather than failed; the default
+    command-line grid exercises all of them.
     """
     verdicts = []
     try:
@@ -364,28 +356,15 @@ def make_report(records, skipped: list | None = None) -> ScalingReport:
     except IncompleteGridError:
         pass
     fit_groups = {}
-    for record in records:
+    for i, record in enumerate(records):
         if record.method == "alpha_fft":
-            fit_groups.setdefault(record.alpha, []).append(record)
+            fit_groups.setdefault(record.alpha, []).append(i)
     for alpha in sorted(fit_groups, key=lambda a: (a.p / a.q, a.p)):
-        group = fit_groups[alpha]
+        ids = fit_groups[alpha]
         try:
-            fit = fit_complexity(group)
+            verdict = fit_complexity([records[i] for i in ids])
         except IncompleteGridError:
             continue
-        small_is_m = alpha.p < alpha.q
-        expected_c = 0.5 * (alpha.p / alpha.q) if small_is_m else 0.5
-        # The paper's constant, not only the shape: a grid whose counts are all
-        # doubled fits its own c exactly and must still fail.
-        c_ok = abs(fit.c - expected_c) <= FIT_RESIDUAL_LIMIT * expected_c
-        verdicts.append(
-            ClaimVerdict(
-                claim=f"complexity_fit_alpha_{alpha.p}_{alpha.q}",
-                passed=fit.passed and c_ok,
-                record_ids=[records.index(r) for r in group],
-                details=[{"c": fit.c, "expected_c": expected_c,
-                          "max_rel_residual": fit.max_rel_residual,
-                          "n_points": fit.n_points}],
-            )
-        )
+        verdict.record_ids = ids
+        verdicts.append(verdict)
     return ScalingReport(list(records), verdicts, skipped or [])

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import baseline, bench, demo, fastpath, io, oracle, verify
 from .core import (
+    MAX_BINS,
     DenseFactor,
     IncompatibleAlphaError,
     Signal,
@@ -50,23 +51,23 @@ def _alpha_argument(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _int_at_least(minimum):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _int_in(minimum, maximum=None):
+    """argparse type: an integer from ``minimum`` up to ``maximum``, if given."""
 
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        if value < minimum or maximum is not None and value > maximum:
+            bound = f">= {minimum}" if maximum is None else f"from {minimum} to {maximum}"
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
         return value
 
     return parse
 
 
-_positive_int_argument = _int_at_least(1)
-_seed_argument = _int_at_least(0)  # numpy's default_rng rejects negative seeds
+_seed_argument = _int_in(0)  # numpy's default_rng rejects negative seeds
 
 
 def _method_argument(text):
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the signal duration T in seconds")
 
     demo_cmd = sub.add_parser("demo-sine", help="emit the half-sine demo curves")
-    demo_cmd.add_argument("--n", type=_int_at_least(2), default=64,
+    demo_cmd.add_argument("--n", type=_int_in(2, MAX_BINS), default=64,
                           help="signal length (default 64)")
     demo_cmd.add_argument("--alphas", type=_list_of(_alpha_argument),
                           default=[DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)],
@@ -124,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_cmd.add_argument("--output", required=True, help="directory for the demo CSV files")
 
     bench_cmd = sub.add_parser("bench", help="run the benchmark grid and judge scaling claims")
-    bench_cmd.add_argument("--grid-n", type=_list_of(_positive_int_argument),
+    bench_cmd.add_argument("--grid-n", type=_list_of(_int_in(1, MAX_BINS)),
                            default=[64, 128, 256, 512, 1024],
                            help="comma-separated positive signal lengths")
     bench_cmd.add_argument("--grid-alpha", type=_list_of(_alpha_argument),
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_cmd.add_argument("--methods", type=_list_of(_method_argument),
                            default=["alpha_fft", "zeropad_fft"],
                            help="comma-separated methods (alpha_fft, zeropad_fft, naive)")
-    bench_cmd.add_argument("--reps", type=_positive_int_argument, default=20,
+    bench_cmd.add_argument("--reps", type=_int_in(1), default=20,
                            help="timing repetitions per cell (default 20)")
     bench_cmd.add_argument("--seed", type=_seed_argument, default=0, help="signal RNG seed")
     bench_cmd.add_argument("--output", default=None, help="JSON report path")
@@ -142,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="run numerical cross-checking suites")
     verify_cmd.add_argument("--seed", type=_seed_argument, default=0, help="RNG seed")
-    verify_cmd.add_argument("--sizes", type=_list_of(_positive_int_argument),
+    verify_cmd.add_argument("--sizes", type=_list_of(_int_in(1, MAX_BINS)),
                             default=list(verify.DEFAULT_SIZES),
                             help="comma-separated positive signal lengths")
 

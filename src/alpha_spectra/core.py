@@ -187,9 +187,6 @@ class Spectrum:
         arr.setflags(write=False)
         object.__setattr__(self, "bins", arr)
 
-    def __len__(self) -> int:
-        return self.bins.size
-
     @property
     def m(self) -> int:
         return self.bins.size

@@ -41,7 +41,6 @@ half of the alpha*N running values by a twiddle, so a transform performs
 alpha > 1.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +68,6 @@ _BLOCK_BINS = 32768
 _MIN_RUN = 16
 
 
-class LeafKind(enum.Enum):
-    SINGLE_SAMPLE = "single_sample"  # alpha >= 1: terminal matrix is alpha x 1
-    BLOCK_SUM = "block_sum"          # alpha < 1: terminal matrix is 1 x (1/alpha)
-
-
 @dataclass
 class OpCounter:
     """Complex multiply/add tally for a single transform invocation.
@@ -92,21 +86,22 @@ class OpCounter:
 class Plan:
     """Precomputed recursion shape and twiddle table for one (N, alpha).
 
-    ``twiddles`` is the read-only root table exp(-2j*pi*l/m), l < m/2
-    (empty when depth is 0).  The butterfly level whose output rows have
-    length m >> k uses every 2**k-th entry, twiddles[::1 << k], which is
-    bitwise the table built from the exact angles 2*pi*l/(m >> k): both
-    angles are the same quotient scaled by a power of two.  Phase 1 of the
-    sweep reads its levels' entries through contiguous copies of these
-    views; phase 2 reads the views themselves, a block of columns at a time.
-    The table is the plan's own: no transform result shares its memory.
+    The sizes fix the leaves: alpha*N >= N, one sample fanned out per leaf
+    row; alpha*N < N, one block sum.  ``twiddles`` is the read-only root
+    table exp(-2j*pi*l/m), l < m/2 (empty when depth is 0).  The butterfly
+    level whose output rows have length m >> k uses every 2**k-th entry,
+    twiddles[::1 << k], which is bitwise the table built from the exact
+    angles 2*pi*l/(m >> k): both angles are the same quotient scaled by a
+    power of two.  Phase 1 of the sweep reads its levels' entries through
+    contiguous copies of these views; phase 2 reads the views themselves, a
+    block of columns at a time.  The table is the plan's own: no transform
+    result shares its memory.
     """
 
     n: int
     m: int
     alpha: DenseFactor
     depth: int
-    leaf: LeafKind
     twiddles: np.ndarray
 
 
@@ -131,7 +126,6 @@ def plan(n: int, alpha: DenseFactor) -> Plan:
             f"alpha*N={m}; use the naive transform for this pair"
         )
     depth = min(n, m).bit_length() - 1
-    leaf = LeafKind.SINGLE_SAMPLE if alpha.p >= alpha.q else LeafKind.BLOCK_SUM
     # With no butterfly level (N = 1 or alpha*N = 1) no entry is ever read.
     # Bitwise np.exp(-2j * np.pi * np.arange(k) / m): the same complex128
     # operations on the same values, the scalar still the first factor.
@@ -140,7 +134,7 @@ def plan(n: int, alpha: DenseFactor) -> Plan:
     np.divide(twiddles, m, out=twiddles)
     np.exp(twiddles, out=twiddles)
     twiddles.setflags(write=False)
-    return Plan(n, m, alpha, depth, leaf, twiddles)
+    return Plan(n, m, alpha, depth, twiddles)
 
 
 def predicted_mults(p: Plan) -> int:
@@ -184,18 +178,20 @@ def _butterfly(twiddles, level, out, counter):
 def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) -> np.ndarray:
     """Run the planned transform on a bare sample array; returns the bin array.
 
-    The bins are a fresh, writable array that the caller owns: it shares no
-    memory with another result, with ``p`` or with ``x``, so ``alpha_fft``
-    hands it to its Spectrum without a copy.  Besides the bins, a call
-    allocates one work block of at most alpha*N values and contiguous
-    copies of the phase-1 twiddle slices (under alpha*N/2 values).  With a
-    ``counter``, each butterfly adds one multiply and two adds where it
-    runs: alpha*N/2 multiplies and alpha*N adds per level.
+    Leaves by size: alpha*N >= N, one sample fanned out per leaf row;
+    alpha*N < N, one block sum.  The bins are a fresh, writable array that
+    the caller owns: it shares no memory with another result, with ``p`` or
+    with ``x``, so ``alpha_fft`` hands it to its Spectrum without a copy.
+    Besides the bins, a call allocates one work block of at most alpha*N
+    values and contiguous copies of the phase-1 twiddle slices (under
+    alpha*N/2 values).  With a ``counter``, each butterfly adds one multiply
+    and two adds where it runs: alpha*N/2 multiplies and alpha*N adds per
+    level.
     """
     if x.shape != (p.n,):
         raise ValueError(f"plan is for N={p.n}, got {x.shape[0] if x.ndim == 1 else x.shape} samples")
     m = p.m
-    leaves = p.n if p.leaf is LeafKind.SINGLE_SAMPLE else m
+    leaves = min(p.n, m)
     classes = min(leaves, max(1, m // _BLOCK_BINS))
     span, height = m // classes, leaves // classes
     late = classes.bit_length() - 1
@@ -204,7 +200,7 @@ def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) 
     bins = np.empty(m, dtype=np.complex128)
     rows = bins.reshape(classes, span)
     # Class r's leaf rows r, r + S, ... sit at the head of row r.
-    if p.leaf is LeafKind.SINGLE_SAMPLE:
+    if m >= p.n:
         # Leaf row r is the (alpha*N/N')-point subspectrum of x[r::N] == [x_r]:
         # one sample fanned out across m//n equal bins.
         rows[:, :height] = x.reshape(height, classes).T

@@ -352,7 +352,7 @@ def read_signal_json(path) -> Signal:
         raise SignalParseError(str(exc), 1) from None
     if not isinstance(payload, dict):
         raise SignalParseError("top-level JSON value must be an object", 1)
-    declared = payload.get("T")
+    declared = check_duration(payload["T"]) if "T" in payload else None
 
     if "samples" in payload:
         entries = payload["samples"]

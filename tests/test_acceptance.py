@@ -15,7 +15,6 @@ with the measured figure next to its bound (run ``pytest -s`` to see them;
 """
 
 import numpy as np
-import pytest
 
 from alpha_spectra import (
     DenseFactor,
@@ -25,7 +24,6 @@ from alpha_spectra import (
     aliased_reconstruct,
     dft_matrix,
     max_curve_deviation,
-    naive_forward,
     naive_inverse,
     orthogonality_kernel,
     plan,

@@ -14,7 +14,6 @@ from alpha_spectra import (
     make_report,
     run_grid,
 )
-from alpha_spectra.bench import write_records_csv
 
 FAST_KW = dict(reps=2)
 
@@ -163,9 +162,29 @@ def test_fit_is_exact_for_fast_path():
                        methods=("alpha_fft",), **FAST_KW)
     fit = fit_complexity(records)
     assert fit.passed
-    assert fit.c == 0.5
-    assert fit.max_rel_residual == 0.0
-    assert fit.n_points == 5
+    assert fit.claim == "complexity_fit_alpha_2_1"
+    assert fit.record_ids == [0, 1, 2, 3, 4]
+    assert fit.details == [{"c": 0.5, "expected_c": 0.5, "max_rel_residual": 0.0,
+                            "n_points": 5}]
+
+
+def test_fit_checks_the_constant():
+    # Doubled counts still fit c * M * log2(min) exactly, but with c = 1.0
+    # where the paper's constant is 0.5.
+    records = run_grid([64, 128, 256, 512, 1024], [DenseFactor(2)],
+                       methods=("alpha_fft",), **FAST_KW)
+    doubled = [dataclasses.replace(r, complex_mults=2 * r.complex_mults) for r in records]
+    fit = fit_complexity(doubled)
+    assert not fit.passed
+    assert fit.details[0]["c"] == 1.0
+    assert fit.details[0]["max_rel_residual"] == 0.0
+
+
+def test_fit_needs_one_density():
+    records = run_grid([64, 128, 256, 512], [DenseFactor(1), DenseFactor(2)],
+                       methods=("alpha_fft",), **FAST_KW)
+    with pytest.raises(ValueError, match="one density factor"):
+        fit_complexity(records)
 
 
 def test_fit_rejects_quadratic_growth():
@@ -173,7 +192,7 @@ def test_fit_rejects_quadratic_growth():
                        methods=("naive",), **FAST_KW)
     fit = fit_complexity(records)
     assert not fit.passed
-    assert fit.max_rel_residual > 0.1
+    assert fit.details[0]["max_rel_residual"] > 0.1
 
 
 def test_fit_needs_four_sizes():
@@ -245,7 +264,7 @@ def test_report_json_round_trip(small_report, tmp_path):
 
 def test_records_csv_columns(small_report, tmp_path):
     path = tmp_path / "records.csv"
-    write_records_csv(small_report.records, path)
+    small_report.write_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["N", "alpha_p", "alpha_q", "method",
@@ -256,8 +275,38 @@ def test_records_csv_columns(small_report, tmp_path):
     assert int(rows[0]["wall_ns"]) > 0
 
 
-def test_report_write_csv_matches_helper(small_report, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    small_report.write_csv(a)
-    write_records_csv(small_report.records, b)
-    assert a.read_bytes() == b.read_bytes()
+def assert_ids_point_at_judged_records(report):
+    records = report.records
+    for verdict in report.verdicts:
+        assert all(0 <= i < len(records) for i in verdict.record_ids)
+        if verdict.claim.startswith("complexity_fit"):
+            alpha = records[verdict.record_ids[0]].alpha
+            assert verdict.record_ids == [i for i, r in enumerate(records)
+                                          if r.method == "alpha_fft" and r.alpha == alpha]
+            assert verdict.claim == f"complexity_fit_alpha_{alpha.p}_{alpha.q}"
+            continue
+        # Each detail judged one (alpha_fft, partner) pair of ids.
+        pairs = zip(verdict.record_ids[::2], verdict.record_ids[1::2])
+        assert len(verdict.record_ids) == 2 * len(verdict.details)
+        for detail, (i, j) in zip(verdict.details, pairs):
+            assert (records[i].n, str(records[i].alpha)) == (detail["N"], detail["alpha"])
+            assert records[i].method == "alpha_fft"
+            assert records[i].complex_mults == detail["alpha_mults"]
+            assert (records[j].n, records[j].complex_mults) == (
+                detail["N"], detail.get("zeropad_mults", detail.get("fft_mults")))
+
+
+def test_report_record_ids_point_at_judged_records(small_report):
+    assert_ids_point_at_judged_records(small_report)
+
+
+def test_report_judges_every_copy_of_a_repeated_cell():
+    records = run_grid([64, 64, 128, 256, 512], [DenseFactor(2)], **FAST_KW)
+    report = make_report(records)
+    assert_ids_point_at_judged_records(report)
+    gt1 = report.verdicts[0]
+    assert gt1.claim == "alpha_gt1_savings"
+    fast_ids = [i for i, r in enumerate(records) if r.method == "alpha_fft"]
+    assert gt1.record_ids[::2] == fast_ids
+    assert [d["N"] for d in gt1.details] == [64, 64, 128, 256, 512]
+    assert report.all_passed

@@ -365,6 +365,10 @@ def test_too_many_bins_exits_6(tmp_path, capsys, argv):
     ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "-1"],
     ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "nan"],
     ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "inf"],
+    # Signal lengths above MAX_BINS are refused before any signal is built.
+    ["demo-sine", "--output", "unused", "--n", "268435457"],
+    ["bench", "--grid-alpha", "1", "--reps", "1", "--grid-n", "64,268435457"],
+    ["verify", "--sizes", "268435457"],
 ])
 def test_invalid_numeric_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:

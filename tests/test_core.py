@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,8 +220,8 @@ def test_frequency_grid_span():
 
 def test_public_names():
     assert sorted(alpha_spectra.__all__) == [
-        "BenchRecord", "ClaimVerdict", "DenseFactor", "FitResult", "IncompatibleAlphaError",
-        "IncompleteGridError", "LeafKind", "OpCounter", "Plan", "ScalingReport", "Signal",
+        "BenchRecord", "ClaimVerdict", "DenseFactor", "IncompatibleAlphaError",
+        "IncompleteGridError", "OpCounter", "Plan", "ScalingReport", "Signal",
         "Spectrum", "TooManyBinsError", "UnsupportedSizeError", "__version__",
         "aliased_reconstruct", "alpha_fft", "analytic_sine_spectrum", "bin_frequency",
         "check_alpha_gt1_savings", "check_alpha_lt1_savings", "dft_matrix", "fit_complexity",
@@ -227,3 +230,24 @@ def test_public_names():
         "run_grid", "sine_demo", "sine_signal", "standard_fft", "transform_samples",
         "validate_pair", "zero_pad",
     ]
+
+
+def test_no_unused_imports():
+    # No linter is a dependency, so this catches an import that a deletion orphans.
+    # A name listed in __all__ counts as used.
+    root = Path(__file__).resolve().parent.parent
+    unused = []
+    for path in sorted([*root.glob("src/alpha_spectra/*.py"), *root.glob("tests/*.py")]):
+        tree = ast.parse(path.read_text())
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

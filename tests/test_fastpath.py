@@ -6,7 +6,6 @@ import pytest
 from alpha_spectra import fastpath
 from alpha_spectra import (
     DenseFactor,
-    LeafKind,
     OpCounter,
     Signal,
     UnsupportedSizeError,
@@ -39,7 +38,6 @@ def test_plan_depth_example():
     p = plan(8, DenseFactor(2))
     assert p.depth == 3
     assert (p.m, p.n) == (16, 8)
-    assert p.leaf is LeafKind.SINGLE_SAMPLE
     assert p.twiddles.shape == (8,)
     assert [len(p.twiddles[::1 << k]) for k in range(p.depth)] == [8, 4, 2]
 
@@ -47,7 +45,7 @@ def test_plan_depth_example():
 def test_plan_block_sum_leaf():
     p = plan(8, DenseFactor(1, 4))
     assert p.depth == 1  # log2(min(8, 2))
-    assert p.leaf is LeafKind.BLOCK_SUM
+    assert (p.m, p.n) == (2, 8)  # each of the 2 leaf rows sums a block of 4
     assert p.twiddles.shape == (1,)
 
 
@@ -128,7 +126,7 @@ def test_twiddle_recurrence_and_halving_properties():
 
 def reference_transform(x, p):
     """The level loop built from fresh arrays: t = W*z, then [y + t, y - t]."""
-    if p.leaf is LeafKind.SINGLE_SAMPLE:
+    if p.m >= p.n:
         level = np.broadcast_to(x[:, None], (p.n, p.m // p.n))
     else:
         level = x.reshape(-1, p.m).sum(axis=0)[:, None]

@@ -176,6 +176,7 @@ def test_json_time_value_form(tmp_path):
     ({"time": [0, 1], "value": [[1], 2]}, "'value' entries must be numbers"),
     ({"time": [0, 1], "value": [1, 10 ** 400]}, "too large"),
     ({"time": [0.0, float("inf")], "value": [1, 2]}, "time 1 is not finite"),
+    ({"T": None, "samples": [1]}, "duration T must be a positive finite number"),
 ])
 def test_json_shape_errors(tmp_path, payload, fragment):
     path = write(tmp_path, "s.json", json.dumps(payload))
