@@ -16,13 +16,14 @@ construction is never timed.
 """
 
 import csv
+import functools
 import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baseline, fastpath, oracle
+from . import fastpath, oracle
 from .core import DenseFactor, Signal, validate_pair
 from .verify import random_unit_disk
 
@@ -137,41 +138,39 @@ def _min_wall_seconds(run, reps: int) -> float:
     return max(best, 1) / 1e9
 
 
-def _prepare_cell(n, alpha, method, signal):
+def _prepare_cell(n, alpha, method, signal_of):
     """Build the timed closure and take the exact counts (untimed).
 
     Raises ValueError when the cell cannot run: alpha*N is not an integer,
     the fast path's sizes are not powers of two, or padding would thin.
+    Only a cell that passes these checks asks ``signal_of(n)`` for its signal.
     """
     _, m = validate_pair(n, alpha)
+    if method == "naive":
+        signal = signal_of(n)
+        # The matrix product performs exactly N*M multiplies and (N-1)*M adds.
+        return (lambda: oracle.naive_forward(signal, alpha)), n * m, (n - 1) * m
     if method == "alpha_fft":
         p = fastpath.plan(n, alpha)
-        counter = fastpath.OpCounter()
-        fastpath.transform_samples(signal.samples, p, counter)
-        x = signal.samples
+        x = signal_of(n).samples
 
-        def run():
-            fastpath.transform_samples(x, p)
+        def run(counter=None):
+            fastpath.transform_samples(x, p, counter)
 
-        return run, counter.complex_mults, counter.complex_adds
-    if method == "zeropad_fft":
-        padded = baseline.zero_pad(signal, alpha).samples
+    else:  # zeropad_fft
+        if alpha.p < alpha.q:
+            raise ValueError(f"zero-padding needs alpha >= 1, got {alpha}")
         p = fastpath.plan(m, DenseFactor(1))
-        counter = fastpath.OpCounter()
-        fastpath.transform_samples(padded, p, counter)
-        x = signal.samples
+        x = signal_of(n).samples
 
-        def run():
+        def run(counter=None):
             buffer = np.zeros(m, dtype=np.complex128)
             buffer[:n] = x
-            fastpath.transform_samples(buffer, p)
+            fastpath.transform_samples(buffer, p, counter)
 
-        return run, counter.complex_mults, counter.complex_adds
-    # naive: the matrix product performs exactly N*M multiplies and (N-1)*M adds.
-    def run():
-        oracle.naive_forward(signal, alpha)
-
-    return run, n * m, (n - 1) * m
+    counter = fastpath.OpCounter()
+    run(counter)
+    return run, counter.complex_mults, counter.complex_adds
 
 
 def run_grid(
@@ -188,23 +187,23 @@ def run_grid(
     preparation raises ValueError (an invalid pair, or sizes the method
     cannot take) is skipped, not fatal; pass a list through ``skipped`` to
     collect them with the reason.  An unknown method raises ValueError up
-    front.  Signals are random complex samples from the unit disk,
-    deterministic in ``seed``, so counts are reproducible (they do not
-    depend on the data at all) and timings comparable.  The naive method
-    runs at most NAIVE_REPS repetitions.
+    front.  Signals are random complex samples from the unit disk, drawn
+    only for an N with a runnable cell and deterministic in ``seed``, so
+    counts are reproducible (they do not depend on the data at all) and
+    timings comparable.  The naive method runs at most NAIVE_REPS repetitions.
     """
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
-    signals = {n: Signal(random_unit_disk(rng, n)) for n in sorted(set(ns))}
+    signal_of = functools.cache(lambda n: Signal(random_unit_disk(rng, n)))
 
     records = []
     for n in ns:
         for alpha in alphas:
             for method in methods:
                 try:
-                    run, mults, adds = _prepare_cell(n, alpha, method, signals[n])
+                    run, mults, adds = _prepare_cell(n, alpha, method, signal_of)
                 except ValueError as exc:
                     if skipped is not None:
                         skipped.append({"N": n, "alpha_p": alpha.p, "alpha_q": alpha.q,

@@ -8,11 +8,11 @@ bench      run the operation-count/wall-time grid and judge the scaling claims
 verify     run the numerical cross-checking suites
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed
-input, an invalid argument or an unwritable output, 3 alpha incompatible
-with the signal length, 4 size unsupported by the requested method,
-5 benchmark claim failure, 6 result not representable: more than
-core.MAX_BINS bins, or a spectrum whose bins or frequencies overflow a
-double.
+input (JSON nested too deeply included), an invalid argument or an
+unwritable output, 3 alpha incompatible with the signal length, 4 size
+unsupported by the requested method, 5 benchmark claim failure, 6 result
+not representable: more than core.MAX_BINS bins, a spectrum whose bins or
+frequencies overflow a double, or not enough memory for the request.
 """
 
 import argparse
@@ -167,38 +167,28 @@ def cmd_compute(args) -> int:
         signal = Signal(signal.samples, args.duration)
 
     alpha = args.alpha
-    try:
-        if args.method == "naive":
-            spectrum, method = oracle.naive_forward(signal, alpha), "naive"
-        elif args.method == "fft":
+    if args.method == "naive":
+        spectrum, method = oracle.naive_forward(signal, alpha), "naive"
+    elif args.method == "zeropad":
+        if alpha.p < alpha.q:
+            print(f"error: zero-padding needs alpha >= 1, got {alpha}", file=sys.stderr)
+            return EXIT_BAD_ALPHA
+        padded = baseline.zero_pad(signal, alpha)
+        if not is_power_of_two(len(padded)):
+            raise UnsupportedSizeError(
+                f"zero-padding needs a power-of-two alpha*N, got N={len(signal)}, "
+                f"alpha*N={len(padded)}; use the naive transform for this pair"
+            )
+        spectrum = Spectrum._adopt(baseline.standard_fft(padded).bins, len(signal), alpha,
+                                   signal.duration)
+        method = "zeropad"
+    else:  # fft, or auto: the fast kernel when the pair allows it, else the oracle
+        try:
             spectrum, method = fastpath.alpha_fft(signal, fastpath.plan(len(signal), alpha)), "fft"
-        elif args.method == "zeropad":
-            if alpha.p < alpha.q:
-                print(f"error: zero-padding needs alpha >= 1, got {alpha}", file=sys.stderr)
-                return EXIT_BAD_ALPHA
-            padded = baseline.zero_pad(signal, alpha)
-            if not is_power_of_two(len(padded)):
-                raise UnsupportedSizeError(
-                    f"zero-padding needs a power-of-two alpha*N, got N={len(signal)}, "
-                    f"alpha*N={len(padded)}; use the naive transform for this pair"
-                )
-            spectrum = Spectrum._adopt(baseline.standard_fft(padded).bins, len(signal), alpha,
-                                       signal.duration)
-            method = "zeropad"
-        else:  # auto: fast kernel when the pair allows it, else the oracle
-            try:
-                spectrum, method = fastpath.alpha_fft(signal, fastpath.plan(len(signal), alpha)), "fft"
-            except UnsupportedSizeError:
-                spectrum, method = oracle.naive_forward(signal, alpha), "naive"
-    except IncompatibleAlphaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ALPHA
-    except UnsupportedSizeError as exc:
-        print(f"error: {exc} (try --method naive)", file=sys.stderr)
-        return EXIT_BAD_SIZE
-    except TooManyBinsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_REPRESENTABLE
+        except UnsupportedSizeError:
+            if args.method == "fft":
+                raise
+            spectrum, method = oracle.naive_forward(signal, alpha), "naive"
     bad = np.flatnonzero(~np.isfinite(spectrum.bins))
     if bad.size:
         print(f"error: bin {bad[0]} is not finite: the spectrum overflows a double",
@@ -218,14 +208,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_demo_sine(args) -> int:
-    try:
-        curves = demo.sine_demo(args.n, args.alphas)
-    except TooManyBinsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_REPRESENTABLE
-    except IncompatibleAlphaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ALPHA
+    curves = demo.sine_demo(args.n, args.alphas)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -242,9 +225,8 @@ def cmd_demo_sine(args) -> int:
         print(f"wrote {name} ({len(curve.frequencies)} bins)")
 
     grid = np.arange(0.0, 8.0 + 1.0 / 256.0, 1.0 / 128.0)
-    reference = np.abs(demo.analytic_sine_spectrum(grid))
     write("sine_analytic.csv", f"# demo=sine-analytic\n# X0={io._fmt(demo.SINE_DC)}\n",
-          (grid, reference, reference / demo.SINE_DC))
+          (grid, np.abs(demo.analytic_sine_spectrum(grid)), demo.analytic_normalized(grid)))
     print(f"wrote sine_analytic.csv ({grid.size} points)")
     return EXIT_OK
 
@@ -292,6 +274,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
+#: What ends a command early, in match order: the exception class, its exit
+#: code and a hint appended to its message.
+_EXIT_CODES = (
+    (IncompatibleAlphaError, EXIT_BAD_ALPHA, ""),
+    (UnsupportedSizeError, EXIT_BAD_SIZE, " (try --method naive)"),
+    (TooManyBinsError, EXIT_NOT_REPRESENTABLE, ""),
+    (MemoryError, EXIT_NOT_REPRESENTABLE, ""),
+    (OSError, EXIT_PARSE_ERROR, ""),  # a file that cannot be read or written
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -303,9 +296,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except OSError as exc:  # a file that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+    except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
+        code, hint = next((code, hint) for kind, code, hint in _EXIT_CODES if isinstance(exc, kind))
+        # A MemoryError raised by the interpreter itself carries no message.
+        print(f"error: {str(exc) or 'out of memory'}{hint}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:  # console-script hook

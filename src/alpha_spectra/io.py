@@ -350,6 +350,8 @@ def read_signal_json(path) -> Signal:
         raise SignalParseError(exc.msg, exc.lineno) from None
     except ValueError as exc:  # bytes that are not text, or an integer past the digit limit
         raise SignalParseError(str(exc), 1) from None
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise SignalParseError("JSON nested too deeply", 1) from None
     if not isinstance(payload, dict):
         raise SignalParseError("top-level JSON value must be an object", 1)
     declared = check_duration(payload["T"]) if "T" in payload else None

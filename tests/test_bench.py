@@ -8,6 +8,7 @@ from alpha_spectra import (
     BenchRecord,
     DenseFactor,
     IncompleteGridError,
+    bench,
     check_alpha_gt1_savings,
     check_alpha_lt1_savings,
     fit_complexity,
@@ -109,6 +110,22 @@ def test_grid_counts_deterministic_across_runs():
     again = run_grid(**grid, **FAST_KW)
     keys = [(r.n, r.alpha, r.method, r.complex_mults, r.complex_adds) for r in first]
     assert keys == [(r.n, r.alpha, r.method, r.complex_mults, r.complex_adds) for r in again]
+
+
+def test_grid_draws_signals_only_for_runnable_sizes(monkeypatch):
+    drawn = []
+    draw = bench.random_unit_disk
+
+    def record(rng, n):
+        drawn.append(n)
+        return draw(rng, n)
+
+    monkeypatch.setattr(bench, "random_unit_disk", record)
+    # N = 7 has no integer alpha*N; N = 24 has pairs, but neither method runs
+    # them (24 is not a power of two, and padding cannot thin).
+    records = run_grid([7, 24, 16], [DenseFactor(1, 3), DenseFactor(1, 2)], **FAST_KW)
+    assert [(r.n, r.method) for r in records] == [(16, "alpha_fft")]
+    assert drawn == [16]
 
 
 # -------------------------------------------------------------- claim checks

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +262,7 @@ def single_error_line(err):
     ("text_time.json", '{"time": [0, "a"], "value": [1, 2]}'),
     ("nested_value.json", '{"time": [0, 1], "value": [[1], 2]}'),
     ("latin1.csv", b"index,re,im\n0,\xff,0\n"),
+    pytest.param("deep.json", "[" * 100_000 + "]" * 100_000, id="deep.json"),
 ])
 def test_compute_rejects_bad_input(tmp_path, capsys, name, text):
     path = tmp_path / name
@@ -393,3 +396,33 @@ def test_unusable_path_exits_2(signal_file, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.splitlines() == [single_error_line(err)]
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 2.00 GiB", "error: Unable to allocate 2.00 GiB"),
+    (None, "error: out of memory"),
+], ids=["numpy", "bare"])
+@pytest.mark.parametrize("target, argv", [
+    ((cli.io, "read_signal"), ["compute", "--input", "in.csv", "--output", "{out}"]),
+    ((cli.demo, "sine_demo"), ["demo-sine", "--output", "{out}"]),
+    ((cli.bench, "run_grid"), ["bench", "--output", "{out}"]),
+    ((cli.verify, "run_all"), ["verify"]),
+], ids=["compute", "demo-sine", "bench", "verify"])
+def test_out_of_memory_exits_6(tmp_path, capsys, monkeypatch, target, argv, message, line):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError() if message is None else MemoryError(message)
+
+    monkeypatch.setattr(*target, out_of_memory)
+    out = tmp_path / "out"
+    assert run([arg.format(out=out) for arg in argv]) == cli.EXIT_NOT_REPRESENTABLE
+    err = capsys.readouterr().err
+    assert err.splitlines() == [single_error_line(err)] == [line]
+    assert not out.exists()
+
+
+def test_readme_lists_every_exit_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    documented = [int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", table, re.MULTILINE)]
+    codes = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
+    assert sorted(documented) == sorted(codes)

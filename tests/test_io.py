@@ -191,6 +191,14 @@ def test_json_decode_error_carries_line(tmp_path):
     assert info.value.line == 2
 
 
+def test_json_nested_too_deeply_is_a_parse_error(tmp_path):
+    # Deeper than the interpreter's recursion limit: json.load raises RecursionError.
+    path = write(tmp_path, "s.json", '{"samples": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(SignalParseError, match="nested too deeply") as info:
+        read_signal_json(path)
+    assert info.value.line == 1
+
+
 def test_read_signal_dispatches_on_extension(tmp_path):
     csv_path = write(tmp_path, "s.csv", "index,re,im\n0,5,0\n")
     json_path = write(tmp_path, "s.json", '{"samples": [5]}')
