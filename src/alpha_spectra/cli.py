@@ -211,22 +211,18 @@ def cmd_demo_sine(args) -> int:
     curves = demo.sine_demo(args.n, args.alphas)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def write(name, header, columns):
-        with open(out_dir / name, "w") as fh:
-            fh.write(header + "freq,magnitude,normalized\n")
-            io._write_rows(fh, "%.17g,%.17g,%.17g\n", columns)
-
+    names = ("freq", "magnitude", "normalized")
     for alpha, curve in curves.items():
         name = f"sine_alpha_{alpha.p}_{alpha.q}.csv"
-        write(name, f"# demo=sine\n# N={args.n}\n# alpha={alpha.p}/{alpha.q}\n"
-                    f"# X0={io._fmt(curve.magnitudes[0])}\n",
-              (curve.frequencies, curve.magnitudes, curve.normalized))
+        io.write_csv(out_dir / name, {"demo": "sine", "N": args.n, "alpha": alpha,
+                                      "X0": curve.magnitudes[0]},
+                     names, (curve.frequencies, curve.magnitudes, curve.normalized))
         print(f"wrote {name} ({len(curve.frequencies)} bins)")
 
     grid = np.arange(0.0, 8.0 + 1.0 / 256.0, 1.0 / 128.0)
-    write("sine_analytic.csv", f"# demo=sine-analytic\n# X0={io._fmt(demo.SINE_DC)}\n",
-          (grid, np.abs(demo.analytic_sine_spectrum(grid)), demo.analytic_normalized(grid)))
+    io.write_csv(out_dir / "sine_analytic.csv", {"demo": "sine-analytic", "X0": demo.SINE_DC},
+                 names, (grid, np.abs(demo.analytic_sine_spectrum(grid)),
+                         demo.analytic_normalized(grid)))
     print(f"wrote sine_analytic.csv ({grid.size} points)")
     return EXIT_OK
 

@@ -192,6 +192,12 @@ class Spectrum:
         return self.bins.size
 
     @property
+    def magnitudes(self) -> np.ndarray:
+        """np.hypot(re, im) per bin, bitwise Python's abs(); inf, with no warning, on overflow."""
+        with np.errstate(over="ignore"):
+            return np.hypot(self.bins.real, self.bins.imag)
+
+    @property
     def frequencies(self) -> np.ndarray:
         # Same arithmetic as bin_frequency, elementwise, so the two agree exactly.
         return (np.arange(self.bins.size) * self.alpha.q) / (self.alpha.p * self.duration)

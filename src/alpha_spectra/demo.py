@@ -54,7 +54,7 @@ class DemoCurve:
 
 
 def _curve(spectrum: Spectrum) -> DemoCurve:
-    magnitudes = np.abs(spectrum.bins)
+    magnitudes = spectrum.magnitudes
     if magnitudes[0] == 0:
         raise ValueError("cannot normalize a spectrum with zero DC magnitude")
     return DemoCurve(

@@ -21,10 +21,10 @@ in one ``np.fromiter``; any other list is walked entry by entry, to name
 the first bad sample.  Both shortcuts give the values, bit for bit, and the
 errors of the walks they skip.
 
-The spectrum writer takes ``freq`` from ``Spectrum.frequencies`` and
-``magnitude`` from ``np.hypot``, bitwise the values of ``bin_frequency`` and
-of ``abs`` of each bin, and formats and writes its rows WRITE_BLOCK_ROWS at
-a time.
+write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
+header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
+``freq`` and ``magnitude`` are ``Spectrum.frequencies`` and
+``Spectrum.magnitudes``, bitwise ``bin_frequency`` and Python's ``abs``.
 """
 
 import io
@@ -55,10 +55,6 @@ class SignalParseError(ValueError):
         self.line = line
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
 
 
 def _parse_float(text, line):
@@ -384,35 +380,33 @@ def read_signal(path) -> Signal:
     return read_signal_csv(path)
 
 
-def _write_rows(fh, template, columns) -> None:
-    """Write one ``template`` line per row of the equal-length ``columns``.
+def write_csv(path, comments, names, columns) -> None:
+    """CSV of ``# key=value`` lines from ``comments``, a header of ``names``, then ``columns``.
 
-    Rows are formatted WRITE_BLOCK_ROWS at a time, each block with a single
-    ``%`` over the template repeated once per row.
+    Float comment values and every cell are written with ``%.17g``; rows go
+    out WRITE_BLOCK_ROWS at a time, one ``%`` over the row template per block.
     """
-    for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
-        block = np.column_stack([column[start:start + WRITE_BLOCK_ROWS] for column in columns])
-        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+    template = ",".join(["%.17g"] * len(names)) + "\n"
+    with open(path, "w") as fh:
+        for key, value in comments.items():
+            fh.write(f"# {key}={format(value, '.17g') if isinstance(value, float) else value}\n")
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
+            block = np.column_stack([column[start:start + WRITE_BLOCK_ROWS] for column in columns])
+            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_spectrum(spectrum: Spectrum, path, method: str) -> None:
-    """Spectrum CSV: metadata comments, then one row per bin.
+    """Spectrum CSV, by write_csv: metadata comments, then one row per bin.
 
     The freq column is ``Spectrum.frequencies``, the arithmetic of
     core.bin_frequency, so files and API agree digit for digit.  The
-    magnitude column is ``np.hypot(re, im)``: bitwise ``abs`` of each bin,
-    and ``inf`` where that exceeds the largest double.  Rows are written in
-    blocks of WRITE_BLOCK_ROWS.
+    magnitude column is ``Spectrum.magnitudes``: ``inf`` where a bin's
+    magnitude exceeds the largest double.
     """
     bins = spectrum.bins
-    with np.errstate(over="ignore"):  # an overflowing magnitude is written as inf
-        magnitude = np.hypot(bins.real, bins.imag)
-    with open(path, "w") as fh:
-        fh.write(
-            f"# N={spectrum.origin_n}\n# alpha={spectrum.alpha.p}/{spectrum.alpha.q}\n"
-            f"# T={_fmt(spectrum.duration)}\n# method={method}\nm,freq,re,im,magnitude\n"
-        )
-        # %d of a float index is exact: bin counts stay far below 2**53.
-        _write_rows(fh, "%d,%.17g,%.17g,%.17g,%.17g\n",
-                    (np.arange(bins.size, dtype=float), spectrum.frequencies,
-                     bins.real, bins.imag, magnitude))
+    write_csv(path, {"N": spectrum.origin_n, "alpha": spectrum.alpha,
+                     "T": float(spectrum.duration), "method": method},
+              ("m", "freq", "re", "im", "magnitude"),
+              (np.arange(bins.size, dtype=float), spectrum.frequencies,
+               bins.real, bins.imag, spectrum.magnitudes))

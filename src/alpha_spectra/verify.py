@@ -4,8 +4,9 @@ Each suite sweeps a deterministic grid of sizes, densities and seeds,
 records the worst error it sees and where, and compares against a fixed
 tolerance.  The four random-signal suites are rows of one table (SWEEPS)
 run by one function, run_sweep; the orthogonality suite sweeps kernel
-offsets instead of signals and keeps its own loop.  The suites are what
-the ``verify`` subcommand runs.
+offsets instead of signals and keeps its own loop.  A suite skips each
+pair its transform's own check (``plan`` or ``validate_pair``) refuses
+with a ValueError.  The suites are what the ``verify`` subcommand runs.
 """
 
 from dataclasses import dataclass, field
@@ -51,19 +52,6 @@ def random_unit_disk(rng, n: int) -> np.ndarray:
     return radius * np.exp(1j * angle)
 
 
-def _valid(n, alpha):
-    return (n * alpha.p) % alpha.q == 0
-
-
-def _fast(n, alpha):
-    """Whether the fast path takes (N, alpha), as ``plan`` decides it."""
-    try:
-        plan(n, alpha)
-    except ValueError:
-        return False
-    return True
-
-
 def _oracle_error(signal, alpha):
     fast = alpha_fft(signal, plan(len(signal), alpha))
     reference = naive_forward(signal, alpha)
@@ -95,19 +83,19 @@ class Sweep:
     name: str
     alphas: tuple
     tolerance: float
-    runs: Callable  # (N, alpha) -> whether the suite covers the pair
+    check: Callable  # (N, alpha) -> raises ValueError on a pair the suite's transform refuses
     error: Callable  # (signal, alpha) -> the error held under ``tolerance``
 
 
 SWEEPS = (
     # Fast path against the naive transform, relative max error.
-    Sweep("oracle_equivalence", POWER_ALPHAS, 1e-10, _fast, _oracle_error),
+    Sweep("oracle_equivalence", POWER_ALPHAS, 1e-10, plan, _oracle_error),
     # Density-alpha transform against the padded FFT, absolute per bin.
-    Sweep("zero_pad_equivalence", PAD_ALPHAS, 1e-12, _fast, _zero_pad_error),
+    Sweep("zero_pad_equivalence", PAD_ALPHAS, 1e-12, plan, _zero_pad_error),
     # inverse(forward(x)) recovers x exactly when alpha >= 1.
-    Sweep("round_trip", RECOVER_ALPHAS, 1e-10, _valid, _round_trip_error),
+    Sweep("round_trip", RECOVER_ALPHAS, 1e-10, validate_pair, _round_trip_error),
     # inverse(forward(x)) equals the time-domain alias fold when alpha < 1.
-    Sweep("aliasing", FOLD_ALPHAS, 1e-10, _valid, _aliasing_error),
+    Sweep("aliasing", FOLD_ALPHAS, 1e-10, validate_pair, _aliasing_error),
 )
 
 
@@ -127,7 +115,9 @@ def run_sweep(sweep: Sweep, seed=0, sizes=DEFAULT_SIZES) -> SuiteResult:
     def measurements():
         for n in sizes:
             for alpha in sweep.alphas:
-                if not sweep.runs(n, alpha):
+                try:
+                    sweep.check(n, alpha)
+                except ValueError:
                     continue
                 for offset in range(SEEDS_PER_CASE):
                     case_seed = seed + 1000 * offset + n
@@ -145,9 +135,10 @@ def suite_orthogonality(sizes=DEFAULT_SIZES) -> SuiteResult:
             if n > 64:
                 continue  # quadratic in N; small sizes already cover every residue class
             for alpha in KERNEL_ALPHAS:
-                if not _valid(n, alpha):
+                try:
+                    _, m = validate_pair(n, alpha)
+                except ValueError:
                     continue
-                _, m = validate_pair(n, alpha)
                 for delta in range(-(n - 1), n):
                     value = orthogonality_kernel(delta, 0, n, alpha)
                     on_comb = delta % m == 0

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import re
 from pathlib import Path
@@ -418,6 +419,19 @@ def test_out_of_memory_exits_6(tmp_path, capsys, monkeypatch, target, argv, mess
     err = capsys.readouterr().err
     assert err.splitlines() == [single_error_line(err)] == [line]
     assert not out.exists()
+
+
+def test_readme_synopsis_lists_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = readme.split("## Command line", 1)[1].split("```")[1]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+                  for line in synopsis.splitlines() if line.startswith("alpha-spectra ")}
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {flag for action in parser._actions for flag in action.option_strings
+                    if flag.startswith("--")} - {"--help"}
+             for name, parser in commands.choices.items()}
+    assert documented == flags
 
 
 def test_readme_lists_every_exit_code():

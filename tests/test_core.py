@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,15 @@ def test_spectrum_frequencies_match_scalar_map():
     assert np.all(np.diff(freqs) > 0)
 
 
+def test_magnitudes_overflow_to_inf_without_a_warning():
+    # |1e308 + 1e308j| = 1.41e308 is still a double; |1.5e308 + 1.5e308j| is not.
+    spectrum = Spectrum(np.array([1.5e308 + 1.5e308j, -3 + 4j]), 2, DenseFactor(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        magnitudes = spectrum.magnitudes
+    assert magnitudes.tolist() == [np.inf, 5.0]
+
+
 def test_frequency_grid_span():
     # One spacing past the last bin is N/T: twice the Nyquist rate.
     n, alpha, duration = 16, DenseFactor(4), 2.0
@@ -251,3 +261,22 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_module_reads_another_modules_private_name():
+    # ``<module>._name`` where ``<module>`` is a library module the file
+    # imports; a class's private attribute, such as Spectrum._adopt, is fine.
+    package = Path(alpha_spectra.__file__).parent
+    library = {path.stem for path in package.glob("*.py")}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                   for alias in node.names if alias.name in library}
+        found += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id in modules]
+    assert found == []

@@ -73,6 +73,14 @@ def test_demo_returns_requested_densities(curves):
             curve.normalized, curve.magnitudes / curve.magnitudes[0])
 
 
+def test_curve_magnitudes_are_the_spectrum_magnitudes(curves):
+    # The one bin magnitude, np.hypot, as in the spectrum CSV; np.abs of a
+    # complex array differs from it in the last digit for some bins.
+    for curve in [*curves.values(), *sine_demo(6, (DenseFactor(3, 2),)).values()]:
+        bins = curve.spectrum.bins
+        assert curve.magnitudes.tobytes() == np.hypot(bins.real, bins.imag).tobytes()
+
+
 def test_denser_grids_share_the_coarse_bins(curves):
     # Every 8th bin of the alpha = 8 curve is an alpha = 1 bin: same angle
     # set, same arithmetic, so the values agree to the last bit for real

@@ -13,6 +13,7 @@ from alpha_spectra.io import (
     read_signal,
     read_signal_csv,
     read_signal_json,
+    write_csv,
     write_spectrum,
 )
 
@@ -272,6 +273,18 @@ def test_write_spectrum_matches_the_row_by_row_format(tmp_path):
     assert lines[-1].endswith(",inf")
 
 
+def test_write_csv_layout(tmp_path):
+    # Float comments and every cell take %.17g, other comments str(); an
+    # integer-valued float cell prints as its digits.
+    path = tmp_path / "t.csv"
+    write_csv(path, {"N": 3, "alpha": DenseFactor(3, 2), "T": 0.1, "X0": np.float64(2.5)},
+              ("k", "value"), (np.arange(3, dtype=float), np.array([0.1, -0.0, np.inf])))
+    assert path.read_text().splitlines() == [
+        "# N=3", "# alpha=3/2", "# T=0.10000000000000001", "# X0=2.5", "k,value",
+        "0,0.10000000000000001", "1,-0", "2,inf",
+    ]
+
+
 # ------------------------------------------------------- written signals
 
 def test_signal_round_trip(tmp_path):
@@ -339,5 +352,5 @@ def test_public_names():
                    and getattr(value, "__module__", alpha_io.__name__) == alpha_io.__name__)
     assert names == [
         "SignalParseError", "TIME_UNIFORMITY_RTOL", "WRITE_BLOCK_ROWS", "check_duration",
-        "read_signal", "read_signal_csv", "read_signal_json", "write_spectrum",
+        "read_signal", "read_signal_csv", "read_signal_json", "write_csv", "write_spectrum",
     ]
