@@ -35,8 +35,9 @@ print(f"analytic spectrum at DC: {SINE_DC:.6f}; at the 0.5 Hz peak: "
 print("alpha   bins   bin spacing   max deviation from analytic")
 for alpha, curve in curves.items():
     deviation = max_curve_deviation(curve)
-    spacing = curve.frequencies[1] - curve.frequencies[0]
-    print(f"{str(alpha):>5}   {len(curve.frequencies):4d}   {spacing:8.4f} Hz"
+    frequencies = curve.spectrum.frequencies
+    spacing = frequencies[1] - frequencies[0]
+    print(f"{str(alpha):>5}   {curve.spectrum.m:4d}   {spacing:8.4f} Hz"
           f"   {deviation:.6f}")
 
 # alpha = 1 misses the mid-bin peak entirely; by alpha = 8 the curve
@@ -53,9 +54,9 @@ print("\nnormalized magnitude, 0..3 Hz  ('.' analytic, '1' alpha=1, '8' alpha=8)
 sketch = [[" "] * grid.size for _ in range(rows)]
 for label, values in [
     (".", reference),
-    ("1", np.interp(grid, curves[DenseFactor(1)].frequencies,
+    ("1", np.interp(grid, curves[DenseFactor(1)].spectrum.frequencies,
                     curves[DenseFactor(1)].normalized)),
-    ("8", np.interp(grid, curves[DenseFactor(8)].frequencies,
+    ("8", np.interp(grid, curves[DenseFactor(8)].spectrum.frequencies,
                     curves[DenseFactor(8)].normalized)),
 ]:
     for column, value in enumerate(values):

@@ -1,4 +1,4 @@
-"""Classical comparison paths: zero-padded standard FFT and alias folding.
+"""Method choice (``transform``) and the classical paths: zero-padded FFT, alias folding.
 
 Appending (alpha-1)*N zeros and running an ordinary alpha*N-point FFT
 produces bin-for-bin the same spectrum as the direct density-alpha
@@ -14,9 +14,46 @@ directly so the round trip can be checked without any transform.
 
 import numpy as np
 
-from .core import DenseFactor, Signal, Spectrum, validate_pair
-from .fastpath import OpCounter, alpha_fft
-from .fastpath import plan as make_plan
+from . import fastpath, oracle
+from .core import (
+    DenseFactor,
+    Signal,
+    Spectrum,
+    UnsupportedSizeError,
+    is_power_of_two,
+    validate_pair,
+)
+
+#: What ``transform`` runs: ``auto`` is ``fft`` where the pair allows it, else ``naive``.
+METHODS = ("auto", "fft", "naive", "zeropad")
+
+
+def transform(signal: Signal, alpha: DenseFactor, method: str = "auto") -> tuple[Spectrum, str]:
+    """The density-alpha spectrum of ``signal`` by ``method``, and the executor that ran.
+
+    The only code that picks and runs an executor.  ``fft`` raises
+    UnsupportedSizeError for a pair the fast kernel cannot take, where
+    ``auto`` runs the oracle; ``zeropad`` needs alpha >= 1 and a power-of-two alpha*N.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
+    if method == "naive":
+        return oracle.naive_forward(signal, alpha), "naive"
+    if method == "zeropad":
+        padded = zero_pad(signal, alpha)
+        if not is_power_of_two(len(padded)):
+            raise UnsupportedSizeError(
+                f"zero-padding needs a power-of-two alpha*N, got N={len(signal)}, "
+                f"alpha*N={len(padded)}; use the naive transform for this pair"
+            )
+        bins = standard_fft(padded).bins
+        return Spectrum._adopt(bins, len(signal), alpha, signal.duration), "zeropad"
+    try:
+        return fastpath.alpha_fft(signal, fastpath.plan(len(signal), alpha)), "fft"
+    except UnsupportedSizeError:
+        if method == "fft":
+            raise
+        return oracle.naive_forward(signal, alpha), "naive"
 
 
 def zero_pad(signal: Signal, alpha: DenseFactor) -> Signal:
@@ -34,13 +71,13 @@ def zero_pad(signal: Signal, alpha: DenseFactor) -> Signal:
     return Signal(padded, signal.duration * (alpha.p / alpha.q))
 
 
-def standard_fft(signal: Signal, counter: OpCounter | None = None) -> Spectrum:
+def standard_fft(signal: Signal, counter: fastpath.OpCounter | None = None) -> Spectrum:
     """Ordinary power-of-two FFT, run through the fast kernel at alpha = 1.
 
     Counts land in ``counter`` under the shared convention, so they are
     directly comparable with any density-alpha run.
     """
-    return alpha_fft(signal, make_plan(len(signal), DenseFactor(1)), counter)
+    return fastpath.alpha_fft(signal, fastpath.plan(len(signal), DenseFactor(1)), counter)
 
 
 def aliased_reconstruct(signal: Signal, alpha: DenseFactor) -> np.ndarray:

@@ -121,7 +121,7 @@ class ScalingReport:
         """Records as CSV with columns N, alpha_p, alpha_q, method, mults, adds, wall_ns, reps."""
         fields = ["N", "alpha_p", "alpha_q", "method", "mults", "adds", "wall_ns", "reps"]
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
             writer.writeheader()
             for record in self.records:
                 writer.writerow(record.to_row())

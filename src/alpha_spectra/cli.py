@@ -7,9 +7,9 @@ demo-sine  emit the half-sine demonstration curves and the analytic reference
 bench      run the operation-count/wall-time grid and judge the scaling claims
 verify     run the numerical cross-checking suites
 
-Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed
-input (JSON nested too deeply included), an invalid argument or an
-unwritable output, 3 alpha incompatible with the signal length, 4 size
+Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed input
+(JSON nested too deeply included), an invalid argument or an unwritable output,
+3 alpha incompatible with the signal length (or below 1 for zeropad), 4 size
 unsupported by the requested method, 5 benchmark claim failure, 6 result
 not representable: more than core.MAX_BINS bins, a spectrum whose bins or
 frequencies overflow a double, or not enough memory for the request.
@@ -22,17 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baseline, bench, demo, fastpath, io, oracle, verify
+from . import baseline, bench, demo, io, verify
 from .core import (
     MAX_BINS,
     DenseFactor,
     IncompatibleAlphaError,
     Signal,
-    Spectrum,
     TooManyBinsError,
     UnsupportedSizeError,
     bin_frequency,
-    is_power_of_two,
 )
 
 EXIT_OK = 0
@@ -110,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--output", required=True, help="spectrum CSV to write")
     compute.add_argument("--alpha", type=_alpha_argument, default=DenseFactor(1),
                          help="bin density p/q (default 1/1)")
-    compute.add_argument("--method", choices=("auto", "fft", "naive", "zeropad"),
-                         default="auto",
+    compute.add_argument("--method", choices=baseline.METHODS, default="auto",
                          help="auto picks the fast kernel when sizes allow, else naive")
     compute.add_argument("--duration", type=_duration_argument, default=None,
                          help="override the signal duration T in seconds")
@@ -167,28 +164,10 @@ def cmd_compute(args) -> int:
         signal = Signal(signal.samples, args.duration)
 
     alpha = args.alpha
-    if args.method == "naive":
-        spectrum, method = oracle.naive_forward(signal, alpha), "naive"
-    elif args.method == "zeropad":
-        if alpha.p < alpha.q:
-            print(f"error: zero-padding needs alpha >= 1, got {alpha}", file=sys.stderr)
-            return EXIT_BAD_ALPHA
-        padded = baseline.zero_pad(signal, alpha)
-        if not is_power_of_two(len(padded)):
-            raise UnsupportedSizeError(
-                f"zero-padding needs a power-of-two alpha*N, got N={len(signal)}, "
-                f"alpha*N={len(padded)}; use the naive transform for this pair"
-            )
-        spectrum = Spectrum._adopt(baseline.standard_fft(padded).bins, len(signal), alpha,
-                                   signal.duration)
-        method = "zeropad"
-    else:  # fft, or auto: the fast kernel when the pair allows it, else the oracle
-        try:
-            spectrum, method = fastpath.alpha_fft(signal, fastpath.plan(len(signal), alpha)), "fft"
-        except UnsupportedSizeError:
-            if args.method == "fft":
-                raise
-            spectrum, method = oracle.naive_forward(signal, alpha), "naive"
+    if args.method == "zeropad" and alpha.p < alpha.q:
+        print(f"error: zero-padding needs alpha >= 1, got {alpha}", file=sys.stderr)
+        return EXIT_BAD_ALPHA
+    spectrum, method = baseline.transform(signal, alpha, args.method)
     bad = np.flatnonzero(~np.isfinite(spectrum.bins))
     if bad.size:
         print(f"error: bin {bad[0]} is not finite: the spectrum overflows a double",
@@ -214,10 +193,11 @@ def cmd_demo_sine(args) -> int:
     names = ("freq", "magnitude", "normalized")
     for alpha, curve in curves.items():
         name = f"sine_alpha_{alpha.p}_{alpha.q}.csv"
+        magnitudes = curve.spectrum.magnitudes
         io.write_csv(out_dir / name, {"demo": "sine", "N": args.n, "alpha": alpha,
-                                      "X0": curve.magnitudes[0]},
-                     names, (curve.frequencies, curve.magnitudes, curve.normalized))
-        print(f"wrote {name} ({len(curve.frequencies)} bins)")
+                                      "X0": magnitudes[0]},
+                     names, (curve.spectrum.frequencies, magnitudes, curve.normalized))
+        print(f"wrote {name} ({curve.spectrum.m} bins)")
 
     grid = np.arange(0.0, 8.0 + 1.0 / 256.0, 1.0 / 128.0)
     io.write_csv(out_dir / "sine_analytic.csv", {"demo": "sine-analytic", "X0": demo.SINE_DC},

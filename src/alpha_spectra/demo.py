@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseFactor, Signal, Spectrum, UnsupportedSizeError
-from .fastpath import alpha_fft, plan
-from .oracle import naive_forward
+from .baseline import transform
+from .core import DenseFactor, Signal, Spectrum
 
 #: Normalizer of the analytic curve: its value at zero frequency.
 SINE_DC = 2.0 / np.pi
@@ -44,43 +43,26 @@ def sine_signal(n: int = 64) -> Signal:
 
 @dataclass(frozen=True, eq=False)
 class DemoCurve:
-    """One demo spectrum reduced to plot-ready arrays."""
+    """One demo spectrum and its magnitudes scaled to 1 at zero frequency."""
 
-    alpha: DenseFactor
-    frequencies: np.ndarray
-    magnitudes: np.ndarray
-    normalized: np.ndarray  # magnitudes / magnitudes[0]
     spectrum: Spectrum
-
-
-def _curve(spectrum: Spectrum) -> DemoCurve:
-    magnitudes = spectrum.magnitudes
-    if magnitudes[0] == 0:
-        raise ValueError("cannot normalize a spectrum with zero DC magnitude")
-    return DemoCurve(
-        spectrum.alpha,
-        spectrum.frequencies,
-        magnitudes,
-        magnitudes / magnitudes[0],
-        spectrum,
-    )
+    normalized: np.ndarray  # spectrum.magnitudes / spectrum.magnitudes[0]
 
 
 def sine_demo(n: int = 64, alphas=(1, 2, 4, 8)) -> dict:
     """Half-sine spectra for each density factor, keyed by DenseFactor.
 
-    Uses the fast kernel whenever the pair admits it, the naive transform
-    otherwise, so arbitrary rational densities can be explored too.
+    Runs ``transform``'s ``auto`` method, so rational densities work too.
     """
     signal = sine_signal(n)
     curves = {}
     for raw in alphas:
         alpha = raw if isinstance(raw, DenseFactor) else DenseFactor(raw)
-        try:
-            spectrum = alpha_fft(signal, plan(n, alpha))
-        except UnsupportedSizeError:
-            spectrum = naive_forward(signal, alpha)
-        curves[alpha] = _curve(spectrum)
+        spectrum = transform(signal, alpha)[0]
+        magnitudes = spectrum.magnitudes
+        if magnitudes[0] == 0:
+            raise ValueError("cannot normalize a spectrum with zero DC magnitude")
+        curves[alpha] = DemoCurve(spectrum, magnitudes / magnitudes[0])
     return curves
 
 
@@ -99,7 +81,8 @@ def max_curve_deviation(curve: DemoCurve) -> float:
     a large deviation; denser grids track the reference closely.
     """
     grid = np.arange(0.0, 4.0 + 0.5 / 256.0, 1.0 / 256.0)
-    if grid[-1] > curve.frequencies[-1]:
-        raise ValueError(f"curve ends at {curve.frequencies[-1]:g} Hz, cannot compare up to 4 Hz")
-    interpolated = np.interp(grid, curve.frequencies, curve.normalized)
+    frequencies = curve.spectrum.frequencies
+    if grid[-1] > frequencies[-1]:
+        raise ValueError(f"curve ends at {frequencies[-1]:g} Hz, cannot compare up to 4 Hz")
+    interpolated = np.interp(grid, frequencies, curve.normalized)
     return float(np.max(np.abs(interpolated - analytic_normalized(grid))))

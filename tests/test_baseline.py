@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from alpha_spectra import (
     standard_fft,
     zero_pad,
 )
+from alpha_spectra.baseline import METHODS, transform
 
 
 def unit_disk(rng, n):
@@ -111,6 +114,48 @@ def test_padding_equivalence_for_naive_path():
     dense = naive_forward(signal, DenseFactor(3))
     padded = naive_forward(zero_pad(signal, DenseFactor(3)), DenseFactor(1))
     assert np.max(np.abs(dense.bins - padded.bins)) < 1e-10
+
+
+# ----------------------------------------------------------- method choice
+
+FFT, NAIVE, PAD = "fft", "naive", "zeropad"
+
+
+@pytest.mark.parametrize("n, alpha, outcomes", [
+    # What auto, fft, naive and zeropad each run, or the error they raise.
+    (8, DenseFactor(4), (FFT, FFT, NAIVE, PAD)),
+    (8, DenseFactor(1, 2), (FFT, FFT, NAIVE, ValueError)),
+    (12, DenseFactor(1), (NAIVE, UnsupportedSizeError, NAIVE, UnsupportedSizeError)),
+    (6, DenseFactor(3, 2), (NAIVE, UnsupportedSizeError, NAIVE, UnsupportedSizeError)),
+    (16, DenseFactor(3, 2), (NAIVE, UnsupportedSizeError, NAIVE, UnsupportedSizeError)),
+    (12, DenseFactor(3), (NAIVE, UnsupportedSizeError, NAIVE, UnsupportedSizeError)),
+])
+def test_transform_runs_the_executor_its_method_names(n, alpha, outcomes):
+    rng = np.random.default_rng(n * alpha.p + alpha.q)
+    signal = Signal(unit_disk(rng, n), duration=2.5)
+    direct = {
+        FFT: lambda: alpha_fft(signal, plan(n, alpha)).bins,
+        NAIVE: lambda: naive_forward(signal, alpha).bins,
+        PAD: lambda: standard_fft(zero_pad(signal, alpha)).bins,
+    }
+    assert METHODS == ("auto", FFT, NAIVE, PAD)
+    for method, outcome in zip(METHODS, outcomes):
+        if isinstance(outcome, str):
+            spectrum, label = transform(signal, alpha, method)
+            assert label == outcome
+            assert spectrum.bins.tobytes() == direct[outcome]().tobytes()
+            assert (spectrum.origin_n, spectrum.alpha, spectrum.duration) == (n, alpha, 2.5)
+            assert not spectrum.bins.flags.writeable
+        else:
+            with pytest.raises(outcome):
+                transform(signal, alpha, method)
+
+
+def test_transform_refusals_name_the_pair_and_the_method():
+    with pytest.raises(UnsupportedSizeError, match=re.escape("got N=12, alpha*N=36;")):
+        transform(Signal(np.ones(12)), DenseFactor(3), "zeropad")
+    with pytest.raises(ValueError, match="unknown method 'fast'"):
+        transform(Signal(np.ones(8)), DenseFactor(1), "fast")
 
 
 # ------------------------------------------------------------------ aliasing

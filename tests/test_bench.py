@@ -282,6 +282,7 @@ def test_report_json_round_trip(small_report, tmp_path):
 def test_records_csv_columns(small_report, tmp_path):
     path = tmp_path / "records.csv"
     small_report.write_csv(path)
+    assert b"\r" not in path.read_bytes()  # LF line ends, like every other CSV written
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["N", "alpha_p", "alpha_q", "method",

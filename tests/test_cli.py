@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alpha_spectra import DenseFactor, cli, verify
+from alpha_spectra import DenseFactor, Signal, cli, fastpath, naive_forward, verify
 
 from file_formats import read_spectrum_csv, write_signal_csv
 
@@ -58,7 +58,9 @@ def test_compute_auto_falls_back_to_naive(tmp_path):
                 "--alpha", "3/2"]) == cli.EXIT_OK
     spectrum, method = read_spectrum_csv(out)
     assert method == "naive"               # M = 6 keeps the fast kernel out
-    assert len(spectrum.bins) == 6
+    # %.17g round-trips a double, so the file holds the oracle's bins exactly.
+    expected = naive_forward(Signal([1.0, 2.0, 3.0, 4.0]), DenseFactor(3, 2)).bins
+    assert spectrum.bins.tobytes() == expected.tobytes()
 
 
 def test_compute_duration_override(signal_file, tmp_path):
@@ -310,7 +312,7 @@ def test_compute_refuses_overflowing_frequencies(tmp_path, capsys, method, sourc
 
 def test_compute_zeropad_bins_own_their_memory(signal_file, tmp_path, monkeypatch):
     seen = {}
-    read, write, make_plan = cli.io.read_signal, cli.io.write_spectrum, cli.baseline.make_plan
+    read, write, make_plan = cli.io.read_signal, cli.io.write_spectrum, fastpath.plan
 
     def read_signal(path):
         seen["signal"] = read(path)
@@ -326,7 +328,7 @@ def test_compute_zeropad_bins_own_their_memory(signal_file, tmp_path, monkeypatc
 
     monkeypatch.setattr(cli.io, "read_signal", read_signal)
     monkeypatch.setattr(cli.io, "write_spectrum", write_spectrum)
-    monkeypatch.setattr(cli.baseline, "make_plan", plan)
+    monkeypatch.setattr(fastpath, "plan", plan)  # what baseline.transform calls
     assert run(["compute", "--input", str(signal_file), "--output", str(tmp_path / "pad.csv"),
                 "--alpha", "4", "--method", "zeropad"]) == cli.EXIT_OK
     bins = seen["spectrum"].bins

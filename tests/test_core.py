@@ -263,6 +263,21 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_only_baseline_falls_back_on_unsupported_sizes():
+    # baseline.transform is the one owner of method choice: no other library
+    # module catches UnsupportedSizeError to run a different executor.
+    package = Path(alpha_spectra.__file__).parent
+    catching = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(isinstance(kind, ast.Name) and kind.id == "UnsupportedSizeError"
+                       for kind in kinds):
+                    catching.add(path.name)
+    assert catching == {"baseline.py"}
+
+
 def test_no_module_reads_another_modules_private_name():
     # ``<module>._name`` where ``<module>`` is a library module the file
     # imports; a class's private attribute, such as Spectrum._adopt, is fine.

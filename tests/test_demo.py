@@ -66,19 +66,20 @@ def curves():
 def test_demo_returns_requested_densities(curves):
     assert list(curves) == [DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)]
     for alpha, curve in curves.items():
-        assert curve.alpha == alpha
-        assert len(curve.frequencies) == 64 * alpha.p
+        assert curve.spectrum.alpha == alpha
+        assert curve.spectrum.m == 64 * alpha.p
         assert curve.normalized[0] == 1.0
-        np.testing.assert_array_equal(
-            curve.normalized, curve.magnitudes / curve.magnitudes[0])
 
 
 def test_curve_magnitudes_are_the_spectrum_magnitudes(curves):
-    # The one bin magnitude, np.hypot, as in the spectrum CSV; np.abs of a
-    # complex array differs from it in the last digit for some bins.
+    # The curve scales the one bin magnitude, np.hypot, as in the spectrum
+    # CSV; np.abs of a complex array differs from it in the last digit for
+    # some bins.
     for curve in [*curves.values(), *sine_demo(6, (DenseFactor(3, 2),)).values()]:
         bins = curve.spectrum.bins
-        assert curve.magnitudes.tobytes() == np.hypot(bins.real, bins.imag).tobytes()
+        magnitudes = np.hypot(bins.real, bins.imag)
+        assert curve.spectrum.magnitudes.tobytes() == magnitudes.tobytes()
+        assert curve.normalized.tobytes() == (magnitudes / magnitudes[0]).tobytes()
 
 
 def test_denser_grids_share_the_coarse_bins(curves):
@@ -108,7 +109,7 @@ def test_deviation_rejects_out_of_range_grid():
 def test_rational_density_falls_back_to_naive():
     curves = sine_demo(n=6, alphas=(DenseFactor(3, 2),))
     curve = curves[DenseFactor(3, 2)]
-    assert len(curve.frequencies) == 9
+    assert curve.spectrum.m == 9
     assert curve.normalized[0] == 1.0
 
 
