@@ -1,4 +1,4 @@
-"""Method choice (``transform``) and the classical paths: zero-padded FFT, alias folding.
+"""Executors for every method (``executor``); the classical paths: zero-padded FFT, alias folding.
 
 Appending (alpha-1)*N zeros and running an ordinary alpha*N-point FFT
 produces bin-for-bin the same spectrum as the direct density-alpha
@@ -17,6 +17,7 @@ import numpy as np
 from . import fastpath, oracle
 from .core import (
     DenseFactor,
+    IncompatibleAlphaError,
     Signal,
     Spectrum,
     UnsupportedSizeError,
@@ -24,36 +25,64 @@ from .core import (
     validate_pair,
 )
 
-#: What ``transform`` runs: ``auto`` is ``fft`` where the pair allows it, else ``naive``.
+#: What ``executor`` runs: ``auto`` is ``fft`` where the pair allows it, else ``naive``.
 METHODS = ("auto", "fft", "naive", "zeropad")
 
 
-def transform(signal: Signal, alpha: DenseFactor, method: str = "auto") -> tuple[Spectrum, str]:
-    """The density-alpha spectrum of ``signal`` by ``method``, and the executor that ran.
+class PaddingAlphaError(IncompatibleAlphaError):
+    """Zero-padding cannot thin a spectrum: alpha < 1."""
 
-    The only code that picks and runs an executor.  ``fft`` raises
-    UnsupportedSizeError for a pair the fast kernel cannot take, where
-    ``auto`` runs the oracle; ``zeropad`` needs alpha >= 1 and a power-of-two alpha*N.
+    def __init__(self, n, p, q):
+        self.n, self.p, self.q = n, p, q
+        ValueError.__init__(self, f"zero-padding needs alpha >= 1, got {p}/{q}")
+
+
+def executor(n: int, alpha: DenseFactor, method: str = "auto"):
+    """The one executor table: check and plan ``method`` at (N, alpha), return ``(run, name)``.
+
+    ``run(signal, counter=None)`` only transforms; ``naive`` counts nothing.
+    ``fft`` raises UnsupportedSizeError where the fast kernel cannot run and
+    ``auto`` picks ``naive``; ``zeropad`` needs alpha >= 1 and a power-of-two alpha*N.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
-    if method == "naive":
-        return oracle.naive_forward(signal, alpha), "naive"
     if method == "zeropad":
-        padded = zero_pad(signal, alpha)
-        if not is_power_of_two(len(padded)):
+        m = _padded_length(n, alpha)
+        if not is_power_of_two(m):
             raise UnsupportedSizeError(
-                f"zero-padding needs a power-of-two alpha*N, got N={len(signal)}, "
-                f"alpha*N={len(padded)}; use the naive transform for this pair"
+                f"zero-padding needs a power-of-two alpha*N, got N={n}, "
+                f"alpha*N={m}; use the naive transform for this pair"
             )
-        bins = standard_fft(padded).bins
-        return Spectrum._adopt(bins, len(signal), alpha, signal.duration), "zeropad"
-    try:
-        return fastpath.alpha_fft(signal, fastpath.plan(len(signal), alpha)), "fft"
-    except UnsupportedSizeError:
-        if method == "fft":
-            raise
-        return oracle.naive_forward(signal, alpha), "naive"
+        p = fastpath.plan(m, DenseFactor(1))
+
+        def run(signal, counter=None):
+            padded = np.zeros(m, dtype=np.complex128)
+            padded[:n] = signal.samples
+            bins = fastpath.transform_samples(padded, p, counter)
+            return Spectrum._adopt(bins, n, alpha, signal.duration)
+
+        return run, "zeropad"
+    if method != "naive":
+        try:
+            p = fastpath.plan(n, alpha)
+            return (lambda signal, counter=None: fastpath.alpha_fft(signal, p, counter)), "fft"
+        except UnsupportedSizeError:
+            if method == "fft":
+                raise
+    validate_pair(n, alpha)
+    return (lambda signal, counter=None: oracle.naive_forward(signal, alpha)), "naive"
+
+
+def transform(signal: Signal, alpha: DenseFactor, method: str = "auto") -> tuple[Spectrum, str]:
+    """The density-alpha spectrum of ``signal`` by ``method``, and the executor that ran."""
+    run, name = executor(len(signal), alpha, method)
+    return run(signal), name
+
+
+def _padded_length(n: int, alpha: DenseFactor) -> int:
+    if alpha.p < alpha.q:  # refused before the pair is checked, whatever N is
+        raise PaddingAlphaError(n, alpha.p, alpha.q)
+    return validate_pair(n, alpha)[1]
 
 
 def zero_pad(signal: Signal, alpha: DenseFactor) -> Signal:
@@ -63,11 +92,8 @@ def zero_pad(signal: Signal, alpha: DenseFactor) -> Signal:
     alpha*T, which is exactly what lines the padded FFT bins up with the
     density-alpha bins: m/(padded T) == m/(alpha*T).
     """
-    n, m = validate_pair(len(signal), alpha)
-    if alpha.p < alpha.q:
-        raise ValueError(f"zero-padding needs alpha >= 1, got {alpha}")
-    padded = np.zeros(m, dtype=np.complex128)
-    padded[:n] = signal.samples
+    padded = np.zeros(_padded_length(len(signal), alpha), dtype=np.complex128)
+    padded[: len(signal)] = signal.samples
     return Signal(padded, signal.duration * (alpha.p / alpha.q))
 
 

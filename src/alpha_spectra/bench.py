@@ -11,8 +11,8 @@ this counting convention, not curve fits:
               estimate (N/2)*log2(1/alpha) by (N-M)/2 * log2(M), because
               the shrunken transform also runs fewer, shorter levels.
 
-Wall times use a minimum over repetitions of pre-planned transforms; plan
-construction is never timed.
+Wall times are minima over repetitions of the executors that ``compute`` runs,
+as ``baseline.executor`` plans them; plan construction is never timed.
 """
 
 import csv
@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fastpath, oracle
+from . import baseline, fastpath
 from .core import DenseFactor, Signal, validate_pair
 from .verify import random_unit_disk
 
-METHODS = ("alpha_fft", "zeropad_fft", "naive")
+#: The bench's methods, each with the ``baseline.executor`` method it times.
+METHODS = {"alpha_fft": "fft", "zeropad_fft": "zeropad", "naive": "naive"}
 
 #: Repetitions of a naive cell at most: its quadratic cost makes 20 impractical at large N.
 NAIVE_REPS = 3
@@ -141,36 +142,19 @@ def _min_wall_seconds(run, reps: int) -> float:
 def _prepare_cell(n, alpha, method, signal_of):
     """Build the timed closure and take the exact counts (untimed).
 
-    Raises ValueError when the cell cannot run: alpha*N is not an integer,
-    the fast path's sizes are not powers of two, or padding would thin.
-    Only a cell that passes these checks asks ``signal_of(n)`` for its signal.
+    ``baseline.executor`` checks and plans the cell, so its ValueError (an
+    invalid pair, or sizes the method cannot take) says why a cell cannot
+    run.  Only a cell that passes asks ``signal_of(n)`` for its signal.
     """
-    _, m = validate_pair(n, alpha)
+    run, _ = baseline.executor(n, alpha, METHODS[method])
+    signal = signal_of(n)
     if method == "naive":
-        signal = signal_of(n)
+        m = n * alpha.p // alpha.q
         # The matrix product performs exactly N*M multiplies and (N-1)*M adds.
-        return (lambda: oracle.naive_forward(signal, alpha)), n * m, (n - 1) * m
-    if method == "alpha_fft":
-        p = fastpath.plan(n, alpha)
-        x = signal_of(n).samples
-
-        def run(counter=None):
-            fastpath.transform_samples(x, p, counter)
-
-    else:  # zeropad_fft
-        if alpha.p < alpha.q:
-            raise ValueError(f"zero-padding needs alpha >= 1, got {alpha}")
-        p = fastpath.plan(m, DenseFactor(1))
-        x = signal_of(n).samples
-
-        def run(counter=None):
-            buffer = np.zeros(m, dtype=np.complex128)
-            buffer[:n] = x
-            fastpath.transform_samples(buffer, p, counter)
-
+        return (lambda: run(signal)), n * m, (n - 1) * m
     counter = fastpath.OpCounter()
-    run(counter)
-    return run, counter.complex_mults, counter.complex_adds
+    run(signal, counter)
+    return (lambda: run(signal)), counter.complex_mults, counter.complex_adds
 
 
 def run_grid(

@@ -164,9 +164,6 @@ def cmd_compute(args) -> int:
         signal = Signal(signal.samples, args.duration)
 
     alpha = args.alpha
-    if args.method == "zeropad" and alpha.p < alpha.q:
-        print(f"error: zero-padding needs alpha >= 1, got {alpha}", file=sys.stderr)
-        return EXIT_BAD_ALPHA
     spectrum, method = baseline.transform(signal, alpha, args.method)
     bad = np.flatnonzero(~np.isfinite(spectrum.bins))
     if bad.size:

@@ -104,6 +104,11 @@ def validate_pair(n: int, alpha: DenseFactor) -> tuple[int, int]:
     return n, m
 
 
+def _check_duration(duration) -> None:
+    if not 0 < duration < math.inf:  # T = inf would put every bin at 0 Hz
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+
+
 def bin_frequency(m: int, alpha: DenseFactor, duration: float = 1.0) -> float:
     """Frequency in Hz of bin m: m / (alpha * T)."""
     if m < 0:
@@ -129,8 +134,7 @@ class Signal:
             raise ValueError(f"signal must be one-dimensional, got shape {arr.shape}")
         if arr.size < 1:
             raise ValueError("signal must hold at least one sample")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        _check_duration(self.duration)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -182,8 +186,7 @@ class Spectrum:
                 f"expected {m} complex128 bins for N={self.origin_n}, alpha={self.alpha}, "
                 f"got {arr.dtype} of shape {arr.shape}"
             )
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        _check_duration(self.duration)
         arr.setflags(write=False)
         object.__setattr__(self, "bins", arr)
 

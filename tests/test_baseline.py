@@ -10,13 +10,15 @@ from alpha_spectra import (
     UnsupportedSizeError,
     aliased_reconstruct,
     alpha_fft,
+    fastpath,
     naive_forward,
     naive_inverse,
     plan,
+    predicted_mults,
     standard_fft,
     zero_pad,
 )
-from alpha_spectra.baseline import METHODS, transform
+from alpha_spectra.baseline import METHODS, executor, transform
 
 
 def unit_disk(rng, n):
@@ -156,6 +158,25 @@ def test_transform_refusals_name_the_pair_and_the_method():
         transform(Signal(np.ones(12)), DenseFactor(3), "zeropad")
     with pytest.raises(ValueError, match="unknown method 'fast'"):
         transform(Signal(np.ones(8)), DenseFactor(1), "fast")
+
+
+@pytest.mark.parametrize("method, n, alpha, planned", [
+    ("fft", 8, DenseFactor(4), (8, DenseFactor(4))),
+    ("zeropad", 8, DenseFactor(4), (32, DenseFactor(1))),
+    ("naive", 6, DenseFactor(3, 2), None),
+])
+def test_executor_plans_before_it_runs(monkeypatch, method, n, alpha, planned):
+    plans = []
+    make_plan = fastpath.plan
+    monkeypatch.setattr(fastpath, "plan", lambda *pair: plans.append(pair) or make_plan(*pair))
+    run, label = executor(n, alpha, method)
+    assert label == method
+    signal, counter = Signal(np.arange(n, dtype=float)), OpCounter()
+    first, second = run(signal, counter), run(signal)
+    # Planned once, up front; ``run`` only transforms, counting what it runs.
+    assert plans == ([planned] if planned else [])
+    assert first.bins.tobytes() == second.bins.tobytes()
+    assert counter.complex_mults == (predicted_mults(make_plan(*planned)) if planned else 0)
 
 
 # ------------------------------------------------------------------ aliasing

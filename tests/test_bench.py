@@ -69,6 +69,14 @@ def test_cell_validity_reason_text():
     assert "alpha*N = 8/3 is not an integer" in cell["reason"]
 
 
+def test_zeropad_refusal_names_the_input_length():
+    skipped = []
+    run_grid([12], [DenseFactor(3)], methods=("zeropad_fft",), skipped=skipped, **FAST_KW)
+    (cell,) = skipped
+    assert cell["reason"].startswith(
+        "zero-padding needs a power-of-two alpha*N, got N=12, alpha*N=36;")
+
+
 def test_grid_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method 'typo'"):
         run_grid([8], [DenseFactor(2)], methods=("alpha_fft", "typo"), **FAST_KW)

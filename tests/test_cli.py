@@ -6,7 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alpha_spectra import DenseFactor, Signal, cli, fastpath, naive_forward, verify
+from alpha_spectra import (
+    DenseFactor,
+    IncompatibleAlphaError,
+    Signal,
+    Spectrum,
+    cli,
+    fastpath,
+    naive_forward,
+    run_grid,
+    standard_fft,
+    verify,
+    zero_pad,
+)
+from alpha_spectra.baseline import transform
 
 from file_formats import read_spectrum_csv, write_signal_csv
 
@@ -119,6 +132,39 @@ def test_compute_zeropad_rejects_thinning(signal_file, tmp_path, capsys):
                 "--alpha", "1/2", "--method", "zeropad"])
     assert code == cli.EXIT_BAD_ALPHA
     assert "alpha >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, alpha", [(8, "1/2"), (64, "1/3"), (1, "1/8")])
+def test_padding_refuses_thinning_before_checking_the_pair(tmp_path, capsys, n, alpha):
+    # alpha*N need not be an integer here: alpha < 1 is the first refusal everywhere.
+    text = f"zero-padding needs alpha >= 1, got {alpha}"
+    signal, density = Signal(np.ones(n)), DenseFactor.from_string(alpha)
+    for call in (lambda: zero_pad(signal, density), lambda: transform(signal, density, "zeropad")):
+        with pytest.raises(IncompatibleAlphaError) as info:
+            call()
+        assert str(info.value) == text
+    skipped = []
+    run_grid([n], [density], methods=("zeropad_fft",), reps=1, skipped=skipped)
+    assert [cell["reason"] for cell in skipped] == [text]
+    path = tmp_path / "signal.csv"
+    write_signal_csv(path, np.ones(n))
+    code = run(["compute", "--input", str(path), "--output", str(tmp_path / "out.csv"),
+                "--alpha", alpha, "--method", "zeropad"])
+    assert code == cli.EXIT_BAD_ALPHA
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
+def test_compute_zeropad_keeps_a_huge_duration(tmp_path):
+    # The padded signal would last alpha*T = 8e308 s, which is not a finite
+    # duration; the spectrum keeps T = 1e308 and its finite frequencies.
+    path, out, expected = tmp_path / "signal.csv", tmp_path / "out.csv", tmp_path / "expected.csv"
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    write_signal_csv(path, x, duration=1e308)
+    assert run(["compute", "--input", str(path), "--output", str(out),
+                "--alpha", "8", "--method", "zeropad"]) == cli.EXIT_OK
+    bins = standard_fft(Signal(np.concatenate([x, np.zeros(28)]))).bins
+    cli.io.write_spectrum(Spectrum(bins, 4, DenseFactor(8), 1e308), expected, "zeropad")
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_bad_alpha_string_is_a_usage_error(signal_file, tmp_path):

@@ -144,6 +144,17 @@ def test_signal_validation():
         Signal([1.0], duration=0.0)
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.0, float("inf"), float("nan")])
+def test_signal_and_spectrum_need_a_positive_finite_duration(duration):
+    # T = inf would put every frequency at 0.0 Hz, silently.
+    for make in (lambda: Signal(np.ones(8), duration),
+                 lambda: Spectrum(np.zeros(8), 8, DenseFactor(1), duration),
+                 lambda: Spectrum._adopt(np.zeros(8, dtype=np.complex128), 8, DenseFactor(1),
+                                         duration)):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            make()
+
+
 def test_spectrum_bin_count_must_match():
     spectrum = Spectrum(np.zeros(8), 4, DenseFactor(2))
     assert spectrum.m == 8
@@ -264,7 +275,7 @@ def test_no_unused_imports():
 
 
 def test_only_baseline_falls_back_on_unsupported_sizes():
-    # baseline.transform is the one owner of method choice: no other library
+    # baseline.executor is the one owner of method choice: no other library
     # module catches UnsupportedSizeError to run a different executor.
     package = Path(alpha_spectra.__file__).parent
     catching = set()
@@ -276,6 +287,23 @@ def test_only_baseline_falls_back_on_unsupported_sizes():
                        for kind in kinds):
                     catching.add(path.name)
     assert catching == {"baseline.py"}
+
+
+def test_front_ends_plan_and_run_nothing_themselves():
+    # The CLI, the bench and the demo run methods through baseline's executors
+    # only, so none of them names a planner, a transform or the padding.
+    package = Path(alpha_spectra.__file__).parent
+    executors = {"plan", "alpha_fft", "transform_samples", "naive_forward", "zero_pad",
+                 "standard_fft"}
+    found = []
+    for name in ("cli.py", "bench.py", "demo.py"):
+        for node in ast.walk(ast.parse((package / name).read_text())):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            found += [f"{name}:{node.lineno}: {n}" for n in names if n in executors]
+    assert found == []
 
 
 def test_no_module_reads_another_modules_private_name():
