@@ -18,10 +18,9 @@ from alpha_spectra import (
     alpha_fft,
     plan,
     predicted_mults,
-    standard_fft,
     transform_samples,
-    zero_pad,
 )
+from alpha_spectra.baseline import executor
 
 
 def measured_mults(n, alpha):
@@ -54,9 +53,10 @@ for n in SIZES:
 # column: N log N growth.
 
 # --- alpha > 1: the padding tax -------------------------------------------
-# Zero-padding to alpha*N points and running a plain FFT produces the same
-# bins (bit for bit -- see demo 01) but burns multiplies on known zeros.
-# The gap is exactly (alpha*N/2) * log2(alpha).
+# baseline.executor's zeropad method (what `compute --method zeropad` runs)
+# pads to alpha*N points and runs a plain FFT.  It produces the same bins
+# (bit for bit; `alpha-spectra verify` checks them) but burns multiplies on
+# known zeros.  The gap is exactly (alpha*N/2) * log2(alpha).
 print("\nalpha > 1: multiplies saved versus zero-padding")
 print("     N  alpha     dense    padded       gap   (alpha*N/2)*log2(alpha)")
 for n in SIZES:
@@ -64,7 +64,7 @@ for n in SIZES:
         signal = Signal([1.0] * n)
         dense, padded = OpCounter(), OpCounter()
         alpha_fft(signal, plan(n, alpha), dense)
-        standard_fft(zero_pad(signal, alpha), counter=padded)
+        executor(n, alpha, "zeropad")[0](signal, padded)
         m = n * alpha.p
         gap = padded.complex_mults - dense.complex_mults
         formula = (m // 2) * log2(alpha.p)

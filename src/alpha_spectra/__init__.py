@@ -31,7 +31,7 @@ from .fastpath import (
     predicted_mults,
     transform_samples,
 )
-from .baseline import aliased_reconstruct, standard_fft, zero_pad
+from .baseline import aliased_reconstruct
 from .bench import (
     BenchRecord,
     ClaimVerdict,
@@ -69,8 +69,6 @@ __all__ = [
     "predicted_mults",
     "transform_samples",
     "aliased_reconstruct",
-    "standard_fft",
-    "zero_pad",
     "BenchRecord",
     "ClaimVerdict",
     "IncompleteGridError",

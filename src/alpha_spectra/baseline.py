@@ -2,8 +2,10 @@
 
 Appending (alpha-1)*N zeros and running an ordinary alpha*N-point FFT
 produces bin-for-bin the same spectrum as the direct density-alpha
-transform -- padding buys resolution, not information.  The padded FFT here
-reuses the fast kernel at alpha = 1 so its operation counts follow the
+transform -- padding buys resolution, not information: with the sample
+interval kept, the padded record lasts alpha*T, so its bins m/(alpha*T) are
+the density-alpha bins.  ``executor``'s ``zeropad`` method, the one padded
+FFT, reuses the fast kernel at alpha = 1 so its operation counts follow the
 identical convention and the two methods compare like for like:
 (alpha*N/2)*log2(alpha*N) multiplies against (alpha*N/2)*log2(N).
 
@@ -40,14 +42,16 @@ class PaddingAlphaError(IncompatibleAlphaError):
 def executor(n: int, alpha: DenseFactor, method: str = "auto"):
     """The one executor table: check and plan ``method`` at (N, alpha), return ``(run, name)``.
 
-    ``run(signal, counter=None)`` only transforms; ``naive`` counts nothing.
+    ``run(signal, counter=None)`` transforms a signal of N samples only; ``naive`` counts nothing.
     ``fft`` raises UnsupportedSizeError where the fast kernel cannot run and
     ``auto`` picks ``naive``; ``zeropad`` needs alpha >= 1 and a power-of-two alpha*N.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
     if method == "zeropad":
-        m = _padded_length(n, alpha)
+        if alpha.p < alpha.q:  # refused before the pair is checked, whatever N is
+            raise PaddingAlphaError(n, alpha.p, alpha.q)
+        m = validate_pair(n, alpha)[1]
         if not is_power_of_two(m):
             raise UnsupportedSizeError(
                 f"zero-padding needs a power-of-two alpha*N, got N={n}, "
@@ -57,7 +61,7 @@ def executor(n: int, alpha: DenseFactor, method: str = "auto"):
 
         def run(signal, counter=None):
             padded = np.zeros(m, dtype=np.complex128)
-            padded[:n] = signal.samples
+            padded[:n] = _checked(signal, n).samples
             bins = fastpath.transform_samples(padded, p, counter)
             return Spectrum._adopt(bins, n, alpha, signal.duration)
 
@@ -70,7 +74,7 @@ def executor(n: int, alpha: DenseFactor, method: str = "auto"):
             if method == "fft":
                 raise
     validate_pair(n, alpha)
-    return (lambda signal, counter=None: oracle.naive_forward(signal, alpha)), "naive"
+    return (lambda signal, counter=None: oracle.naive_forward(_checked(signal, n), alpha)), "naive"
 
 
 def transform(signal: Signal, alpha: DenseFactor, method: str = "auto") -> tuple[Spectrum, str]:
@@ -79,31 +83,11 @@ def transform(signal: Signal, alpha: DenseFactor, method: str = "auto") -> tuple
     return run(signal), name
 
 
-def _padded_length(n: int, alpha: DenseFactor) -> int:
-    if alpha.p < alpha.q:  # refused before the pair is checked, whatever N is
-        raise PaddingAlphaError(n, alpha.p, alpha.q)
-    return validate_pair(n, alpha)[1]
-
-
-def zero_pad(signal: Signal, alpha: DenseFactor) -> Signal:
-    """``signal`` extended to alpha*N samples with a zero tail (alpha >= 1 only).
-
-    Keeping the sample interval fixed, padding stretches the duration to
-    alpha*T, which is exactly what lines the padded FFT bins up with the
-    density-alpha bins: m/(padded T) == m/(alpha*T).
-    """
-    padded = np.zeros(_padded_length(len(signal), alpha), dtype=np.complex128)
-    padded[: len(signal)] = signal.samples
-    return Signal(padded, signal.duration * (alpha.p / alpha.q))
-
-
-def standard_fft(signal: Signal, counter: fastpath.OpCounter | None = None) -> Spectrum:
-    """Ordinary power-of-two FFT, run through the fast kernel at alpha = 1.
-
-    Counts land in ``counter`` under the shared convention, so they are
-    directly comparable with any density-alpha run.
-    """
-    return fastpath.alpha_fft(signal, fastpath.plan(len(signal), DenseFactor(1)), counter)
+def _checked(signal: Signal, n: int) -> Signal:
+    """``signal``, refused as ``alpha_fft`` refuses it unless it has the planned ``n`` samples."""
+    if len(signal) != n:
+        raise ValueError(f"plan is for N={n}, got {len(signal)} samples")
+    return signal
 
 
 def aliased_reconstruct(signal: Signal, alpha: DenseFactor) -> np.ndarray:

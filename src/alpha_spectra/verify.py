@@ -4,9 +4,9 @@ Each suite sweeps a deterministic grid of sizes, densities and seeds,
 records the worst error it sees and where, and compares against a fixed
 tolerance.  The four random-signal suites are rows of one table (SWEEPS)
 run by one function, run_sweep; the orthogonality suite sweeps kernel
-offsets instead of signals and keeps its own loop.  A suite skips each
-pair its transform's own check (``plan`` or ``validate_pair``) refuses
-with a ValueError.  The suites are what the ``verify`` subcommand runs.
+offsets instead of signals and keeps its own loop.  A suite runs its
+methods by ``baseline.executor``, as ``compute`` does, skipping each pair
+an executor refuses.  The suites are what the ``verify`` subcommand runs.
 """
 
 from dataclasses import dataclass, field
@@ -14,10 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .baseline import aliased_reconstruct, standard_fft, zero_pad
+from .baseline import aliased_reconstruct, executor
 from .core import DenseFactor, Signal, validate_pair
-from .fastpath import alpha_fft, plan
-from .oracle import naive_forward, naive_inverse, orthogonality_kernel
+from .oracle import naive_inverse, orthogonality_kernel
 
 DEFAULT_SIZES = (2, 4, 8, 16, 32, 64)
 #: Random signals per (N, alpha) pair in each random-signal suite.
@@ -52,50 +51,43 @@ def random_unit_disk(rng, n: int) -> np.ndarray:
     return radius * np.exp(1j * angle)
 
 
-def _oracle_error(signal, alpha):
-    fast = alpha_fft(signal, plan(len(signal), alpha))
-    reference = naive_forward(signal, alpha)
+def _oracle_error(signal, alpha, fast, naive):
+    reference = naive(signal)
     scale = np.max(np.abs(reference.bins))
-    return float(np.max(np.abs(fast.bins - reference.bins)) / scale)
+    return float(np.max(np.abs(fast(signal).bins - reference.bins)) / scale)
 
 
-def _zero_pad_error(signal, alpha):
-    direct = alpha_fft(signal, plan(len(signal), alpha))
-    padded = standard_fft(zero_pad(signal, alpha))
-    return float(np.max(np.abs(direct.bins - padded.bins)))
+def _zero_pad_error(signal, alpha, fast, padded):
+    return float(np.max(np.abs(fast(signal).bins - padded(signal).bins)))
 
 
-def _round_trip_error(signal, alpha):
-    recovered = naive_inverse(naive_forward(signal, alpha))
-    return float(np.max(np.abs(recovered.samples - signal.samples)))
-
-
-def _aliasing_error(signal, alpha):
-    folded = aliased_reconstruct(signal, alpha)
-    recovered = naive_inverse(naive_forward(signal, alpha))
-    return float(np.max(np.abs(recovered.samples - folded)))
+def _round_trip_error(signal, alpha, naive):
+    """inverse(forward(x)) against x (alpha >= 1) or its alias fold (alpha < 1)."""
+    expected = signal.samples if alpha.p >= alpha.q else aliased_reconstruct(signal, alpha)
+    recovered = naive_inverse(naive(signal))
+    return float(np.max(np.abs(recovered.samples - expected)))
 
 
 @dataclass(frozen=True)
 class Sweep:
-    """One random-signal suite: which pairs it covers and how it scores one signal."""
+    """One random-signal suite: its pairs, the methods it runs and how it scores one signal."""
 
     name: str
     alphas: tuple
     tolerance: float
-    check: Callable  # (N, alpha) -> raises ValueError on a pair the suite's transform refuses
-    error: Callable  # (signal, alpha) -> the error held under ``tolerance``
+    methods: tuple  # ``executor`` methods; a pair any of them refuses is skipped
+    error: Callable  # (signal, alpha, *runs) -> the error held under ``tolerance``
 
 
 SWEEPS = (
     # Fast path against the naive transform, relative max error.
-    Sweep("oracle_equivalence", POWER_ALPHAS, 1e-10, plan, _oracle_error),
+    Sweep("oracle_equivalence", POWER_ALPHAS, 1e-10, ("fft", "naive"), _oracle_error),
     # Density-alpha transform against the padded FFT, absolute per bin.
-    Sweep("zero_pad_equivalence", PAD_ALPHAS, 1e-12, plan, _zero_pad_error),
+    Sweep("zero_pad_equivalence", PAD_ALPHAS, 1e-12, ("fft", "zeropad"), _zero_pad_error),
     # inverse(forward(x)) recovers x exactly when alpha >= 1.
-    Sweep("round_trip", RECOVER_ALPHAS, 1e-10, validate_pair, _round_trip_error),
+    Sweep("round_trip", RECOVER_ALPHAS, 1e-10, ("naive",), _round_trip_error),
     # inverse(forward(x)) equals the time-domain alias fold when alpha < 1.
-    Sweep("aliasing", FOLD_ALPHAS, 1e-10, validate_pair, _aliasing_error),
+    Sweep("aliasing", FOLD_ALPHAS, 1e-10, ("naive",), _round_trip_error),
 )
 
 
@@ -116,13 +108,14 @@ def run_sweep(sweep: Sweep, seed=0, sizes=DEFAULT_SIZES) -> SuiteResult:
         for n in sizes:
             for alpha in sweep.alphas:
                 try:
-                    sweep.check(n, alpha)
+                    runs = [executor(n, alpha, method)[0] for method in sweep.methods]
                 except ValueError:
                     continue
                 for offset in range(SEEDS_PER_CASE):
                     case_seed = seed + 1000 * offset + n
                     signal = Signal(random_unit_disk(np.random.default_rng(case_seed), n))
-                    yield sweep.error(signal, alpha), {"N": n, "alpha": str(alpha), "seed": case_seed}
+                    where = {"N": n, "alpha": str(alpha), "seed": case_seed}
+                    yield sweep.error(signal, alpha, *runs), where
 
     return _result(sweep.name, sweep.tolerance, measurements())
 

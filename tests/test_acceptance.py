@@ -30,11 +30,10 @@ from alpha_spectra import (
     predicted_mults,
     run_grid,
     sine_demo,
-    standard_fft,
     transform_samples,
     validate_pair,
-    zero_pad,
 )
+from alpha_spectra.baseline import executor
 from alpha_spectra.verify import random_unit_disk
 
 POWERS = [2 ** k for k in range(1, 11)]  # 2 .. 1024
@@ -81,7 +80,7 @@ def test_criterion_2_zero_padding_equivalence():
         for seed in range(3):
             signal = Signal(random_unit_disk(np.random.default_rng(seed), n))
             dense = alpha_fft(signal, plan(n, alpha))
-            padded = standard_fft(zero_pad(signal, alpha))
+            padded = executor(n, alpha, "zeropad")[0](signal)
             worst = max(worst, float(np.max(np.abs(dense.bins - padded.bins))))
     assert worst <= 1e-12
     print(f"PASS criterion 2: dense bins == zero-padded FFT bins, abs error "
@@ -152,7 +151,7 @@ def test_criterion_6_savings_formulas():
         signal = Signal(random_unit_disk(rng, n))
         fast, padded = OpCounter(), OpCounter()
         alpha_fft(signal, plan(n, alpha), fast)
-        standard_fft(zero_pad(signal, alpha), counter=padded)
+        executor(n, alpha, "zeropad")[0](signal, padded)
         m = n * alpha.p
         gap = padded.complex_mults - fast.complex_mults
         assert gap == (m // 2) * log2_int(alpha.p) and gap > 0

@@ -5,8 +5,10 @@ import pytest
 
 from alpha_spectra import (
     DenseFactor,
+    IncompatibleAlphaError,
     OpCounter,
     Signal,
+    Spectrum,
     UnsupportedSizeError,
     aliased_reconstruct,
     alpha_fft,
@@ -15,8 +17,7 @@ from alpha_spectra import (
     naive_inverse,
     plan,
     predicted_mults,
-    standard_fft,
-    zero_pad,
+    transform_samples,
 )
 from alpha_spectra.baseline import METHODS, executor, transform
 
@@ -26,74 +27,71 @@ def unit_disk(rng, n):
 
 
 # ------------------------------------------------------------------- padding
+# executor's zeropad run: alpha*N samples, a zero tail, the fast kernel at alpha = 1.
+
+def zero_padded(samples, m):
+    """``samples`` followed by zeros up to ``m`` values."""
+    return np.concatenate([samples, np.zeros(m - len(samples))])
+
+
+def zeropad(signal, alpha, counter=None):
+    return executor(len(signal), alpha, "zeropad")[0](signal, counter)
+
 
 def test_zero_pad_layout():
-    padded = zero_pad(Signal([1.0, 2.0], duration=1.0), DenseFactor(3))
-    np.testing.assert_array_equal(padded.samples, [1, 2, 0, 0, 0, 0])
-    assert padded.duration == 3.0  # stretched so the bin spacing matches
+    # A zero tail: the bins are numpy's FFT of the padded samples; the
+    # spectrum keeps N, alpha and T, so its bins lie 1/(alpha*T) apart.
+    for samples, alpha in [([1.0, 2.0], DenseFactor(4)), ([1.0, 2.0, 3.0, 4.0], DenseFactor(2))]:
+        spectrum = zeropad(Signal(samples, duration=1.5), alpha)
+        assert isinstance(spectrum, Spectrum)
+        assert len(spectrum.bins) == len(samples) * alpha.p
+        assert np.max(np.abs(spectrum.bins - np.fft.fft(zero_padded(samples, spectrum.m)))) <= 1e-12
+        assert (spectrum.origin_n, spectrum.alpha, spectrum.duration) == (len(samples), alpha, 1.5)
+        assert not spectrum.bins.flags.writeable
 
 
 def test_zero_pad_rational_factor():
-    padded = zero_pad(Signal(np.ones(4)), DenseFactor(3, 2))
-    assert len(padded.samples) == 6
-    assert padded.duration == 1.5
+    # N = 6 is no power of two, but alpha*N = 8 is: 6 samples, 2 zeros.
+    samples = unit_disk(np.random.default_rng(6), 6)
+    spectrum = zeropad(Signal(samples, duration=3.0), DenseFactor(4, 3))
+    assert np.max(np.abs(spectrum.bins - np.fft.fft(zero_padded(samples, 8)))) <= 1e-12
+    assert (spectrum.origin_n, spectrum.alpha, spectrum.duration) == (6, DenseFactor(4, 3), 3.0)
+    assert spectrum.frequencies[1] == 1 / 4.0  # 1/(alpha*T)
 
 
 def test_zero_pad_alpha_one_is_copy():
-    signal = Signal([1.0, -1.0])
-    padded = zero_pad(signal, DenseFactor(1))
-    np.testing.assert_array_equal(padded.samples, signal.samples)
-    assert padded.duration == signal.duration
+    # Nothing to pad: the plain FFT, bit for bit the fast path at alpha = 1.
+    signal = Signal(unit_disk(np.random.default_rng(9), 64))
+    spectrum = zeropad(signal, DenseFactor(1))
+    assert spectrum.bins.tobytes() == alpha_fft(signal, plan(64, DenseFactor(1))).bins.tobytes()
+    assert np.max(np.abs(spectrum.bins - np.fft.fft(signal.samples))) < 1e-11
+
+
+@pytest.mark.parametrize("n, alpha", [(256, DenseFactor(1)), (64, DenseFactor(4)),
+                                      (6, DenseFactor(4, 3))])
+def test_zero_pad_counts_a_full_padded_fft(n, alpha):
+    counter = OpCounter()
+    zeropad(Signal(np.ones(n)), alpha, counter)
+    m = n * alpha.p // alpha.q
+    log2_m = m.bit_length() - 1
+    assert counter.complex_mults == (m // 2) * log2_m  # (M/2) log2 M
+    assert counter.complex_adds == m * log2_m
 
 
 def test_zero_pad_rejects_thinning_factors():
-    with pytest.raises(ValueError):
-        zero_pad(Signal(np.ones(8)), DenseFactor(1, 2))
+    with pytest.raises(ValueError, match=re.escape("zero-padding needs alpha >= 1, got 1/2")):
+        executor(8, DenseFactor(1, 2), "zeropad")
 
 
 def test_zero_pad_rejects_fractional_length():
-    with pytest.raises(ValueError):
-        zero_pad(Signal(np.ones(3)), DenseFactor(3, 2))
+    with pytest.raises(IncompatibleAlphaError):
+        executor(3, DenseFactor(3, 2), "zeropad")
 
 
-def test_zero_pad_returns_a_signal():
-    padded = zero_pad(Signal([1.0, 2.0]), DenseFactor(2))
-    assert isinstance(padded, Signal)
-    assert len(padded) == 4
-    assert not padded.samples.flags.writeable
-
-
-# --------------------------------------------------------------- standard FFT
-
-def test_standard_fft_matches_numpy():
-    rng = np.random.default_rng(9)
-    samples = unit_disk(rng, 64)
-    spectrum = standard_fft(Signal(samples))
-    assert spectrum.alpha == DenseFactor(1)
-    assert np.max(np.abs(spectrum.bins - np.fft.fft(samples))) < 1e-11
-
-
-def test_standard_fft_counts():
-    counter = OpCounter()
-    standard_fft(Signal(np.ones(256)), counter=counter)
-    assert counter.complex_mults == 128 * 8  # (M/2) log2 M
-    assert counter.complex_adds == 256 * 8
-
-
-def test_standard_fft_of_a_padded_signal():
-    signal = Signal([1.0, 2.0, 3.0, 4.0])
-    padded = zero_pad(signal, DenseFactor(2))
-    from_signal = standard_fft(signal)
-    from_padded = standard_fft(padded)
-    assert len(from_signal.bins) == 4
-    assert len(from_padded.bins) == 8
-    assert from_padded.duration == padded.duration
-    assert np.max(np.abs(from_padded.bins - np.fft.fft(padded.samples))) < 1e-12
-
-
-def test_standard_fft_requires_power_of_two():
-    with pytest.raises(UnsupportedSizeError):
-        standard_fft(Signal(np.ones(12)))
+@pytest.mark.parametrize("n, alpha", [(12, DenseFactor(1)), (4, DenseFactor(3, 2))])
+def test_zero_pad_needs_a_power_of_two_length(n, alpha):
+    with pytest.raises(UnsupportedSizeError, match="zero-padding needs a power-of-two alpha"):
+        executor(n, alpha, "zeropad")
 
 
 # ------------------------------------------------- zero-padding equivalence
@@ -106,7 +104,7 @@ def test_padding_reproduces_dense_bins(n, alpha):
     rng = np.random.default_rng(n * alpha.p)
     signal = Signal(unit_disk(rng, n))
     dense = alpha_fft(signal, plan(n, alpha))
-    padded = standard_fft(zero_pad(signal, alpha))
+    padded = zeropad(signal, alpha)
     assert np.max(np.abs(dense.bins - padded.bins)) <= 1e-12
 
 
@@ -114,7 +112,8 @@ def test_padding_equivalence_for_naive_path():
     rng = np.random.default_rng(100)
     signal = Signal(unit_disk(rng, 12))
     dense = naive_forward(signal, DenseFactor(3))
-    padded = naive_forward(zero_pad(signal, DenseFactor(3)), DenseFactor(1))
+    padded = naive_forward(Signal(zero_padded(signal.samples, 36), 3 * signal.duration),
+                           DenseFactor(1))
     assert np.max(np.abs(dense.bins - padded.bins)) < 1e-10
 
 
@@ -138,7 +137,8 @@ def test_transform_runs_the_executor_its_method_names(n, alpha, outcomes):
     direct = {
         FFT: lambda: alpha_fft(signal, plan(n, alpha)).bins,
         NAIVE: lambda: naive_forward(signal, alpha).bins,
-        PAD: lambda: standard_fft(zero_pad(signal, alpha)).bins,
+        PAD: lambda: transform_samples(zero_padded(signal.samples, n * alpha.p),
+                                       plan(n * alpha.p, DenseFactor(1))),
     }
     assert METHODS == ("auto", FFT, NAIVE, PAD)
     for method, outcome in zip(METHODS, outcomes):
@@ -177,6 +177,23 @@ def test_executor_plans_before_it_runs(monkeypatch, method, n, alpha, planned):
     assert plans == ([planned] if planned else [])
     assert first.bins.tobytes() == second.bins.tobytes()
     assert counter.complex_mults == (predicted_mults(make_plan(*planned)) if planned else 0)
+
+
+@pytest.mark.parametrize("method, n, alpha", [
+    ("fft", 8, DenseFactor(2)),
+    ("zeropad", 8, DenseFactor(2)),
+    ("naive", 8, DenseFactor(2)),
+    ("auto", 8, DenseFactor(2)),
+    ("auto", 6, DenseFactor(3, 2)),
+])
+def test_executor_runs_refuse_a_signal_of_another_length(method, n, alpha):
+    # A run is planned for N samples: one sample is not broadcast, and four
+    # or sixteen are not transformed as a spectrum of another N.
+    run, _ = executor(n, alpha, method)
+    for length in (1, 4, 16):
+        with pytest.raises(ValueError) as info:
+            run(Signal(np.ones(length)), OpCounter())
+        assert str(info.value) == f"plan is for N={n}, got {length} samples"
 
 
 # ------------------------------------------------------------------ aliasing

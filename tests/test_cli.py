@@ -15,9 +15,7 @@ from alpha_spectra import (
     fastpath,
     naive_forward,
     run_grid,
-    standard_fft,
     verify,
-    zero_pad,
 )
 from alpha_spectra.baseline import transform
 
@@ -139,10 +137,9 @@ def test_padding_refuses_thinning_before_checking_the_pair(tmp_path, capsys, n, 
     # alpha*N need not be an integer here: alpha < 1 is the first refusal everywhere.
     text = f"zero-padding needs alpha >= 1, got {alpha}"
     signal, density = Signal(np.ones(n)), DenseFactor.from_string(alpha)
-    for call in (lambda: zero_pad(signal, density), lambda: transform(signal, density, "zeropad")):
-        with pytest.raises(IncompatibleAlphaError) as info:
-            call()
-        assert str(info.value) == text
+    with pytest.raises(IncompatibleAlphaError) as info:
+        transform(signal, density, "zeropad")
+    assert str(info.value) == text
     skipped = []
     run_grid([n], [density], methods=("zeropad_fft",), reps=1, skipped=skipped)
     assert [cell["reason"] for cell in skipped] == [text]
@@ -162,7 +159,7 @@ def test_compute_zeropad_keeps_a_huge_duration(tmp_path):
     write_signal_csv(path, x, duration=1e308)
     assert run(["compute", "--input", str(path), "--output", str(out),
                 "--alpha", "8", "--method", "zeropad"]) == cli.EXIT_OK
-    bins = standard_fft(Signal(np.concatenate([x, np.zeros(28)]))).bins
+    bins = transform(Signal(np.concatenate([x, np.zeros(28)])), DenseFactor(1), "fft")[0].bins
     cli.io.write_spectrum(Spectrum(bins, 4, DenseFactor(8), 1e308), expected, "zeropad")
     assert out.read_bytes() == expected.read_bytes()
 
@@ -260,7 +257,7 @@ def test_verify_passes(capsys):
 
 
 def test_verify_reports_failure(capsys, monkeypatch):
-    broken = dataclasses.replace(verify.SWEEPS[0], error=lambda signal, alpha: 1.0)
+    broken = dataclasses.replace(verify.SWEEPS[0], error=lambda signal, alpha, *runs: 1.0)
     monkeypatch.setattr(verify, "SWEEPS", (broken,) + verify.SWEEPS[1:])
     assert run(["verify", "--sizes", "2,4,8"]) == cli.EXIT_VERIFY_FAILED
     captured = capsys.readouterr()

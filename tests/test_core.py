@@ -248,8 +248,7 @@ def test_public_names():
         "check_alpha_gt1_savings", "check_alpha_lt1_savings", "dft_matrix", "fit_complexity",
         "is_power_of_two", "make_report", "max_curve_deviation", "naive_forward",
         "naive_inverse", "orthogonality_kernel", "plan", "predicted_adds", "predicted_mults",
-        "run_grid", "sine_demo", "sine_signal", "standard_fft", "transform_samples",
-        "validate_pair", "zero_pad",
+        "run_grid", "sine_demo", "sine_signal", "transform_samples", "validate_pair",
     ]
 
 
@@ -290,13 +289,12 @@ def test_only_baseline_falls_back_on_unsupported_sizes():
 
 
 def test_front_ends_plan_and_run_nothing_themselves():
-    # The CLI, the bench and the demo run methods through baseline's executors
-    # only, so none of them names a planner, a transform or the padding.
+    # The CLI, the bench, the demo and verify run methods through baseline's
+    # executors only, so none of them names a planner or a transform.
     package = Path(alpha_spectra.__file__).parent
-    executors = {"plan", "alpha_fft", "transform_samples", "naive_forward", "zero_pad",
-                 "standard_fft"}
+    executors = {"plan", "alpha_fft", "transform_samples", "naive_forward"}
     found = []
-    for name in ("cli.py", "bench.py", "demo.py"):
+    for name in ("cli.py", "bench.py", "demo.py", "verify.py"):
         for node in ast.walk(ast.parse((package / name).read_text())):
             names = ([alias.name for alias in node.names]
                      if isinstance(node, (ast.Import, ast.ImportFrom))

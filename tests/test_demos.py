@@ -1,8 +1,11 @@
-"""Each script in demos/ runs to completion with warnings as errors."""
+"""Each script in demos/ and the README's code run to completion with warnings as errors."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,3 +29,24 @@ def test_demo_runs(script, tmp_path):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert not any(tmp_path.iterdir()), sorted(path.name for path in tmp_path.iterdir())
+
+
+def test_readme_python_blocks_run_and_their_counts_hold():
+    # The ```python blocks run in order in one namespace; where a line's
+    # comment starts with an integer, that integer is the line's value.
+    readme = (ROOT / "README.md").read_text()
+    namespace, checked = {}, []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S):
+            lines = block.splitlines()
+            for node in ast.parse(block).body:
+                code = ast.get_source_segment(block, node)
+                stated = re.search(r"#\s*(\d+)\b", lines[node.end_lineno - 1])
+                if stated is None:
+                    exec(code, namespace)
+                    continue
+                assert isinstance(node, ast.Expr), code
+                assert eval(code, namespace) == int(stated[1]), lines[node.end_lineno - 1]
+                checked.append(code)
+    assert len(checked) >= 3, checked
