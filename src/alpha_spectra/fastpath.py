@@ -39,6 +39,12 @@ half of the alpha*N running values by a twiddle, so a transform performs
 (alpha*N/2) * log2(min(N, alpha*N)) complex multiplies -- fewer than the
 (alpha*N/2) * log2(alpha*N) of an FFT over the zero-padded signal whenever
 alpha > 1.
+
+One twiddle table outlives the plans.  The module keeps a read-only root,
+the table of the largest alpha*N planned so far whose size is within
+_ROOT_BYTES, and a plan for a smaller alpha*N copies every k-th entry of it
+instead of evaluating exp again; the process retains that one table, at
+most _ROOT_BYTES, for as long as it runs.
 """
 
 from dataclasses import dataclass
@@ -67,6 +73,14 @@ _BLOCK_BINS = 32768
 #: avoids them.
 _MIN_RUN = 16
 
+#: Largest twiddle table, in bytes, that stays alive between plans: 16 MiB,
+#: the table of alpha*N = 2**21.
+_ROOT_BYTES = 1 << 24
+
+#: The read-only table of the largest alpha*N planned so far within
+#: _ROOT_BYTES; plan() replaces it, and never writes into it.
+_root = np.empty(0, dtype=np.complex128)
+
 
 @dataclass
 class OpCounter:
@@ -94,8 +108,8 @@ class Plan:
     angles 2*pi*l/(m >> k): both angles are the same quotient scaled by a
     power of two.  Phase 1 of the sweep reads its levels' entries through
     contiguous copies of these views; phase 2 reads the views themselves, a
-    block of columns at a time.  The table is the plan's own: no transform
-    result shares its memory.
+    block of columns at a time.  Plans of the same alpha*N may share one
+    table, the module's root, and no transform result shares its memory.
     """
 
     n: int
@@ -108,8 +122,15 @@ class Plan:
 def plan(n: int, alpha: DenseFactor) -> Plan:
     """Validate (N, alpha) for the fast path and precompute its twiddles.
 
-    The table of alpha*N/2 entries is built in place, in the one array the
-    plan keeps, with no temporary of its size.
+    The table of alpha*N/2 entries comes from the module's root table of
+    M/2 entries, M the largest alpha*N planned so far within _ROOT_BYTES:
+
+    * alpha*N = M: the plan gets the root itself;
+    * alpha*N < M: a contiguous, read-only copy of every (M/(alpha*N))-th
+      entry of the root, bitwise the table built afresh (see ``Plan``);
+    * alpha*N > M: the table is built in place, in the one array the plan
+      keeps, with no temporary of its size, and becomes the root if it
+      fits in _ROOT_BYTES.
 
     Raises
     ------
@@ -125,15 +146,29 @@ def plan(n: int, alpha: DenseFactor) -> Plan:
             f"fast path needs power-of-two N and alpha*N, got N={n}, "
             f"alpha*N={m}; use the naive transform for this pair"
         )
+    global _root
     depth = min(n, m).bit_length() - 1
     # With no butterfly level (N = 1 or alpha*N = 1) no entry is ever read.
-    # Bitwise np.exp(-2j * np.pi * np.arange(k) / m): the same complex128
-    # operations on the same values, the scalar still the first factor.
-    twiddles = np.arange(m // 2 if depth else 0, dtype=np.complex128)
-    np.multiply(-2j * np.pi, twiddles, out=twiddles)
-    np.divide(twiddles, m, out=twiddles)
-    np.exp(twiddles, out=twiddles)
-    twiddles.setflags(write=False)
+    size = m // 2 if depth else 0
+    # One read of the global, so the stride and the entries are one table's.
+    # Threads that miss at once may store their tables in either order; a
+    # smaller root than the largest planned only costs a later rebuild.
+    root = _root
+    if size == root.size > 0:
+        twiddles = root
+    elif 0 < size < root.size:
+        twiddles = root[:: root.size // size].copy()
+        twiddles.setflags(write=False)
+    else:
+        # Bitwise np.exp(-2j * np.pi * np.arange(k) / m): the same complex128
+        # operations on the same values, the scalar still the first factor.
+        twiddles = np.arange(size, dtype=np.complex128)
+        np.multiply(-2j * np.pi, twiddles, out=twiddles)
+        np.divide(twiddles, m, out=twiddles)
+        np.exp(twiddles, out=twiddles)
+        twiddles.setflags(write=False)
+        if size > root.size and twiddles.nbytes <= _ROOT_BYTES:
+            _root = twiddles
     return Plan(n, m, alpha, depth, twiddles)
 
 

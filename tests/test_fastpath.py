@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -84,8 +86,19 @@ def test_twiddle_tables_match_exact_angles():
         plan(16, DenseFactor(4)).twiddles[0] = 0  # read-only
 
 
+def fresh_table(m):
+    """The twiddle table of alpha*N = m, evaluated afresh."""
+    return np.exp(-2j * np.pi * np.arange(m // 2) / m)
+
+
+@pytest.fixture
+def no_root(monkeypatch):
+    """Start with no kept table, so that ``plan`` builds its own."""
+    monkeypatch.setattr(fastpath, "_root", np.empty(0, dtype=np.complex128))
+
+
 @pytest.mark.parametrize("m", [1 << 19, 1 << 20, 1 << 21])
-def test_long_twiddle_tables_are_the_fresh_array_expression(m):
+def test_long_twiddle_tables_are_the_fresh_array_expression(no_root, m):
     # Tables this long run numpy's vector loops over long runs, and the table
     # is built in place there; its bits must still be those of the expression.
     expected = np.exp(-2j * np.pi * np.arange(m // 2) / m)
@@ -102,10 +115,88 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_plan_builds_its_table_in_place():
+def test_plan_builds_its_table_in_place(no_root):
     table_bytes = 16 * (65536 * 8 // 2)
     peak = traced_peak(lambda: plan(65536, DenseFactor(8)))
     assert peak <= 1.1 * table_bytes, peak / table_bytes
+
+
+def test_repeated_plan_reuses_its_table(no_root):
+    table_bytes = 16 * (65536 * 8 // 2)
+    first = plan(65536, DenseFactor(8))
+    peak = traced_peak(lambda: plan(65536, DenseFactor(8)))
+    assert peak < 0.01 * table_bytes, peak / table_bytes
+    again = plan(65536, DenseFactor(8))
+    assert again.twiddles is first.twiddles
+    assert again.twiddles.tobytes() == fresh_table(65536 * 8).tobytes()
+
+
+def test_smaller_tables_are_fresh_copies_of_the_root(no_root):
+    root = plan(1 << 20, DenseFactor(1)).twiddles
+    assert fastpath._root is root
+    for k in range(1, 20):
+        table = plan(1 << k, DenseFactor(1)).twiddles
+        assert table.flags.c_contiguous and not table.flags.writeable, k
+        assert not np.shares_memory(table, root), k
+        assert table.tobytes() == fresh_table(1 << k).tobytes(), k
+    assert fastpath._root is root
+
+
+def test_tables_over_the_bound_are_not_kept(no_root, monkeypatch):
+    kept = plan(1024, DenseFactor(1)).twiddles
+    monkeypatch.setattr(fastpath, "_ROOT_BYTES", kept.nbytes)
+    table = plan(2048, DenseFactor(1)).twiddles
+    assert table.tobytes() == fresh_table(2048).tobytes()
+    assert fastpath._root is kept
+    assert plan(512, DenseFactor(1)).twiddles.tobytes() == fresh_table(512).tobytes()
+
+
+def test_kept_table_never_exceeds_the_bound(no_root):
+    # Rising, then falling: every alpha*N up to 2**24 either becomes the
+    # root within the bound or is served from it.
+    for k in [*range(1, 25), *range(24, 0, -1)]:
+        plan(1 << k, DenseFactor(1))
+        assert fastpath._root.nbytes <= fastpath._ROOT_BYTES, k
+    assert fastpath._root.nbytes == fastpath._ROOT_BYTES
+
+
+def test_threads_planning_at_once_get_fresh_tables(no_root):
+    # Planners race a thread that keeps swapping the root among valid tables
+    # of other sizes, as planners that miss at once would; every table they
+    # get must still be bitwise the fresh one.
+    tables = {k: fresh_table(1 << k) for k in range(1, 19)}
+    for table in tables.values():
+        table.setflags(write=False)
+    failures = []
+    done = threading.Event()
+
+    def planner(seed):
+        rng = np.random.default_rng(seed)
+        for k in rng.integers(1, 19, size=300).tolist():
+            if plan(1 << k, DenseFactor(1)).twiddles.tobytes() != tables[k].tobytes():
+                failures.append(k)
+
+    def swapper():
+        while not done.is_set():
+            for table in tables.values():
+                fastpath._root = table
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        swapping = threading.Thread(target=swapper)
+        planners = [threading.Thread(target=planner, args=(seed,)) for seed in range(3)]
+        for thread in [swapping, *planners]:
+            thread.start()
+        for thread in planners:
+            thread.join(timeout=60)
+        done.set()
+        swapping.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in [swapping, *planners])
+    assert not failures, failures
 
 
 def test_twiddle_recurrence_and_halving_properties():
