@@ -10,8 +10,9 @@ identical convention and the two methods compare like for like:
 (alpha*N/2)*log2(alpha*N) multiplies against (alpha*N/2)*log2(N).
 
 For alpha < 1 the matching time-domain picture is folding: the inverse of a
-shortened spectrum returns x'_n = sum_k x_{n+k*alpha*N}, reproduced here
-directly so the round trip can be checked without any transform.
+shortened spectrum returns x'_n = sum_k x_{n+k*alpha*N}.  ``_pad_or_fold``
+writes both pictures once: the bins are the alpha*N-point FFT of the samples
+padded or folded into alpha*N slots, and the fold gives the round trip.
 """
 
 import numpy as np
@@ -60,8 +61,7 @@ def executor(n: int, alpha: DenseFactor, method: str = "auto"):
         p = fastpath.plan(m, DenseFactor(1))
 
         def run(signal, counter=None):
-            padded = np.zeros(m, dtype=np.complex128)
-            padded[:n] = _checked(signal, n).samples
+            padded = _pad_or_fold(_checked(signal, n).samples, m)
             bins = fastpath.transform_samples(padded, p, counter)
             return Spectrum._adopt(bins, n, alpha, signal.duration)
 
@@ -75,12 +75,6 @@ def executor(n: int, alpha: DenseFactor, method: str = "auto"):
                 raise
     validate_pair(n, alpha)
     return (lambda signal, counter=None: oracle.naive_forward(_checked(signal, n), alpha)), "naive"
-
-
-def transform(signal: Signal, alpha: DenseFactor, method: str = "auto") -> tuple[Spectrum, str]:
-    """The density-alpha spectrum of ``signal`` by ``method``, and the executor that ran."""
-    run, name = executor(len(signal), alpha, method)
-    return run(signal), name
 
 
 def _checked(signal: Signal, n: int) -> Signal:
@@ -100,7 +94,12 @@ def aliased_reconstruct(signal: Signal, alpha: DenseFactor) -> np.ndarray:
     n, m = validate_pair(len(signal), alpha)
     if alpha.p >= alpha.q:
         raise ValueError(f"alias folding needs alpha < 1, got {alpha}")
-    residues = np.arange(n) % m
-    folded = np.zeros(m, dtype=np.complex128)
-    np.add.at(folded, residues, signal.samples)
-    return folded[residues]
+    return _pad_or_fold(signal.samples, m)[np.arange(n) % m]
+
+
+def _pad_or_fold(samples: np.ndarray, m: int) -> np.ndarray:
+    """``samples`` in zeros of length ceil(N/m)*m; folded into ``m`` slots by row sums when m < N."""
+    n = len(samples)
+    slots = np.zeros(-(-n // m) * m, dtype=np.complex128)
+    slots[:n] = samples
+    return slots.reshape(-1, m).sum(axis=0) if m < n else slots

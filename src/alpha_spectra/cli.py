@@ -8,10 +8,11 @@ bench      run the operation-count/wall-time grid and judge the scaling claims
 verify     run the numerical cross-checking suites
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed input
-(JSON nested too deeply included), an invalid argument or an unwritable output,
+(JSON nested too deeply included), an invalid argument, an unwritable output,
+``verify`` sizes that no suite checks or a ``bench`` grid with no runnable cell,
 3 alpha incompatible with the signal length (or below 1 for zeropad), 4 size
-unsupported by the requested method, 5 benchmark claim failure, 6 result
-not representable: more than core.MAX_BINS bins, a spectrum whose bins or
+unsupported by the requested method, 5 benchmark claim failure, 6 result not
+representable: more than core.MAX_BINS bins, a spectrum whose bins or
 frequencies overflow a double, or not enough memory for the request.
 """
 
@@ -157,14 +158,15 @@ def cmd_compute(args) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.input}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (io.SignalParseError, UnicodeDecodeError) as exc:
+    except io.SignalParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     if args.duration is not None:
         signal = Signal(signal.samples, args.duration)
 
     alpha = args.alpha
-    spectrum, method = baseline.transform(signal, alpha, args.method)
+    run, method = baseline.executor(len(signal), alpha, args.method)
+    spectrum = run(signal)
     bad = np.flatnonzero(~np.isfinite(spectrum.bins))
     if bad.size:
         print(f"error: bin {bad[0]} is not finite: the spectrum overflows a double",

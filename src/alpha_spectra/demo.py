@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import transform
+from .baseline import executor
 from .core import DenseFactor, Signal, Spectrum
 
 #: Normalizer of the analytic curve: its value at zero frequency.
@@ -52,13 +52,13 @@ class DemoCurve:
 def sine_demo(n: int = 64, alphas=(1, 2, 4, 8)) -> dict:
     """Half-sine spectra for each density factor, keyed by DenseFactor.
 
-    Runs ``transform``'s ``auto`` method, so rational densities work too.
+    Runs ``executor``'s ``auto`` method, so rational densities work too.
     """
     signal = sine_signal(n)
     curves = {}
     for raw in alphas:
         alpha = raw if isinstance(raw, DenseFactor) else DenseFactor(raw)
-        spectrum = transform(signal, alpha)[0]
+        spectrum = executor(n, alpha)[0](signal)
         magnitudes = spectrum.magnitudes
         if magnitudes[0] == 0:
             raise ValueError("cannot normalize a spectrum with zero DC magnitude")

@@ -7,19 +7,21 @@ other comment is ignored) or as JSON.  Spectra go out as CSV with
 ``m,freq,re,im,magnitude`` rows.  Floats are rendered with 17 significant
 digits, which round-trips doubles exactly.
 
-The CSV reader works on whole columns.  It reads the file's bytes once
-and scans its lines up to the header for metadata.  When the rest is clean
--- ASCII rows ended by LF alone, no comment, blank line or whitespace, and
-the header's number of commas in every row, all checked with a few
-whole-text and numpy operations -- it is split into cells in one go;
-otherwise the remaining lines are read one by one, as is a file that does
-not decode.  Either way numpy then parses each number column, applying
-Python's ``int`` or ``float`` to every cell, and only when it rejects a
-column are the rows walked cell by cell, to name the first bad cell and its
-line.  A JSON sample list of all numbers or all number pairs is converted
-in one ``np.fromiter``; any other list is walked entry by entry, to name
-the first bad sample.  Both shortcuts give the values, bit for bit, and the
-errors of the walks they skip.
+The CSV reader works on whole columns.  It reads the file's bytes once,
+decodes them under one rule (``_text``, where the first line holding a byte
+that does not decode is a bad line), and scans the lines up to the header
+for metadata.  When the rest is clean -- ASCII rows ended by LF alone, no
+comment, blank line or whitespace, and the header's number of commas in
+every row, all checked with a few whole-text and numpy operations -- it is
+split into cells in one go; otherwise the remaining lines are read one by
+one.  Either way numpy then parses each number column, applying Python's
+``int`` or ``float`` to every cell, and only when it rejects a column are
+the rows walked cell by cell, to name the first bad cell and its line.  A
+JSON sample list of all numbers or all number pairs is converted in one
+``np.fromiter``; any other list is walked entry by entry, to name the first
+bad sample.  Both shortcuts give the values, bit for bit, and the errors of
+the walks they skip.  JSON is decoded strictly: a byte that does not decode
+is an error there too, never a character inside a string.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
 header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
@@ -29,6 +31,7 @@ header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
 
 import io
 import json
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -46,6 +49,9 @@ WRITE_BLOCK_ROWS = 4096
 #: Accepted CSV headers, each with the label of its index column (None when
 #: there is none) and the positions of the float columns the reader parses.
 _SIGNAL_LAYOUTS = {("index", "re", "im"): ("index", (1, 2)), ("time", "value"): (None, (0, 1))}
+
+#: What a byte that does not decode becomes in ``_text``.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 class SignalParseError(ValueError):
@@ -185,28 +191,30 @@ def _clean_rows(rows_text, commas) -> int:
     return rows
 
 
-def _rows_text(data, offset):
-    """The text of ``data`` after its first ``offset`` characters, less one final LF.
+def _text(data):
+    """``data`` as open()'s default encoding reads it, untranslated, undecodable bytes escaped."""
+    return io.TextIOWrapper(io.BytesIO(data), newline="", errors="surrogateescape")
 
-    Decoded as open(path, "r", newline="") decodes: no newline translation.
-    None when ``data`` does not decode.
-    """
-    try:
-        text = io.TextIOWrapper(io.BytesIO(data), newline="").read()
-    except UnicodeDecodeError:
-        return None
+
+def _rows_text(data, offset):
+    """The text of ``data`` after its first ``offset`` characters, less one final LF."""
+    text = _text(data).read()
     return text[offset:len(text) - text.endswith("\n")]
 
 
-def _scan_csv(lines, data):
-    """The per-line loop of _read_csv over the text stream ``lines``.
+def _read_csv(path):
+    """A signal CSV's metadata, header and float columns.
 
-    ``data`` holds the bytes of ``lines``.  When they decode, clean rows
-    after the header (see _clean_rows) are split into cells in one go.
-    Anything else goes on line by line without the decoded text; bytes
-    that do not decode are streamed, so an error on a line before the
-    undecodable chunk is the one reported.
+    The header must be one of _SIGNAL_LAYOUTS.  Returns (metadata, header,
+    columns, line_nos): ``metadata`` holds the ``T`` and ``N`` comments
+    found, ``columns`` is None when there is no data row, and ``line_nos``
+    holds each data row's 1-based line.  Clean rows after the header (see
+    _clean_rows) are split into cells in one go.  Anything else goes on
+    line by line without the decoded text, and the first line holding a
+    byte that does not decode is reported like any other bad line.
     """
+    data = Path(path).read_bytes()
+    lines = _text(data)
     metadata = {}
     header = None
     rows = []
@@ -214,6 +222,9 @@ def _scan_csv(lines, data):
     offset = 0
     for line_no, raw in enumerate(lines, start=1):
         offset += len(raw)
+        if not raw.isascii() and (bad := _UNDECODABLE.search(raw)):
+            byte = ord(bad[0]) - 0xDC00  # the escape of byte b is chr(0xDC00 + b)
+            raise SignalParseError(f"byte 0x{byte:02x} is not {lines.encoding} text", line_no)
         stripped = raw.strip()
         if not stripped:
             continue
@@ -226,7 +237,7 @@ def _scan_csv(lines, data):
                 raise SignalParseError(f"expected header {expected}, got {stripped!r}", line_no)
             commas = len(header) - 1
             rows_text = _rows_text(data, offset)
-            count = 0 if rows_text is None else _clean_rows(rows_text, commas)
+            count = _clean_rows(rows_text, commas)
             if count:
                 cells = rows_text.replace("\n", ",").split(",")
                 line_nos = range(line_no + 1, line_no + 1 + count)
@@ -249,25 +260,11 @@ def _scan_csv(lines, data):
     return metadata, header, columns, line_nos
 
 
-def _read_csv(path):
-    """A signal CSV's metadata, header and float columns.
-
-    The header must be one of _SIGNAL_LAYOUTS.  Returns (metadata, header,
-    columns, line_nos): ``metadata`` holds the ``T`` and ``N`` comments
-    found, ``columns`` is None when there is no data row, and ``line_nos``
-    holds each data row's 1-based line.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    with io.TextIOWrapper(io.BytesIO(data), newline="") as lines:
-        return _scan_csv(lines, data)
-
-
-def _complex(re, im) -> np.ndarray:
-    """re + i*im elementwise; unlike ``re + 1j*im``, keeps -0.0 imaginary parts."""
-    out = np.empty(np.size(re), dtype=np.complex128)
-    out.real = re
-    out.imag = im
+def _complex(real, imag) -> np.ndarray:
+    """real + i*imag elementwise; unlike ``real + 1j*imag``, keeps -0.0 imaginary parts."""
+    out = np.empty(np.size(real), dtype=np.complex128)
+    out.real = real
+    out.imag = imag
     return out
 
 

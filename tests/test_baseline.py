@@ -19,7 +19,7 @@ from alpha_spectra import (
     predicted_mults,
     transform_samples,
 )
-from alpha_spectra.baseline import METHODS, executor, transform
+from alpha_spectra.baseline import METHODS, executor
 
 
 def unit_disk(rng, n):
@@ -143,21 +143,22 @@ def test_transform_runs_the_executor_its_method_names(n, alpha, outcomes):
     assert METHODS == ("auto", FFT, NAIVE, PAD)
     for method, outcome in zip(METHODS, outcomes):
         if isinstance(outcome, str):
-            spectrum, label = transform(signal, alpha, method)
+            run, label = executor(n, alpha, method)
             assert label == outcome
+            spectrum = run(signal)
             assert spectrum.bins.tobytes() == direct[outcome]().tobytes()
             assert (spectrum.origin_n, spectrum.alpha, spectrum.duration) == (n, alpha, 2.5)
             assert not spectrum.bins.flags.writeable
         else:
             with pytest.raises(outcome):
-                transform(signal, alpha, method)
+                executor(n, alpha, method)
 
 
 def test_transform_refusals_name_the_pair_and_the_method():
     with pytest.raises(UnsupportedSizeError, match=re.escape("got N=12, alpha*N=36;")):
-        transform(Signal(np.ones(12)), DenseFactor(3), "zeropad")
+        executor(12, DenseFactor(3), "zeropad")
     with pytest.raises(ValueError, match="unknown method 'fast'"):
-        transform(Signal(np.ones(8)), DenseFactor(1), "fast")
+        executor(8, DenseFactor(1), "fast")
 
 
 @pytest.mark.parametrize("method, n, alpha, planned", [

@@ -17,7 +17,7 @@ from alpha_spectra import (
     run_grid,
     verify,
 )
-from alpha_spectra.baseline import transform
+from alpha_spectra.baseline import executor
 
 from file_formats import read_spectrum_csv, write_signal_csv
 
@@ -136,9 +136,9 @@ def test_compute_zeropad_rejects_thinning(signal_file, tmp_path, capsys):
 def test_padding_refuses_thinning_before_checking_the_pair(tmp_path, capsys, n, alpha):
     # alpha*N need not be an integer here: alpha < 1 is the first refusal everywhere.
     text = f"zero-padding needs alpha >= 1, got {alpha}"
-    signal, density = Signal(np.ones(n)), DenseFactor.from_string(alpha)
+    density = DenseFactor.from_string(alpha)
     with pytest.raises(IncompatibleAlphaError) as info:
-        transform(signal, density, "zeropad")
+        executor(n, density, "zeropad")
     assert str(info.value) == text
     skipped = []
     run_grid([n], [density], methods=("zeropad_fft",), reps=1, skipped=skipped)
@@ -159,7 +159,7 @@ def test_compute_zeropad_keeps_a_huge_duration(tmp_path):
     write_signal_csv(path, x, duration=1e308)
     assert run(["compute", "--input", str(path), "--output", str(out),
                 "--alpha", "8", "--method", "zeropad"]) == cli.EXIT_OK
-    bins = transform(Signal(np.concatenate([x, np.zeros(28)])), DenseFactor(1), "fft")[0].bins
+    bins = executor(32, DenseFactor(1), "fft")[0](Signal(np.concatenate([x, np.zeros(28)]))).bins
     cli.io.write_spectrum(Spectrum(bins, 4, DenseFactor(8), 1e308), expected, "zeropad")
     assert out.read_bytes() == expected.read_bytes()
 
@@ -371,7 +371,7 @@ def test_compute_zeropad_bins_own_their_memory(signal_file, tmp_path, monkeypatc
 
     monkeypatch.setattr(cli.io, "read_signal", read_signal)
     monkeypatch.setattr(cli.io, "write_spectrum", write_spectrum)
-    monkeypatch.setattr(fastpath, "plan", plan)  # what baseline.transform calls
+    monkeypatch.setattr(fastpath, "plan", plan)  # what baseline.executor calls
     assert run(["compute", "--input", str(signal_file), "--output", str(tmp_path / "pad.csv"),
                 "--alpha", "4", "--method", "zeropad"]) == cli.EXIT_OK
     bins = seen["spectrum"].bins

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import alpha_spectra.io as alpha_io
-from alpha_spectra import DenseFactor, Signal, Spectrum, bin_frequency, naive_forward
+from alpha_spectra import DenseFactor, Signal, Spectrum, bin_frequency, cli, naive_forward
 from alpha_spectra.io import (
     WRITE_BLOCK_ROWS,
     SignalParseError,
@@ -22,7 +22,10 @@ from file_formats import read_spectrum_csv, write_signal_csv
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return path
 
 
@@ -94,6 +97,14 @@ def test_nonuniform_times_are_rejected(tmp_path):
     ("# N=nine\nindex,re,im\n0,1,0\n", 1, "integer N"),
     ("index,re,im\n0,1,0\n1,nan,0\n", 3, "sample 1 is not finite"),
     ("time,value\n0,1\ninf,2\n", 3, "time 1 is not finite"),
+    # A byte that does not decode makes a bad line wherever it sits, and an
+    # earlier bad line is still reported first.
+    pytest.param(b"index,re,im\n0,1,0\n1,\xff,0\n2,3,0\n", 3, "byte 0xff is not", id="row"),
+    pytest.param(b"# T=2\n# caf\xe9\nindex,re,im\n0,1,0\n", 2, "byte 0xe9 is not", id="comment"),
+    pytest.param(b"index,re,im\n" + b"".join(b"%d,1,0\n" % k for k in range(4000))
+                 + b"4000,\xfe,0\n", 4002, "byte 0xfe is not", id="past-first-chunk"),
+    pytest.param(b"index,real,imag\n" + b"0,1.0,2.0\n" * 5 + b"\xff\n", 1, "expected header",
+                 id="header-before-byte"),
 ])
 def test_csv_errors_carry_line_numbers(tmp_path, body, bad_line, fragment):
     path = write(tmp_path, "s.csv", body)
@@ -101,6 +112,16 @@ def test_csv_errors_carry_line_numbers(tmp_path, body, bad_line, fragment):
         read_signal_csv(path)
     assert info.value.line == bad_line
     assert fragment in str(info.value)
+
+
+def test_compute_names_the_line_of_an_undecodable_byte(tmp_path, capsys):
+    path, out = tmp_path / "s.csv", tmp_path / "out.csv"
+    path.write_bytes(b"index,re,im\n0,1,0\n1,\xff,0\n")
+    assert cli.main(["compute", "--input", str(path), "--output", str(out)]) == cli.EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3: byte 0xff is not ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
 
 
 def test_read_signal_csv_is_bitwise_the_cell_by_cell_parse(tmp_path):

@@ -9,6 +9,9 @@ alpha in {1/8, ..., 8}, to a relative tolerance of 1e-10:
   orthogonal when N <= alpha*N), and alpha*N * sum |fold(x)|^2 for alpha < 1,
   where fold sums the length-alpha*N blocks of x.
 
+At any N <= 96 and alpha*N <= 160 the oracle's bins are also numpy's FFT of
+x padded or folded into alpha*N slots, to the same tolerance.
+
 The reader fuzz test feeds generated CSV and JSON text to ``read_signal``:
 it must return a Signal with finite samples and a positive finite duration,
 or raise SignalParseError -- never anything else.  The differential reader
@@ -18,13 +21,17 @@ per-entry reference copies: the same values bit for bit, or the same error.
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from alpha_spectra import DenseFactor, Signal, plan, transform_samples
+from alpha_spectra import DenseFactor, Signal, naive_forward, naive_inverse, plan, transform_samples
+from alpha_spectra.baseline import _pad_or_fold, aliased_reconstruct
 from alpha_spectra.io import (
     _SIGNAL_LAYOUTS,
     SignalParseError,
@@ -95,6 +102,38 @@ def test_energy(shape):
     folded = x if p.m >= n else x.reshape(-1, p.m).sum(axis=0)
     expected = p.m * np.sum(np.abs(folded) ** 2)
     assert abs(energy - expected) <= RTOL * expected
+
+
+@PROPERTY
+@given(st.integers(1, 96), st.integers(1, 160), st.integers(0, 2 ** 32 - 1))
+def test_fft_of_the_padded_or_folded_samples_is_the_transform(n, m, seed):
+    # At any N and alpha*N = m, powers of two or not, dividing N or not:
+    # the bins are numpy's m-point FFT of x padded or folded into m slots.
+    alpha = DenseFactor(m, n)
+    signal = Signal(samples(np.random.default_rng(seed), n))
+    spectrum = naive_forward(signal, alpha)
+    assert_close(np.fft.fft(_pad_or_fold(signal.samples, m)), spectrum.bins)
+    if m < n:
+        assert_close(aliased_reconstruct(signal, alpha), naive_inverse(spectrum).samples)
+
+
+def test_a_failing_property_prints_its_falsifying_example(tmp_path):
+    # Under the repo's warning filters, a failing @given test reports its
+    # example rather than an INTERNALERROR from Hypothesis's report hook.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None)\n@given(st.integers(0, 10))\n"
+        "def test_fails(x):\n    assert x < 5\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
 
 
 # ------------------------------------------------------------ reader fuzzing
