@@ -32,6 +32,7 @@ from .core import (
     TooManyBinsError,
     UnsupportedSizeError,
     bin_frequency,
+    check_duration,
 )
 
 EXIT_OK = 0
@@ -92,8 +93,8 @@ def _list_of(parse_item):
 
 def _duration_argument(text):
     try:
-        return io.check_duration(float(text))
-    except ValueError as exc:  # not a number, or io.SignalParseError
+        return check_duration(float(text))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

@@ -2,11 +2,12 @@
 
 A spectrum with density factor alpha = p/q holds M = alpha*N bins spaced
 1/(alpha*T) Hz apart, where N is the signal length and T its duration in
-seconds.  alpha is kept as an exact reduced rational throughout so that
-"alpha*N is an integer" stays decidable; it is never collapsed to a float.
+seconds; this module owns the rules for all three.  alpha stays an exact
+reduced rational, never a float, so "alpha*N is an integer" is decidable.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ class TooManyBinsError(ValueError):
         super().__init__(f"alpha*N = {m} bins for N={n} exceeds the limit of {MAX_BINS} bins")
 
 
+def _is_int(value) -> bool:  # N, p and q: an int, not a bool
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -60,7 +65,7 @@ class DenseFactor:
     q: int = 1
 
     def __post_init__(self):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.p, self.q)):
+        if not (_is_int(self.p) and _is_int(self.q)):
             raise ValueError(f"density factor wants integers, got {self.p!r}/{self.q!r}")
         if self.p < 1 or self.q < 1:
             raise ValueError(f"density factor must be positive, got {self.p}/{self.q}")
@@ -91,10 +96,10 @@ def validate_pair(n: int, alpha: DenseFactor) -> tuple[int, int]:
     """Check that alpha*N is a positive integer and return (N, M=alpha*N).
 
     Because alpha is reduced, the product is an integer exactly when q
-    divides N.  M above MAX_BINS raises TooManyBinsError.
+    divides N, an int (not a bool) >= 1.  M above MAX_BINS raises TooManyBinsError.
     """
-    if n < 1:
-        raise ValueError(f"signal length must be >= 1, got {n}")
+    if not (_is_int(n) and n >= 1):
+        raise ValueError(f"signal length must be an integer >= 1, got {n!r}")
     numerator = n * alpha.p
     if numerator % alpha.q != 0:
         raise IncompatibleAlphaError(n, alpha.p, alpha.q)
@@ -104,16 +109,18 @@ def validate_pair(n: int, alpha: DenseFactor) -> tuple[int, int]:
     return n, m
 
 
-def _check_duration(duration) -> None:
-    if not 0 < duration < math.inf:  # T = inf would put every bin at 0 Hz
-        raise ValueError(f"duration must be positive and finite, got {duration}")
+def check_duration(value) -> float:
+    """T as a float: an int (not a bool) or a float, 0 < T <= sys.float_info.max."""
+    if (_is_int(value) or isinstance(value, float)) and 0 < value <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"duration T must be a positive finite number, got {value!r}")
 
 
 def bin_frequency(m: int, alpha: DenseFactor, duration: float = 1.0) -> float:
     """Frequency in Hz of bin m: m / (alpha * T)."""
     if m < 0:
         raise IndexError(f"bin index must be >= 0, got {m}")
-    return (m * alpha.q) / (alpha.p * duration)
+    return (m * alpha.q) / (alpha.p * check_duration(duration))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +141,7 @@ class Signal:
             raise ValueError(f"signal must be one-dimensional, got shape {arr.shape}")
         if arr.size < 1:
             raise ValueError("signal must hold at least one sample")
-        _check_duration(self.duration)
+        object.__setattr__(self, "duration", check_duration(self.duration))
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -186,7 +193,7 @@ class Spectrum:
                 f"expected {m} complex128 bins for N={self.origin_n}, alpha={self.alpha}, "
                 f"got {arr.dtype} of shape {arr.shape}"
             )
-        _check_duration(self.duration)
+        object.__setattr__(self, "duration", check_duration(self.duration))
         arr.setflags(write=False)
         object.__setattr__(self, "bins", arr)
 

@@ -21,7 +21,7 @@ JSON sample list of all numbers or all number pairs is converted in one
 ``np.fromiter``; any other list is walked entry by entry, to name the first
 bad sample.  Both shortcuts give the values, bit for bit, and the errors of
 the walks they skip.  JSON is decoded strictly: a byte that does not decode
-is an error there too, never a character inside a string.
+is an error there too, naming its line, never a character inside a string.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
 header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
@@ -32,13 +32,12 @@ header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
 import io
 import json
 import re
-import sys
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import Signal, Spectrum
+from .core import Signal, Spectrum, check_duration
 
 #: Relative tolerance when checking that a time column is uniformly spaced.
 TIME_UNIFORMITY_RTOL = 1e-9
@@ -70,14 +69,11 @@ def _parse_float(text, line):
         raise SignalParseError(f"expected a number, got {text!r}", line) from None
 
 
-def check_duration(value) -> float:
-    """``value`` as a duration in seconds, or SignalParseError.
-
-    A duration must be a real number (not a bool), finite and positive.
-    """
-    if type(value) in (int, float) and 0 < value <= sys.float_info.max:
-        return float(value)
-    raise SignalParseError(f"duration T must be a positive finite number, got {value!r}")
+def _duration(value) -> float:  # core.check_duration, raising SignalParseError
+    try:
+        return check_duration(value)
+    except ValueError as exc:
+        raise SignalParseError(str(exc)) from None
 
 
 def _checked_signal(samples, times, declared, line_of=lambda position: 1) -> Signal:
@@ -103,7 +99,7 @@ def _checked_signal(samples, times, declared, line_of=lambda position: 1) -> Sig
         duration = mean_step * times.size
     if declared is not None:
         duration = declared
-    return Signal(samples, check_duration(duration))
+    return Signal(samples, _duration(duration))
 
 
 def _parse_metadata(line_text, line_no, metadata):
@@ -337,17 +333,19 @@ def read_signal_json(path) -> Signal:
     "value": [...]} mirroring the CSV time form.
     """
     try:
-        with open(path, "r") as fh:
-            payload = json.load(fh)
+        payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SignalParseError(exc.msg, exc.lineno) from None
-    except ValueError as exc:  # bytes that are not text, or an integer past the digit limit
+    except UnicodeDecodeError as exc:  # read_text decodes all at once: ``start`` is a file offset
+        raise SignalParseError(f"byte 0x{exc.object[exc.start]:02x} is not {exc.encoding} text",
+                               exc.object.count(b"\n", 0, exc.start) + 1) from None
+    except ValueError as exc:  # an integer past the digit limit
         raise SignalParseError(str(exc), 1) from None
     except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
         raise SignalParseError("JSON nested too deeply", 1) from None
     if not isinstance(payload, dict):
         raise SignalParseError("top-level JSON value must be an object", 1)
-    declared = check_duration(payload["T"]) if "T" in payload else None
+    declared = _duration(payload["T"]) if "T" in payload else None
 
     if "samples" in payload:
         entries = payload["samples"]
@@ -403,7 +401,7 @@ def write_spectrum(spectrum: Spectrum, path, method: str) -> None:
     """
     bins = spectrum.bins
     write_csv(path, {"N": spectrum.origin_n, "alpha": spectrum.alpha,
-                     "T": float(spectrum.duration), "method": method},
+                     "T": spectrum.duration, "method": method},
               ("m", "freq", "re", "im", "magnitude"),
               (np.arange(bins.size, dtype=float), spectrum.frequencies,
                bins.real, bins.imag, spectrum.magnitudes))

@@ -159,6 +159,11 @@ def test_transform_refusals_name_the_pair_and_the_method():
         executor(12, DenseFactor(3), "zeropad")
     with pytest.raises(ValueError, match="unknown method 'fast'"):
         executor(8, DenseFactor(1), "fast")
+    # N must be an int: a numpy integer or a float is refused before planning.
+    for n in (np.int64(4), 4.0, True):
+        for method in METHODS:
+            with pytest.raises(ValueError, match=re.escape(f"an integer >= 1, got {n!r}")):
+                executor(n, DenseFactor(2), method)
 
 
 @pytest.mark.parametrize("method, n, alpha, planned", [

@@ -82,8 +82,12 @@ def test_validate_pair_bin_ceiling():
 
 
 def test_validate_pair_rejects_bad_length():
-    with pytest.raises(ValueError):
-        validate_pair(0, DenseFactor(1))
+    # N is an int, not a bool, as p and q are: a float, a bool or a numpy
+    # integer is refused before anything is multiplied.
+    for n in (0, -4, 4.5, 4.0, True, np.int64(4), "4"):
+        with pytest.raises(ValueError) as info:
+            validate_pair(n, DenseFactor(2))
+        assert str(info.value) == f"signal length must be an integer >= 1, got {n!r}"
 
 
 def test_validate_pair_iff_q_divides_n():
@@ -114,6 +118,7 @@ def test_incompatible_alpha_error_carries_context():
 
 def test_bin_frequency_example():
     assert bin_frequency(5, DenseFactor(1, 2), duration=2.0) == 5.0
+    assert bin_frequency(5, DenseFactor(1, 2), duration=np.float64(2.0)) == 5.0
     assert bin_frequency(0, DenseFactor(8)) == 0.0
     with pytest.raises(IndexError):
         bin_frequency(-1, DenseFactor(1))
@@ -144,15 +149,25 @@ def test_signal_validation():
         Signal([1.0], duration=0.0)
 
 
-@pytest.mark.parametrize("duration", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("duration", [0.0, -1.0, float("inf"), float("nan"), True,
+                                      pytest.param(10 ** 400, id="10**400"), "2", None])
 def test_signal_and_spectrum_need_a_positive_finite_duration(duration):
-    # T = inf would put every frequency at 0.0 Hz, silently.
+    # T = inf would put every frequency at 0.0 Hz, silently; an int past the
+    # largest double would overflow in dt or the frequencies.
     for make in (lambda: Signal(np.ones(8), duration),
                  lambda: Spectrum(np.zeros(8), 8, DenseFactor(1), duration),
                  lambda: Spectrum._adopt(np.zeros(8, dtype=np.complex128), 8, DenseFactor(1),
-                                         duration)):
-        with pytest.raises(ValueError, match="duration must be positive and finite"):
+                                         duration),
+                 lambda: bin_frequency(1, DenseFactor(1), duration)):
+        with pytest.raises(ValueError) as info:
             make()
+        assert str(info.value) == f"duration T must be a positive finite number, got {duration!r}"
+
+
+@pytest.mark.parametrize("duration", [2, 2.0, np.float64(2.0)])
+def test_signal_and_spectrum_store_the_duration_as_a_float(duration):
+    for value in (Signal(np.ones(8), duration), Spectrum(np.zeros(8), 8, DenseFactor(1), duration)):
+        assert type(value.duration) is float and value.duration == 2.0
 
 
 def test_spectrum_bin_count_must_match():
@@ -206,7 +221,7 @@ def test_adopt_rejects_another_dtype(dtype):
 def test_adopt_checks_the_pair_and_duration_like_the_public_constructor():
     with pytest.raises(IncompatibleAlphaError):
         Spectrum._adopt(np.zeros(6, dtype=np.complex128), 4, DenseFactor(3, 8))
-    with pytest.raises(ValueError, match="duration must be positive"):
+    with pytest.raises(ValueError, match="duration T must be a positive finite number"):
         Spectrum._adopt(np.zeros(8, dtype=np.complex128), 4, DenseFactor(2), 0.0)
 
 

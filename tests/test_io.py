@@ -115,13 +115,18 @@ def test_csv_errors_carry_line_numbers(tmp_path, body, bad_line, fragment):
 
 
 def test_compute_names_the_line_of_an_undecodable_byte(tmp_path, capsys):
-    path, out = tmp_path / "s.csv", tmp_path / "out.csv"
-    path.write_bytes(b"index,re,im\n0,1,0\n1,\xff,0\n")
-    assert cli.main(["compute", "--input", str(path), "--output", str(out)]) == cli.EXIT_PARSE_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: line 3: byte 0xff is not ")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert not out.exists()
+    out = tmp_path / "out.csv"
+    for name, data in [("s.csv", b"index,re,im\n0,1,0\n1,\xff,0\n"),
+                       ("lf.json", b'{"T": 1,\n "samples": [1,\n 2, "\xff"]}\n'),
+                       ("crlf.json", b'{"T": 1,\r\n "samples": [1,\r\n 2, "\xff"]}\r\n')]:
+        path = tmp_path / name
+        path.write_bytes(data)
+        code = cli.main(["compute", "--input", str(path), "--output", str(out)])
+        assert code == cli.EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: byte 0xff is not ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
 
 
 def test_read_signal_csv_is_bitwise_the_cell_by_cell_parse(tmp_path):
@@ -372,6 +377,6 @@ def test_public_names():
                    if not name.startswith("_") and not inspect.ismodule(value)
                    and getattr(value, "__module__", alpha_io.__name__) == alpha_io.__name__)
     assert names == [
-        "SignalParseError", "TIME_UNIFORMITY_RTOL", "WRITE_BLOCK_ROWS", "check_duration",
-        "read_signal", "read_signal_csv", "read_signal_json", "write_csv", "write_spectrum",
+        "SignalParseError", "TIME_UNIFORMITY_RTOL", "WRITE_BLOCK_ROWS", "read_signal",
+        "read_signal_csv", "read_signal_json", "write_csv", "write_spectrum",
     ]
