@@ -12,16 +12,22 @@ decodes them under one rule (``_text``, where the first line holding a byte
 that does not decode is a bad line), and scans the lines up to the header
 for metadata.  When the rest is clean -- ASCII rows ended by LF alone, no
 comment, blank line or whitespace, and the header's number of commas in
-every row, all checked with a few whole-text and numpy operations -- it is
-split into cells in one go; otherwise the remaining lines are read one by
-one.  Either way numpy then parses each number column, applying Python's
-``int`` or ``float`` to every cell, and only when it rejects a column are
-the rows walked cell by cell, to name the first bad cell and its line.  A
-JSON sample list of all numbers or all number pairs is converted in one
-``np.fromiter``; any other list is walked entry by entry, to name the first
-bad sample.  Both shortcuts give the values, bit for bit, and the errors of
-the walks they skip.  JSON is decoded strictly: a byte that does not decode
-is an error there too, naming its line, never a character inside a string.
+every row, all checked with a few whole-text and numpy operations -- it
+goes on as one block; otherwise the remaining lines are read one by one
+and joined by LF.  Either way ``np.loadtxt``, numpy's C tokenizer, then
+parses the rows without a Python object per cell: each float with the
+parser under ``float()``, and the index as an int64 only where ``int()``
+reads the same number.  It is fed the rows' UTF-8 bytes, since an
+``io.StringIO`` would hold the text at 4 bytes per character.  Only when
+numpy refuses the rows, or reads an index out of order, are they walked
+cell by cell with ``int()`` and ``float()``: to name the first bad cell and
+its line, or to accept what only those accept (``1_0``, Arabic-Indic
+digits).  A JSON sample list of all numbers or all number pairs is
+converted in one ``np.fromiter``; any other list is walked entry by entry,
+to name the first bad sample.  Both shortcuts give the values, bit for
+bit, and the errors of the walks they skip.  JSON is decoded strictly: a
+byte that does not decode is an error there too, naming its line, never a
+character inside a string.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
 header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
@@ -32,6 +38,7 @@ header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
 import io
 import json
 import re
+import warnings
 from itertools import chain
 from pathlib import Path
 
@@ -117,27 +124,35 @@ def _parse_metadata(line_text, line_no, metadata):
                 raise SignalParseError(f"expected an integer N, got {raw.strip()!r}", line_no) from None
 
 
-def _parse_columns(cells, line_nos, index_label, positions) -> list:
-    """The float columns at ``positions`` of a CSV's data cells, as arrays.
+def _parse_columns(rows, line_nos, header) -> list:
+    """The float columns of a CSV's data rows, at the positions its header's layout lists.
 
-    ``cells`` are the cells of the data rows in order, the same number per
-    row, and ``line_nos`` the rows' 1-based line numbers.  With an
-    ``index_label``, column 0 must read 0, 1, 2, ... as integers.  A
-    malformed file raises the error of its first bad row, the row's cells
-    checked from the left.
+    ``rows`` is the UTF-8 text of the data rows joined by LF, each row with
+    the ``header``'s number of commas, and ``line_nos`` the rows' 1-based
+    line numbers.  With an index label, column 0 must read 0, 1, 2, ... as
+    integers.  A malformed file raises the error of its first bad row, the
+    row's cells checked from the left.
     """
-    width = len(cells) // len(line_nos)
-    try:
-        # numpy reads each index cell with Python's int, so a column that
-        # passes is one the walk below accepts.
-        if index_label is None or np.array_equal(
-            np.array(cells[::width], dtype=np.int64), np.arange(len(line_nos))
-        ):
-            return [np.array(cells[k::width], dtype=float) for k in positions]
-    except (ValueError, OverflowError):  # some cell is not a number to int or float
-        pass
+    index_label, positions = _SIGNAL_LAYOUTS[header]
+    dtype = [(name, np.int64 if name == index_label else float) for name in header]
+    # numpy's tokenizer reads each cell with the parser under float(), or as
+    # an int64 that int() reads the same, and refuses the rest: ``#`` and
+    # quotes stay cell text, and a warning (an older numpy reading an integer
+    # through a float) is refused too.  It skips blank lines, hence the count.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(io.BytesIO(rows), delimiter=",", comments=None, ndmin=1,
+                               dtype=dtype, encoding="utf-8")
+        except (ValueError, Warning):
+            table = None
+    if table is not None and len(table) == len(line_nos) and (
+        index_label is None or np.array_equal(table[index_label], np.arange(len(line_nos)))
+    ):
+        return [table[header[k]] for k in positions]
     # Cell by cell, stripped: float() rejects some characters that strip() removes.
-    cells = [cell.strip() for cell in cells]
+    width = len(header)
+    cells = [cell.strip() for cell in rows.decode().replace("\n", ",").split(",")]
     for position, line_no in enumerate(line_nos):
         row = cells[position * width:(position + 1) * width]
         if index_label is not None:
@@ -156,8 +171,8 @@ def _parse_columns(cells, line_nos, index_label, positions) -> list:
     return [np.array(cells[k::width], dtype=float) for k in positions]
 
 
-def _clean_rows(rows_text, commas) -> int:
-    """The number of rows in ``rows_text`` when it is clean, else 0.
+def _clean_rows(raw, commas) -> int:
+    """The number of rows in the bytes ``raw`` when they are clean, else 0.
 
     Clean means ASCII rows split by LF alone, each with exactly ``commas``
     commas, no ``#`` and no byte at or below the space other than the row
@@ -165,10 +180,7 @@ def _clean_rows(rows_text, commas) -> int:
     other line break.  Such rows are their own stripped lines, so their
     cells are the per-line loop's cells.
     """
-    if not rows_text.isascii():
-        return 0
-    raw = rows_text.encode("ascii")
-    if b"#" in raw:
+    if not raw.isascii() or b"#" in raw:
         return 0
     codes = np.frombuffer(raw, dtype=np.uint8)
     breaks = np.flatnonzero(codes == 10)
@@ -192,10 +204,13 @@ def _text(data):
     return io.TextIOWrapper(io.BytesIO(data), newline="", errors="surrogateescape")
 
 
-def _rows_text(data, offset):
-    """The text of ``data`` after its first ``offset`` characters, less one final LF."""
+def _rows_bytes(data, offset):
+    """The text of ``data`` after its first ``offset`` characters, less one final LF, in UTF-8.
+
+    A byte that does not decode comes back as itself, so such rows are not ASCII.
+    """
     text = _text(data).read()
-    return text[offset:len(text) - text.endswith("\n")]
+    return text[offset:len(text) - text.endswith("\n")].encode(errors="surrogateescape")
 
 
 def _read_csv(path):
@@ -205,9 +220,9 @@ def _read_csv(path):
     columns, line_nos): ``metadata`` holds the ``T`` and ``N`` comments
     found, ``columns`` is None when there is no data row, and ``line_nos``
     holds each data row's 1-based line.  Clean rows after the header (see
-    _clean_rows) are split into cells in one go.  Anything else goes on
-    line by line without the decoded text, and the first line holding a
-    byte that does not decode is reported like any other bad line.
+    _clean_rows) go to numpy as they are.  Anything else goes on line by
+    line without the decoded text, and the first line holding a byte that
+    does not decode is reported like any other bad line.
     """
     data = Path(path).read_bytes()
     lines = _text(data)
@@ -232,14 +247,12 @@ def _read_csv(path):
                 expected = " or ".join(f"'{','.join(names)}'" for names in _SIGNAL_LAYOUTS)
                 raise SignalParseError(f"expected header {expected}, got {stripped!r}", line_no)
             commas = len(header) - 1
-            rows_text = _rows_text(data, offset)
-            count = _clean_rows(rows_text, commas)
+            rows_bytes = _rows_bytes(data, offset)
+            count = _clean_rows(rows_bytes, commas)
             if count:
-                cells = rows_text.replace("\n", ",").split(",")
                 line_nos = range(line_no + 1, line_no + 1 + count)
-                columns = _parse_columns(cells, line_nos, *_SIGNAL_LAYOUTS[header])
-                return metadata, header, columns, line_nos
-            rows_text = None  # the loop reads on from ``lines`` alone
+                return metadata, header, _parse_columns(rows_bytes, line_nos, header), line_nos
+            rows_bytes = None  # the loop reads on from ``lines`` alone
         elif stripped.count(",") != commas:
             raise SignalParseError(
                 f"expected {len(header)} columns, got {stripped.count(',') + 1}", line_no
@@ -249,11 +262,11 @@ def _read_csv(path):
             line_nos.append(line_no)
     if not rows:
         return metadata, header, None, line_nos
-    # The row strings go before the split: each of them and the cells takes
-    # a few times the text's size.
-    text, rows = ",".join(rows), None
-    columns = _parse_columns(text.split(","), line_nos, *_SIGNAL_LAYOUTS[header])
-    return metadata, header, columns, line_nos
+    # The file's bytes go before the rows are joined, and the row strings
+    # before the text is encoded: each takes the text's size or more.
+    data = lines = None
+    text, rows = "\n".join(rows), None
+    return metadata, header, _parse_columns(text.encode(), line_nos, header), line_nos
 
 
 def _complex(real, imag) -> np.ndarray:

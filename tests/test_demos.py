@@ -18,8 +18,8 @@ def test_demos_are_found():
     assert len(DEMOS) >= 4
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(script, tmp_path):
+def run_demo(script, tmp_path):
+    """The script's stdout, run with warnings as errors; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     # A demo may write scratch files only where it removes them again: with
@@ -29,6 +29,21 @@ def test_demo_runs(script, tmp_path):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert not any(tmp_path.iterdir()), sorted(path.name for path in tmp_path.iterdir())
+    return result.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(script, tmp_path):
+    run_demo(script, tmp_path)
+
+
+def test_benchmark_report_prints_the_same_but_for_wall_times(tmp_path):
+    # Wall times are the one thing demo 04 prints that its inputs do not fix.
+    script = ROOT / "demos" / "04_benchmark_report.py"
+    masked = [re.subn(r"\d+\.\d us$", "<wall>", run_demo(script, tmp_path), flags=re.M)
+              for _ in range(2)]
+    assert masked[0] == masked[1]
+    assert masked[0][1] == 6
 
 
 def test_readme_python_blocks_run_and_their_counts_hold():

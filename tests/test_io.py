@@ -1,6 +1,7 @@
 import inspect
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,35 @@ def test_compute_names_the_line_of_an_undecodable_byte(tmp_path, capsys):
         assert err.startswith(f"error: {path}: line 3: byte 0xff is not ")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
+
+
+def test_compute_refuses_an_index_that_reads_only_as_a_float(tmp_path, capsys):
+    # numpy's reader must not take 1.0 as the index 1: it goes to int(), as
+    # in a file that is clean and in one read line by line.
+    out = tmp_path / "out.csv"
+    for name, end in (("lf.csv", "\n"), ("crlf.csv", "\r\n")):
+        path = write(tmp_path, name, end.join(["index,re,im", "0,1,0", "1.0,2,0", ""]).encode())
+        code = cli.main(["compute", "--input", str(path), "--output", str(out)])
+        assert code == cli.EXIT_PARSE_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: expected an integer index, got '1.0'\n")
+        assert not out.exists()
+
+
+def test_a_warning_from_numpys_reader_sends_the_rows_to_the_walk(tmp_path, monkeypatch):
+    # An older numpy reads 1.0 as the index 1 and only warns; the walk's
+    # error must win over whatever such a reader returns.
+    def warns(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return np.array([(0, 1.0, 0.0), (1, 2.0, 0.0)],
+                        dtype=[("index", np.int64), ("re", float), ("im", float)])
+
+    monkeypatch.setattr(alpha_io.np, "loadtxt", warns)
+    path = write(tmp_path, "s.csv", "index,re,im\n0,1,0\n1.0,2,0\n")
+    with pytest.raises(SignalParseError, match="expected an integer index, got '1.0'") as info:
+        read_signal_csv(path)
+    assert info.value.line == 3
 
 
 def test_read_signal_csv_is_bitwise_the_cell_by_cell_parse(tmp_path):
@@ -368,6 +398,21 @@ def test_line_by_line_read_peaks_near_the_whole_text_read(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks["crlf.csv"] <= 1.15 * peaks["lf.csv"]
+
+
+def test_clean_read_peaks_under_five_and_a_half_times_the_file(tmp_path):
+    # numpy reads the rows from their bytes: no string per cell, and no
+    # io.StringIO, which holds the text at 4 bytes per character.
+    rng = np.random.default_rng(9)
+    path = tmp_path / "s.csv"
+    write_signal_csv(path, rng.normal(size=65536) + 1j * rng.normal(size=65536))
+    tracemalloc.start()
+    try:
+        read_signal(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * path.stat().st_size
 
 
 def test_public_names():

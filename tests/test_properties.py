@@ -281,8 +281,9 @@ def outcome(read, *args):
     return ("csv", repr(metadata), header, columns, list(line_nos))
 
 
-ODD_INDEX = st.sampled_from(["01", "+1", "1_0", "١٢", "-0", "x", "9" * 30, "", "2.0"])
-ODD_CELL = st.sampled_from(["1_0", "١٢", "", "abc", "nan", "-inf", "1e400", "-0.0", "0x1"])
+ODD_INDEX = st.sampled_from(["01", "+1", "1_0", "١٢", "-0", "x", "9" * 30, "", "2.0", "1e0"])
+ODD_CELL = st.sampled_from(["1_0", "١٢", "", "abc", "nan", "-inf", "1e400", "-0.0", "0x1",
+                            "1#", "'1'", "1j", "infinity", "+nan", "1" + "0" * 400])
 PAD = st.sampled_from([" ", "\t", "\x1c", "\x0b", " \t"])
 BETWEEN = st.sampled_from(["", "  ", "\t", "# note", "# T=2.5", "# N=x", "# alpha=x", "\x1c"])
 LINE_END = st.sampled_from(["\r\n", "\r"])
@@ -347,6 +348,11 @@ def differential_csv(draw):
 @example("time,value\n0,1\n#0.5,2\n1,3\n")
 @example("index,re,im\n0,1.0\r,2.0\n")
 @example("# N=2\n# alpha=1/2\n# T=1\nindex,re,im\n0,1,0\n\n1,1,1")
+# numpy's reader must leave ``#`` and quotes in the cell, and read no
+# integer through a float.
+@example("index,re,im\n0,1,2#3\n")
+@example('index,re,im\n0,"1",2\n')
+@example("index,re,im\n0,1,2\n1e0,3,4\n")
 def test_read_csv_is_the_per_line_loop(fuzz_dir, text):
     path = fuzz_dir / "d.csv"
     path.write_bytes(text.encode("utf-8"))
