@@ -23,7 +23,7 @@ ALPHAS = [DenseFactor(1, 8), DenseFactor(1, 4), DenseFactor(1, 2),
           DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)]
 
 skipped = []
-records = run_grid(NS, ALPHAS, methods=("alpha_fft", "zeropad_fft"),
+records = run_grid(NS, ALPHAS, methods=("fft", "zeropad"),
                    reps=5, seed=0, skipped=skipped)
 print(f"measured {len(records)} grid cells "
       f"({len(skipped)} skipped: zero-padding cannot thin, alpha < 1)")

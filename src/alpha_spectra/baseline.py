@@ -32,14 +32,6 @@ from .core import (
 METHODS = ("auto", "fft", "naive", "zeropad")
 
 
-class PaddingAlphaError(IncompatibleAlphaError):
-    """Zero-padding cannot thin a spectrum: alpha < 1."""
-
-    def __init__(self, n, p, q):
-        self.n, self.p, self.q = n, p, q
-        ValueError.__init__(self, f"zero-padding needs alpha >= 1, got {p}/{q}")
-
-
 def executor(n: int, alpha: DenseFactor, method: str = "auto"):
     """The one executor table: check and plan ``method`` at (N, alpha), return ``(run, name)``.
 
@@ -51,7 +43,7 @@ def executor(n: int, alpha: DenseFactor, method: str = "auto"):
         raise ValueError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
     if method == "zeropad":
         if alpha.p < alpha.q:  # refused before the pair is checked, whatever N is
-            raise PaddingAlphaError(n, alpha.p, alpha.q)
+            raise IncompatibleAlphaError(f"zero-padding needs alpha >= 1, got {alpha}")
         m = validate_pair(n, alpha)[1]
         if not is_power_of_two(m):
             raise UnsupportedSizeError(

@@ -27,9 +27,6 @@ from . import baseline, fastpath
 from .core import DenseFactor, Signal, validate_pair
 from .verify import random_unit_disk
 
-#: The bench's methods, each with the ``baseline.executor`` method it times.
-METHODS = {"alpha_fft": "fft", "zeropad_fft": "zeropad", "naive": "naive"}
-
 #: Repetitions of a naive cell at most: its quadratic cost makes 20 impractical at large N.
 NAIVE_REPS = 3
 
@@ -58,7 +55,7 @@ class BenchRecord:
     repetitions: int
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in baseline.METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.complex_mults < 0 or self.complex_adds < 0:
             raise ValueError("operation counts cannot be negative")
@@ -140,44 +137,47 @@ def _min_wall_seconds(run, reps: int) -> float:
 
 
 def _prepare_cell(n, alpha, method, signal_of):
-    """Build the timed closure and take the exact counts (untimed).
+    """Build the timed closure, name the method it runs and take the exact counts (untimed).
 
     ``baseline.executor`` checks and plans the cell, so its ValueError (an
     invalid pair, or sizes the method cannot take) says why a cell cannot
-    run.  Only a cell that passes asks ``signal_of(n)`` for its signal.
+    run; ``auto`` becomes the method it picks.  Only a cell that passes
+    asks ``signal_of(n)`` for its signal.
     """
-    run, _ = baseline.executor(n, alpha, METHODS[method])
+    run, name = baseline.executor(n, alpha, method)
     signal = signal_of(n)
-    if method == "naive":
+    if name == "naive":
         m = n * alpha.p // alpha.q
         # The matrix product performs exactly N*M multiplies and (N-1)*M adds.
-        return (lambda: run(signal)), n * m, (n - 1) * m
+        return (lambda: run(signal)), name, n * m, (n - 1) * m
     counter = fastpath.OpCounter()
     run(signal, counter)
-    return (lambda: run(signal)), counter.complex_mults, counter.complex_adds
+    return (lambda: run(signal)), name, counter.complex_mults, counter.complex_adds
 
 
 def run_grid(
     ns,
     alphas,
-    methods=("alpha_fft", "zeropad_fft"),
+    methods=("fft", "zeropad"),
     reps: int = 20,
     seed: int = 0,
     skipped: list | None = None,
 ) -> list:
     """Measure every runnable (N, alpha, method) cell of the grid.
 
-    Returns one BenchRecord per runnable cell, in grid order.  A cell whose
-    preparation raises ValueError (an invalid pair, or sizes the method
-    cannot take) is skipped, not fatal; pass a list through ``skipped`` to
-    collect them with the reason.  An unknown method raises ValueError up
-    front.  Signals are random complex samples from the unit disk, drawn
-    only for an N with a runnable cell and deterministic in ``seed``, so
-    counts are reproducible (they do not depend on the data at all) and
-    timings comparable.  The naive method runs at most NAIVE_REPS repetitions.
+    Returns one BenchRecord per runnable cell, in grid order, labelled with
+    the method ``baseline.executor`` runs (``auto`` as ``fft`` or
+    ``naive``).  A cell whose preparation raises ValueError (an invalid
+    pair, or sizes the method cannot take) is skipped, not fatal; pass a
+    list through ``skipped`` to collect them with the reason.  An unknown
+    method raises ValueError up front.  Signals are random complex samples
+    from the unit disk, drawn only for an N with a runnable cell and
+    deterministic in ``seed``, so counts are reproducible (they do not
+    depend on the data at all) and timings comparable.  The naive method
+    runs at most NAIVE_REPS repetitions.
     """
     for method in methods:
-        if method not in METHODS:
+        if method not in baseline.METHODS:
             raise ValueError(f"unknown method {method!r}")
     rng = np.random.default_rng(seed)
     signal_of = functools.cache(lambda n: Signal(random_unit_disk(rng, n)))
@@ -187,15 +187,15 @@ def run_grid(
         for alpha in alphas:
             for method in methods:
                 try:
-                    run, mults, adds = _prepare_cell(n, alpha, method, signal_of)
+                    run, name, mults, adds = _prepare_cell(n, alpha, method, signal_of)
                 except ValueError as exc:
                     if skipped is not None:
                         skipped.append({"N": n, "alpha_p": alpha.p, "alpha_q": alpha.q,
                                         "method": method, "reason": str(exc)})
                     continue
-                cell_reps = min(reps, NAIVE_REPS) if method == "naive" else reps
+                cell_reps = min(reps, NAIVE_REPS) if name == "naive" else reps
                 wall = _min_wall_seconds(run, cell_reps)
-                records.append(BenchRecord(n, alpha, method, mults, adds, wall, cell_reps))
+                records.append(BenchRecord(n, alpha, name, mults, adds, wall, cell_reps))
     return records
 
 
@@ -206,7 +206,7 @@ def _log2_int(n: int) -> int:
 def check_alpha_gt1_savings(records) -> ClaimVerdict:
     """Exact multiply savings of the direct dense transform over padding.
 
-    Each alpha_fft record at alpha > 1 with a zeropad_fft record at the same
+    Each fft record at alpha > 1 with a zeropad record at the same
     (N, alpha) is judged, in record order: the count gap must equal
     (alpha*N/2) * log2(alpha) exactly -- growing in proportion to
     alpha*N*log(alpha) across the grid.
@@ -215,8 +215,8 @@ def check_alpha_gt1_savings(records) -> ClaimVerdict:
     verdict = ClaimVerdict("alpha_gt1_savings", True)
     for i, fast in enumerate(records):
         n, alpha = fast.n, fast.alpha
-        j = by_cell.get((n, alpha, "zeropad_fft"))
-        if fast.method != "alpha_fft" or alpha.p <= alpha.q or j is None:
+        j = by_cell.get((n, alpha, "zeropad"))
+        if fast.method != "fft" or alpha.p <= alpha.q or j is None:
             continue
         pad = records[j]
         _, m = validate_pair(n, alpha)
@@ -232,7 +232,7 @@ def check_alpha_gt1_savings(records) -> ClaimVerdict:
         )
     if not verdict.details:
         raise IncompleteGridError(
-            "no (alpha_fft, zeropad_fft) record pairs with alpha > 1 in the grid"
+            "no (fft, zeropad) record pairs with alpha > 1 in the grid"
         )
     return verdict
 
@@ -240,7 +240,7 @@ def check_alpha_gt1_savings(records) -> ClaimVerdict:
 def check_alpha_lt1_savings(records) -> ClaimVerdict:
     """Exact multiply savings of a shortened spectrum over the full FFT.
 
-    Compares each alpha < 1 alpha_fft record, in record order, against the
+    Compares each alpha < 1 fft record, in record order, against the
     alpha = 1 record at the same N.  The gap must equal (N/2)*log2(N) -
     (M/2)*log2(M) exactly (M = alpha*N) and is never below the per-level
     floor (N/2)*log2(1/alpha).  Cells with M < MIN_LT1_BINS are
@@ -252,8 +252,8 @@ def check_alpha_lt1_savings(records) -> ClaimVerdict:
     verdict = ClaimVerdict("alpha_lt1_savings", True)
     for i, fast in enumerate(records):
         n, alpha = fast.n, fast.alpha
-        j = by_cell.get((n, DenseFactor(1), "alpha_fft"))
-        if fast.method != "alpha_fft" or alpha.p >= alpha.q or j is None:
+        j = by_cell.get((n, DenseFactor(1), "fft"))
+        if fast.method != "fft" or alpha.p >= alpha.q or j is None:
             continue
         _, m = validate_pair(n, alpha)
         if m < MIN_LT1_BINS:
@@ -275,7 +275,7 @@ def check_alpha_lt1_savings(records) -> ClaimVerdict:
         )
     if not verdict.details:
         raise IncompleteGridError(
-            f"need alpha < 1 alpha_fft records with alpha*N >= {MIN_LT1_BINS} "
+            f"need alpha < 1 fft records with alpha*N >= {MIN_LT1_BINS} "
             "plus the alpha = 1 record at the same N"
         )
     return verdict
@@ -324,7 +324,7 @@ def make_report(records, skipped: list | None = None) -> ScalingReport:
     """Attach every evaluable claim verdict to a set of records.
 
     The savings checks come first, then one ``fit_complexity`` verdict per
-    alpha of the alpha_fft records, in ascending alpha, with record_ids into
+    alpha of the fft records, in ascending alpha, with record_ids into
     ``records``.  Claims whose grid points are absent (say, no alpha < 1
     cells were requested) are left out rather than failed; the default
     command-line grid exercises all of them.
@@ -340,7 +340,7 @@ def make_report(records, skipped: list | None = None) -> ScalingReport:
         pass
     fit_groups = {}
     for i, record in enumerate(records):
-        if record.method == "alpha_fft":
+        if record.method == "fft":
             fit_groups.setdefault(record.alpha, []).append(i)
     for alpha in sorted(fit_groups, key=lambda a: (a.p / a.q, a.p)):
         ids = fit_groups[alpha]

@@ -72,9 +72,9 @@ _seed_argument = _int_in(0)  # numpy's default_rng rejects negative seeds
 
 def _method_argument(text):
     method = text.strip()
-    if method not in bench.METHODS:
+    if method not in baseline.METHODS:
         raise argparse.ArgumentTypeError(
-            f"unknown method {method!r} (choose from {', '.join(bench.METHODS)})"
+            f"unknown method {method!r} (choose from {', '.join(baseline.METHODS)})"
         )
     return method
 
@@ -132,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)],
                            help="comma-separated densities")
     bench_cmd.add_argument("--methods", type=_list_of(_method_argument),
-                           default=["alpha_fft", "zeropad_fft"],
-                           help="comma-separated methods (alpha_fft, zeropad_fft, naive)")
+                           default=["fft", "zeropad"],
+                           help=f"comma-separated methods ({', '.join(baseline.METHODS)})")
     bench_cmd.add_argument("--reps", type=_int_in(1), default=20,
                            help="timing repetitions per cell (default 20)")
     bench_cmd.add_argument("--seed", type=_seed_argument, default=0, help="signal RNG seed")

@@ -16,15 +16,6 @@ import numpy as np
 class IncompatibleAlphaError(ValueError):
     """alpha*N is not a positive integer, so no bin grid exists."""
 
-    def __init__(self, n, p, q):
-        self.n = n
-        self.p = p
-        self.q = q
-        super().__init__(
-            f"density factor {p}/{q} is incompatible with N={n}: "
-            f"alpha*N = {p * n}/{q} is not an integer"
-        )
-
 
 class UnsupportedSizeError(ValueError):
     """The fast transform needs power-of-two sizes; fall back to the naive path."""
@@ -37,11 +28,6 @@ MAX_BINS = 1 << 28
 
 class TooManyBinsError(ValueError):
     """alpha*N exceeds MAX_BINS."""
-
-    def __init__(self, n, m):
-        self.n = n
-        self.m = m
-        super().__init__(f"alpha*N = {m} bins for N={n} exceeds the limit of {MAX_BINS} bins")
 
 
 def _is_int(value) -> bool:  # N, p and q: an int, not a bool
@@ -102,10 +88,12 @@ def validate_pair(n: int, alpha: DenseFactor) -> tuple[int, int]:
         raise ValueError(f"signal length must be an integer >= 1, got {n!r}")
     numerator = n * alpha.p
     if numerator % alpha.q != 0:
-        raise IncompatibleAlphaError(n, alpha.p, alpha.q)
+        raise IncompatibleAlphaError(f"density factor {alpha} is incompatible with N={n}: "
+                                     f"alpha*N = {numerator}/{alpha.q} is not an integer")
     m = numerator // alpha.q
     if m > MAX_BINS:
-        raise TooManyBinsError(n, m)
+        raise TooManyBinsError(f"alpha*N = {m} bins for N={n} "
+                               f"exceeds the limit of {MAX_BINS} bins")
     return n, m
 
 

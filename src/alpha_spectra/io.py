@@ -8,13 +8,13 @@ other comment is ignored) or as JSON.  Spectra go out as CSV with
 digits, which round-trips doubles exactly.
 
 The CSV reader works on whole columns.  It reads the file's bytes once,
-decodes them under one rule (``_text``, where the first line holding a byte
-that does not decode is a bad line), and scans the lines up to the header
-for metadata.  When the rest is clean -- ASCII rows ended by LF alone, no
-comment, blank line or whitespace, and the header's number of commas in
-every row, all checked with a few whole-text and numpy operations -- it
-goes on as one block; otherwise the remaining lines are read one by one
-and joined by LF.  Either way ``np.loadtxt``, numpy's C tokenizer, then
+decodes them under one rule (``_text``: CRLF and CR line ends read as LF,
+and the first line holding a byte that does not decode is a bad line), and
+scans the lines up to the header for metadata.  When the rest is clean --
+ASCII rows split by LF, no comment, blank line or whitespace, and the
+header's number of commas in every row, all checked with a few whole-text
+and numpy operations -- it goes on as one block; otherwise the remaining
+lines are read one by one and joined by LF.  Either way ``np.loadtxt``, numpy's C tokenizer, then
 parses the rows without a Python object per cell: each float with the
 parser under ``float()``, and the index as an int64 only where ``int()``
 reads the same number.  It is fed the rows' UTF-8 bytes, since an
@@ -177,8 +177,9 @@ def _clean_rows(raw, commas) -> int:
     Clean means ASCII rows split by LF alone, each with exactly ``commas``
     commas, no ``#`` and no byte at or below the space other than the row
     breaks: nothing for strip() to remove, no blank or comment line and no
-    other line break.  Such rows are their own stripped lines, so their
-    cells are the per-line loop's cells.
+    other line break.  ``raw`` comes from ``_text``, so a CRLF or CR file's
+    rows are split by LF too.  Such rows are their own stripped lines, so
+    their cells are the per-line loop's cells.
     """
     if not raw.isascii() or b"#" in raw:
         return 0
@@ -200,8 +201,8 @@ def _clean_rows(raw, commas) -> int:
 
 
 def _text(data):
-    """``data`` as open()'s default encoding reads it, untranslated, undecodable bytes escaped."""
-    return io.TextIOWrapper(io.BytesIO(data), newline="", errors="surrogateescape")
+    """``data`` as open() reads it by default, CRLF and CR as LF, undecodable bytes escaped."""
+    return io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape")
 
 
 def _rows_bytes(data, offset):
@@ -350,8 +351,10 @@ def read_signal_json(path) -> Signal:
     except json.JSONDecodeError as exc:
         raise SignalParseError(exc.msg, exc.lineno) from None
     except UnicodeDecodeError as exc:  # read_text decodes all at once: ``start`` is a file offset
+        # Lines end where read_text and json see them end: at CRLF, CR or LF.
+        line = _text(exc.object[:exc.start]).read().count("\n") + 1
         raise SignalParseError(f"byte 0x{exc.object[exc.start]:02x} is not {exc.encoding} text",
-                               exc.object.count(b"\n", 0, exc.start) + 1) from None
+                               line) from None
     except ValueError as exc:  # an integer past the digit limit
         raise SignalParseError(str(exc), 1) from None
     except RecursionError:  # arrays or objects nested past the interpreter's recursion limit

@@ -29,30 +29,30 @@ def record_for(records, n, alpha, method):
 # ------------------------------------------------------------------- records
 
 def test_record_validation():
-    good = BenchRecord(8, DenseFactor(2), "alpha_fft", 24, 48, 1e-6, 3)
+    good = BenchRecord(8, DenseFactor(2), "fft", 24, 48, 1e-6, 3)
     assert good.to_row() == {
-        "N": 8, "alpha_p": 2, "alpha_q": 1, "method": "alpha_fft",
+        "N": 8, "alpha_p": 2, "alpha_q": 1, "method": "fft",
         "mults": 24, "adds": 48, "wall_ns": 1000, "reps": 3,
     }
     with pytest.raises(ValueError):
         BenchRecord(8, DenseFactor(2), "butterfly", 24, 48, 1e-6, 3)
     with pytest.raises(ValueError):
-        BenchRecord(8, DenseFactor(2), "alpha_fft", -1, 48, 1e-6, 3)
+        BenchRecord(8, DenseFactor(2), "fft", -1, 48, 1e-6, 3)
     with pytest.raises(ValueError):
-        BenchRecord(8, DenseFactor(2), "alpha_fft", 24, 48, 0.0, 3)
+        BenchRecord(8, DenseFactor(2), "fft", 24, 48, 0.0, 3)
     with pytest.raises(ValueError):
-        BenchRecord(8, DenseFactor(2), "alpha_fft", 24, 48, 1e-6, 0)
+        BenchRecord(8, DenseFactor(2), "fft", 24, 48, 1e-6, 0)
 
 
 @pytest.mark.parametrize("n, alpha, method, ok", [
-    (256, DenseFactor(2), "alpha_fft", True),
-    (256, DenseFactor(2), "zeropad_fft", True),
+    (256, DenseFactor(2), "fft", True),
+    (256, DenseFactor(2), "zeropad", True),
     (256, DenseFactor(2), "naive", True),
-    (12, DenseFactor(1), "alpha_fft", False),     # N not a power of two
-    (8, DenseFactor(3, 2), "alpha_fft", False),   # M = 12 not a power of two
-    (12, DenseFactor(3, 2), "naive", True),       # naive has no size limits
-    (8, DenseFactor(1, 3), "naive", False),       # M = 8/3 not an integer
-    (8, DenseFactor(1, 2), "zeropad_fft", False),  # padding cannot thin
+    (12, DenseFactor(1), "fft", False),        # N not a power of two
+    (8, DenseFactor(3, 2), "fft", False),      # M = 12 not a power of two
+    (12, DenseFactor(3, 2), "naive", True),    # naive has no size limits
+    (8, DenseFactor(1, 3), "naive", False),    # M = 8/3 not an integer
+    (8, DenseFactor(1, 2), "zeropad", False),  # padding cannot thin
 ])
 def test_cell_validity(n, alpha, method, ok):
     skipped = []
@@ -71,7 +71,7 @@ def test_cell_validity_reason_text():
 
 def test_zeropad_refusal_names_the_input_length():
     skipped = []
-    run_grid([12], [DenseFactor(3)], methods=("zeropad_fft",), skipped=skipped, **FAST_KW)
+    run_grid([12], [DenseFactor(3)], methods=("zeropad",), skipped=skipped, **FAST_KW)
     (cell,) = skipped
     assert cell["reason"].startswith(
         "zero-padding needs a power-of-two alpha*N, got N=12, alpha*N=36;")
@@ -79,15 +79,15 @@ def test_zeropad_refusal_names_the_input_length():
 
 def test_grid_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method 'typo'"):
-        run_grid([8], [DenseFactor(2)], methods=("alpha_fft", "typo"), **FAST_KW)
+        run_grid([8], [DenseFactor(2)], methods=("fft", "typo"), **FAST_KW)
 
 
 # ------------------------------------------------------------------ run_grid
 
 def test_grid_counts_are_exact():
     records = run_grid([256], [DenseFactor(2)], **FAST_KW)
-    fast = record_for(records, 256, DenseFactor(2), "alpha_fft")
-    pad = record_for(records, 256, DenseFactor(2), "zeropad_fft")
+    fast = record_for(records, 256, DenseFactor(2), "fft")
+    pad = record_for(records, 256, DenseFactor(2), "zeropad")
     assert fast.complex_mults == 2048   # (512/2) * log2(256)
     assert pad.complex_mults == 2304    # (512/2) * log2(512)
     assert fast.complex_adds == 512 * 8
@@ -102,10 +102,19 @@ def test_grid_naive_counts():
     assert naive.repetitions == 3      # capped at NAIVE_REPS
 
 
+def test_grid_records_the_method_auto_runs():
+    # auto is timed as what compute runs by default, under that method's name:
+    # naive where the fast kernel cannot take the pair, fft where it can.
+    records = run_grid([12, 16], [DenseFactor(1)], methods=("auto",), reps=5)
+    assert [(r.n, r.method) for r in records] == [(12, "naive"), (16, "fft")]
+    assert [r.repetitions for r in records] == [3, 5]
+    assert records[1].complex_mults == 32  # (16/2) * log2(16)
+
+
 def test_grid_collects_skips():
     skipped = []
     records = run_grid([8, 12], [DenseFactor(1), DenseFactor(3, 2)],
-                       methods=("alpha_fft",), skipped=skipped, **FAST_KW)
+                       methods=("fft",), skipped=skipped, **FAST_KW)
     assert [(r.n, str(r.alpha)) for r in records] == [(8, "1/1")]
     assert {(s["N"], s["alpha_p"], s["alpha_q"]) for s in skipped} == {
         (8, 3, 2), (12, 1, 1), (12, 3, 2)}
@@ -132,7 +141,7 @@ def test_grid_draws_signals_only_for_runnable_sizes(monkeypatch):
     # N = 7 has no integer alpha*N; N = 24 has pairs, but neither method runs
     # them (24 is not a power of two, and padding cannot thin).
     records = run_grid([7, 24, 16], [DenseFactor(1, 3), DenseFactor(1, 2)], **FAST_KW)
-    assert [(r.n, r.method) for r in records] == [(16, "alpha_fft")]
+    assert [(r.n, r.method) for r in records] == [(16, "fft")]
     assert drawn == [16]
 
 
@@ -156,7 +165,7 @@ def test_gt1_savings_needs_pairs():
 
 def test_lt1_savings_gap_exceeds_floor():
     records = run_grid([256], [DenseFactor(1, 2), DenseFactor(1)],
-                       methods=("alpha_fft",), **FAST_KW)
+                       methods=("fft",), **FAST_KW)
     verdict = check_alpha_lt1_savings(records)
     assert verdict.passed
     (detail,) = verdict.details
@@ -168,14 +177,14 @@ def test_lt1_savings_gap_exceeds_floor():
 
 def test_lt1_savings_warns_on_tiny_spectra():
     records = run_grid([256], [DenseFactor(1, 64), DenseFactor(1)],
-                       methods=("alpha_fft",), **FAST_KW)
+                       methods=("fft",), **FAST_KW)
     # alpha*N = 4 is only warned about, so no cell is judged: no verdict.
     with pytest.raises(IncompleteGridError, match="alpha\\*N >= 16"):
         check_alpha_lt1_savings(records)
 
 
 def test_lt1_savings_needs_records():
-    records = run_grid([64], [DenseFactor(2)], methods=("alpha_fft",), **FAST_KW)
+    records = run_grid([64], [DenseFactor(2)], methods=("fft",), **FAST_KW)
     with pytest.raises(IncompleteGridError):
         check_alpha_lt1_savings(records)
 
@@ -184,7 +193,7 @@ def test_lt1_savings_needs_records():
 
 def test_fit_is_exact_for_fast_path():
     records = run_grid([64, 128, 256, 512, 1024], [DenseFactor(2)],
-                       methods=("alpha_fft",), **FAST_KW)
+                       methods=("fft",), **FAST_KW)
     fit = fit_complexity(records)
     assert fit.passed
     assert fit.claim == "complexity_fit_alpha_2_1"
@@ -197,7 +206,7 @@ def test_fit_checks_the_constant():
     # Doubled counts still fit c * M * log2(min) exactly, but with c = 1.0
     # where the paper's constant is 0.5.
     records = run_grid([64, 128, 256, 512, 1024], [DenseFactor(2)],
-                       methods=("alpha_fft",), **FAST_KW)
+                       methods=("fft",), **FAST_KW)
     doubled = [dataclasses.replace(r, complex_mults=2 * r.complex_mults) for r in records]
     fit = fit_complexity(doubled)
     assert not fit.passed
@@ -207,7 +216,7 @@ def test_fit_checks_the_constant():
 
 def test_fit_needs_one_density():
     records = run_grid([64, 128, 256, 512], [DenseFactor(1), DenseFactor(2)],
-                       methods=("alpha_fft",), **FAST_KW)
+                       methods=("fft",), **FAST_KW)
     with pytest.raises(ValueError, match="one density factor"):
         fit_complexity(records)
 
@@ -222,7 +231,7 @@ def test_fit_rejects_quadratic_growth():
 
 def test_fit_needs_four_sizes():
     records = run_grid([64, 128, 256], [DenseFactor(1)],
-                       methods=("alpha_fft",), **FAST_KW)
+                       methods=("fft",), **FAST_KW)
     with pytest.raises(IncompleteGridError):
         fit_complexity(records)
 
@@ -264,7 +273,7 @@ def test_report_fit_checks_the_constant(small_report):
     # Doubled counts still fit c * M * log2(min) exactly, but with c = 1.0
     # where the paper's constant is 0.5.
     doubled = [dataclasses.replace(r, complex_mults=2 * r.complex_mults)
-               if r.method == "alpha_fft" and r.alpha == DenseFactor(2) else r
+               if r.method == "fft" and r.alpha == DenseFactor(2) else r
                for r in small_report.records]
     verdicts = {v.claim: v for v in make_report(doubled).verdicts}
     fit = verdicts["complexity_fit_alpha_2_1"]
@@ -284,7 +293,7 @@ def test_report_json_round_trip(small_report, tmp_path):
     assert all(set(v) == {"claim", "pass", "record_ids", "details", "warnings"}
                for v in data["verdicts"])
     # zeropad cells for alpha < 1 land in skipped, not in records
-    assert {s["method"] for s in data["skipped"]} == {"zeropad_fft"}
+    assert {s["method"] for s in data["skipped"]} == {"zeropad"}
 
 
 def test_records_csv_columns(small_report, tmp_path):
@@ -308,15 +317,15 @@ def assert_ids_point_at_judged_records(report):
         if verdict.claim.startswith("complexity_fit"):
             alpha = records[verdict.record_ids[0]].alpha
             assert verdict.record_ids == [i for i, r in enumerate(records)
-                                          if r.method == "alpha_fft" and r.alpha == alpha]
+                                          if r.method == "fft" and r.alpha == alpha]
             assert verdict.claim == f"complexity_fit_alpha_{alpha.p}_{alpha.q}"
             continue
-        # Each detail judged one (alpha_fft, partner) pair of ids.
+        # Each detail judged one (fft, partner) pair of ids.
         pairs = zip(verdict.record_ids[::2], verdict.record_ids[1::2])
         assert len(verdict.record_ids) == 2 * len(verdict.details)
         for detail, (i, j) in zip(verdict.details, pairs):
             assert (records[i].n, str(records[i].alpha)) == (detail["N"], detail["alpha"])
-            assert records[i].method == "alpha_fft"
+            assert records[i].method == "fft"
             assert records[i].complex_mults == detail["alpha_mults"]
             assert (records[j].n, records[j].complex_mults) == (
                 detail["N"], detail.get("zeropad_mults", detail.get("fft_mults")))
@@ -332,7 +341,7 @@ def test_report_judges_every_copy_of_a_repeated_cell():
     assert_ids_point_at_judged_records(report)
     gt1 = report.verdicts[0]
     assert gt1.claim == "alpha_gt1_savings"
-    fast_ids = [i for i, r in enumerate(records) if r.method == "alpha_fft"]
+    fast_ids = [i for i, r in enumerate(records) if r.method == "fft"]
     assert gt1.record_ids[::2] == fast_ids
     assert [d["N"] for d in gt1.details] == [64, 64, 128, 256, 512]
     assert report.all_passed

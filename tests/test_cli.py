@@ -17,7 +17,7 @@ from alpha_spectra import (
     run_grid,
     verify,
 )
-from alpha_spectra.baseline import executor
+from alpha_spectra.baseline import METHODS, executor
 
 from file_formats import read_spectrum_csv, write_signal_csv
 
@@ -141,7 +141,7 @@ def test_padding_refuses_thinning_before_checking_the_pair(tmp_path, capsys, n, 
         executor(n, density, "zeropad")
     assert str(info.value) == text
     skipped = []
-    run_grid([n], [density], methods=("zeropad_fft",), reps=1, skipped=skipped)
+    run_grid([n], [density], methods=("zeropad",), reps=1, skipped=skipped)
     assert [cell["reason"] for cell in skipped] == [text]
     path = tmp_path / "signal.csv"
     write_signal_csv(path, np.ones(n))
@@ -242,9 +242,30 @@ def test_bench_empty_grid(tmp_path, capsys):
 
 
 def test_bench_rejects_unknown_method(capsys):
-    with pytest.raises(SystemExit) as info:
-        run(["bench", "--methods", "fastest"])
-    assert info.value.code == 2
+    # The bench takes compute's method names and no other.
+    for method in ("fastest", "alpha_fft"):
+        with pytest.raises(SystemExit) as info:
+            run(["bench", "--methods", method])
+        assert info.value.code == 2
+        assert (f"unknown method '{method}' (choose from auto, fft, naive, zeropad)"
+                in capsys.readouterr().err)
+
+
+def test_bench_labels_a_record_as_compute_labels_its_spectrum(tmp_path, capsys):
+    # --methods auto times what compute runs by default, under the name
+    # compute writes as its # method= line.
+    csv_path = tmp_path / "records.csv"
+    assert run(["bench", "--grid-n", "12,16", "--grid-alpha", "1", "--methods", "auto",
+                "--reps", "1", "--csv", str(csv_path)]) == cli.EXIT_OK
+    benched = [row.split(",")[3] for row in csv_path.read_text().splitlines()[1:]]
+    computed = []
+    for n in (12, 16):
+        path, out = tmp_path / f"s{n}.csv", tmp_path / f"out{n}.csv"
+        write_signal_csv(path, np.ones(n))
+        assert run(["compute", "--input", str(path), "--output", str(out)]) == cli.EXIT_OK
+        computed += [line.split("=", 1)[1] for line in out.read_text().splitlines()
+                     if line.startswith("# method=")]
+    assert benched == computed == ["naive", "fft"]
 
 
 # -------------------------------------------------------------------- verify
@@ -477,6 +498,15 @@ def test_readme_synopsis_lists_every_flag():
                     if flag.startswith("--")} - {"--help"}
              for name, parser in commands.choices.items()}
     assert documented == flags
+
+
+def test_readme_synopsis_names_the_methods_of_compute_and_bench():
+    # compute and bench take the same method names, the executor's.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = readme.split("## Command line", 1)[1].split("```")[1]
+    listed = dict(re.findall(r"(--methods?) ([a-z|,]+)\]", synopsis))
+    assert listed["--method"].split("|") == list(METHODS)
+    assert listed["--methods"].split(",") == list(METHODS)
 
 
 def test_readme_lists_every_exit_code():

@@ -76,7 +76,8 @@ def test_validate_pair_bin_ceiling():
                      (MAX_BINS * 4, DenseFactor(1))]:
         with pytest.raises(TooManyBinsError) as info:
             validate_pair(n, alpha)
-        assert info.value.m == n * alpha.p // alpha.q
+        assert str(info.value) == (f"alpha*N = {n * alpha.p // alpha.q} bins for N={n} "
+                                   f"exceeds the limit of {MAX_BINS} bins")
     with pytest.raises(TooManyBinsError):
         plan(1, DenseFactor(10 ** 11))
 
@@ -108,12 +109,14 @@ def test_validate_pair_iff_q_divides_n():
 
 
 def test_incompatible_alpha_error_carries_context():
-    try:
+    with pytest.raises(IncompatibleAlphaError) as info:
         validate_pair(4, DenseFactor(3, 8))
-    except IncompatibleAlphaError as exc:
-        assert (exc.n, exc.p, exc.q) == (4, 3, 8)
-    else:
-        pytest.fail("expected IncompatibleAlphaError")
+    assert str(info.value) == ("density factor 3/8 is incompatible with N=4: "
+                               "alpha*N = 12/8 is not an integer")
+    with pytest.raises(IncompatibleAlphaError) as info:
+        validate_pair(2, DenseFactor(1, 4))
+    assert str(info.value) == ("density factor 1/4 is incompatible with N=2: "
+                               "alpha*N = 2/4 is not an integer")
 
 
 def test_bin_frequency_example():

@@ -119,7 +119,8 @@ def test_compute_names_the_line_of_an_undecodable_byte(tmp_path, capsys):
     out = tmp_path / "out.csv"
     for name, data in [("s.csv", b"index,re,im\n0,1,0\n1,\xff,0\n"),
                        ("lf.json", b'{"T": 1,\n "samples": [1,\n 2, "\xff"]}\n'),
-                       ("crlf.json", b'{"T": 1,\r\n "samples": [1,\r\n 2, "\xff"]}\r\n')]:
+                       ("crlf.json", b'{"T": 1,\r\n "samples": [1,\r\n 2, "\xff"]}\r\n'),
+                       ("cr.json", b'{"T": 1,\r "samples": [1,\r 2, "\xff"]}\r')]:
         path = tmp_path / name
         path.write_bytes(data)
         code = cli.main(["compute", "--input", str(path), "--output", str(out)])
@@ -367,6 +368,7 @@ def test_seventeen_digit_floats_survive(tmp_path):
 def test_written_files_take_the_whole_text_path(tmp_path, monkeypatch):
     # The signal files np.savetxt writes are clean: every row after the
     # header passes the whole-text check, so none is read line by line.
+    # Their CRLF copies are clean too: decoding reads CRLF as LF.
     counts = []
     check = alpha_io._clean_rows
 
@@ -376,28 +378,33 @@ def test_written_files_take_the_whole_text_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(alpha_io, "_clean_rows", counted)
     rng = np.random.default_rng(5)
-    write_signal_csv(tmp_path / "s.csv", rng.normal(size=40) + 1j * rng.normal(size=40), 2.0)
-    read_signal(tmp_path / "s.csv")
-    assert counts == [40]
+    lf, crlf = tmp_path / "s.csv", tmp_path / "crlf.csv"
+    write_signal_csv(lf, rng.normal(size=40) + 1j * rng.normal(size=40), 2.0)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    signals = [read_signal(path) for path in (lf, crlf)]
+    assert counts == [40, 40]
+    np.testing.assert_array_equal(signals[0].samples, signals[1].samples)
+    assert signals[0].duration == signals[1].duration
 
 
 def test_line_by_line_read_peaks_near_the_whole_text_read(tmp_path):
-    # A CRLF file fails the whole-text check; the per-line loop that reads
-    # it must not keep the decoded text or the row strings next to the cells.
+    # A space before each LF fails the whole-text check; the per-line loop
+    # that reads such a file must not keep the decoded text or the row
+    # strings next to the cells.
     rng = np.random.default_rng(8)
     lf = tmp_path / "lf.csv"
     write_signal_csv(lf, rng.normal(size=65536) + 1j * rng.normal(size=65536))
-    crlf = tmp_path / "crlf.csv"
-    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_bytes(lf.read_bytes().replace(b"\n", b" \n"))
     peaks = {}
-    for path in (lf, crlf):
+    for path in (lf, spaced):
         tracemalloc.start()
         try:
             read_signal(path)
             peaks[path.name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["crlf.csv"] <= 1.15 * peaks["lf.csv"]
+    assert peaks["spaced.csv"] <= 1.15 * peaks["lf.csv"]
 
 
 def test_clean_read_peaks_under_five_and_a_half_times_the_file(tmp_path):
