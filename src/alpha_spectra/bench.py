@@ -12,7 +12,9 @@ this counting convention, not curve fits:
               the shrunken transform also runs fewer, shorter levels.
 
 Wall times are minima over repetitions of the executors that ``compute`` runs,
-as ``baseline.executor`` plans them; plan construction is never timed.
+as ``baseline.executor`` plans them; plan construction is never timed.  A
+grid cell times each executor once, under the name ``compute`` writes for
+it, so each claim judges a cell once however the requested methods overlap.
 """
 
 import csv
@@ -55,8 +57,9 @@ class BenchRecord:
     repetitions: int
 
     def __post_init__(self):
-        if self.method not in baseline.METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        labels = [name for name in baseline.METHODS if name != "auto"]  # what executors run
+        if self.method not in labels:
+            raise ValueError(f"unknown method {self.method!r} (choose from {', '.join(labels)})")
         if self.complex_mults < 0 or self.complex_adds < 0:
             raise ValueError("operation counts cannot be negative")
         if not self.wall_time > 0 or self.repetitions < 1:
@@ -136,25 +139,6 @@ def _min_wall_seconds(run, reps: int) -> float:
     return max(best, 1) / 1e9
 
 
-def _prepare_cell(n, alpha, method, signal_of):
-    """Build the timed closure, name the method it runs and take the exact counts (untimed).
-
-    ``baseline.executor`` checks and plans the cell, so its ValueError (an
-    invalid pair, or sizes the method cannot take) says why a cell cannot
-    run; ``auto`` becomes the method it picks.  Only a cell that passes
-    asks ``signal_of(n)`` for its signal.
-    """
-    run, name = baseline.executor(n, alpha, method)
-    signal = signal_of(n)
-    if name == "naive":
-        m = n * alpha.p // alpha.q
-        # The matrix product performs exactly N*M multiplies and (N-1)*M adds.
-        return (lambda: run(signal)), name, n * m, (n - 1) * m
-    counter = fastpath.OpCounter()
-    run(signal, counter)
-    return (lambda: run(signal)), name, counter.complex_mults, counter.complex_adds
-
-
 def run_grid(
     ns,
     alphas,
@@ -165,16 +149,18 @@ def run_grid(
 ) -> list:
     """Measure every runnable (N, alpha, method) cell of the grid.
 
-    Returns one BenchRecord per runnable cell, in grid order, labelled with
-    the method ``baseline.executor`` runs (``auto`` as ``fft`` or
-    ``naive``).  A cell whose preparation raises ValueError (an invalid
-    pair, or sizes the method cannot take) is skipped, not fatal; pass a
-    list through ``skipped`` to collect them with the reason.  An unknown
-    method raises ValueError up front.  Signals are random complex samples
-    from the unit disk, drawn only for an N with a runnable cell and
-    deterministic in ``seed``, so counts are reproducible (they do not
-    depend on the data at all) and timings comparable.  The naive method
-    runs at most NAIVE_REPS repetitions.
+    Returns one BenchRecord per executor that a cell runs, in grid order,
+    labelled with the method ``baseline.executor`` runs (``auto`` as ``fft``
+    or ``naive``), its exact counts taken from one untimed run.  A method
+    that ``executor`` refuses with ValueError (an invalid pair, or sizes it
+    cannot take) or whose executor the cell already timed (``fft`` after
+    ``auto``) is skipped, not fatal; pass a list through ``skipped`` to
+    collect the skips with the reason.  An unknown method raises ValueError
+    up front.  Signals are random complex samples from the unit disk, drawn
+    only for an N with a runnable cell and deterministic in ``seed``, so
+    counts are reproducible (they do not depend on the data at all) and
+    timings comparable.  The naive method runs at most NAIVE_REPS
+    repetitions.
     """
     for method in methods:
         if method not in baseline.METHODS:
@@ -185,16 +171,28 @@ def run_grid(
     records = []
     for n in ns:
         for alpha in alphas:
+            timed = {}  # label -> the method that timed it at this cell
             for method in methods:
                 try:
-                    run, name, mults, adds = _prepare_cell(n, alpha, method, signal_of)
+                    run, name = baseline.executor(n, alpha, method)
+                    if name in timed:
+                        raise ValueError(f"{name} is timed at this cell already, as {timed[name]}")
                 except ValueError as exc:
                     if skipped is not None:
                         skipped.append({"N": n, "alpha_p": alpha.p, "alpha_q": alpha.q,
                                         "method": method, "reason": str(exc)})
                     continue
-                cell_reps = min(reps, NAIVE_REPS) if name == "naive" else reps
-                wall = _min_wall_seconds(run, cell_reps)
+                timed[name] = method
+                signal = signal_of(n)
+                if name == "naive":
+                    m = n * alpha.p // alpha.q
+                    # The matrix product performs exactly N*M multiplies and (N-1)*M adds.
+                    mults, adds, cell_reps = n * m, (n - 1) * m, min(reps, NAIVE_REPS)
+                else:
+                    counter = fastpath.OpCounter()
+                    run(signal, counter)
+                    mults, adds, cell_reps = counter.complex_mults, counter.complex_adds, reps
+                wall = _min_wall_seconds(lambda: run(signal), cell_reps)
                 records.append(BenchRecord(n, alpha, name, mults, adds, wall, cell_reps))
     return records
 
@@ -330,14 +328,11 @@ def make_report(records, skipped: list | None = None) -> ScalingReport:
     command-line grid exercises all of them.
     """
     verdicts = []
-    try:
-        verdicts.append(check_alpha_gt1_savings(records))
-    except IncompleteGridError:
-        pass
-    try:
-        verdicts.append(check_alpha_lt1_savings(records))
-    except IncompleteGridError:
-        pass
+    for check in (check_alpha_gt1_savings, check_alpha_lt1_savings):
+        try:
+            verdicts.append(check(records))
+        except IncompleteGridError:
+            pass
     fit_groups = {}
     for i, record in enumerate(records):
         if record.method == "fft":

@@ -36,6 +36,9 @@ def test_record_validation():
     }
     with pytest.raises(ValueError):
         BenchRecord(8, DenseFactor(2), "butterfly", 24, 48, 1e-6, 3)
+    # No executor runs "auto", and no claim would look at a record carrying it.
+    with pytest.raises(ValueError, match="choose from fft, naive, zeropad"):
+        BenchRecord(8, DenseFactor(2), "auto", 24, 48, 1e-6, 3)
     with pytest.raises(ValueError):
         BenchRecord(8, DenseFactor(2), "fft", -1, 48, 1e-6, 3)
     with pytest.raises(ValueError):
@@ -109,6 +112,28 @@ def test_grid_records_the_method_auto_runs():
     assert [(r.n, r.method) for r in records] == [(12, "naive"), (16, "fft")]
     assert [r.repetitions for r in records] == [3, 5]
     assert records[1].complex_mults == 32  # (16/2) * log2(16)
+
+
+def test_grid_times_each_label_of_a_cell_once():
+    # auto runs the kernel at (16, 2), so fft names an executor already timed.
+    skipped = []
+    records = run_grid([16], [DenseFactor(2)], methods=("auto", "fft", "zeropad"),
+                       reps=1, skipped=skipped)
+    assert [r.method for r in records] == ["fft", "zeropad"]
+    assert [(s["method"], s["reason"]) for s in skipped] == [
+        ("fft", "fft is timed at this cell already, as auto")]
+    assert check_alpha_gt1_savings(records).record_ids == [0, 1]
+
+
+@pytest.mark.parametrize("n, alpha, methods, reason", [
+    (16, DenseFactor(2), ("fft", "fft"), "fft is timed at this cell already, as fft"),
+    (12, DenseFactor(3, 2), ("auto", "naive"), "naive is timed at this cell already, as auto"),
+])
+def test_grid_times_a_repeated_label_once(n, alpha, methods, reason):
+    skipped = []
+    records = run_grid([n], [alpha], methods=methods, reps=1, skipped=skipped)
+    assert [r.method for r in records] == [methods[1]]
+    assert [(s["method"], s["reason"]) for s in skipped] == [(methods[1], reason)]
 
 
 def test_grid_collects_skips():

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -266,6 +267,29 @@ def test_bench_labels_a_record_as_compute_labels_its_spectrum(tmp_path, capsys):
         computed += [line.split("=", 1)[1] for line in out.read_text().splitlines()
                      if line.startswith("# method=")]
     assert benched == computed == ["naive", "fft"]
+
+
+def test_bench_times_a_repeated_label_once(tmp_path, capsys):
+    # At a power-of-two pair auto runs the kernel, so fft repeats its label in
+    # every cell: the 8 cells at alpha 2 and 1 record fft and zeropad, the 4 at
+    # alpha 1/2 (which padding cannot take) fft alone.
+    json_path = tmp_path / "r.json"
+    assert run(["bench", "--grid-n", "16,32,64,128", "--grid-alpha", "2,1/2,1",
+                "--methods", "auto,fft,zeropad", "--reps", "1",
+                "--output", str(json_path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    report = json.loads(json_path.read_text())
+    assert len(report["records"]) == 20
+    repeats = [line for line in out.splitlines()
+               if line.endswith(" fft: fft is timed at this cell already, as auto")]
+    assert [line.split()[1:3] for line in repeats] == [
+        [f"N={n}", f"alpha={a}"] for n in (16, 32, 64, 128) for a in ("2/1", "1/2", "1/1")]
+    gt1, lt1 = report["verdicts"][:2]
+    assert gt1["claim"] == "alpha_gt1_savings"
+    assert [(d["N"], d["alpha"]) for d in gt1["details"]] == [
+        (n, "2/1") for n in (16, 32, 64, 128)]
+    assert [(d["N"], d["alpha"]) for d in lt1["details"]] == [
+        (n, "1/2") for n in (32, 64, 128)]
 
 
 # -------------------------------------------------------------------- verify

@@ -12,6 +12,11 @@ alpha in {1/8, ..., 8}, to a relative tolerance of 1e-10:
 At any N <= 96 and alpha*N <= 160 the oracle's bins are also numpy's FFT of
 x padded or folded into alpha*N slots, to the same tolerance.
 
+``bench`` times each executor of a grid cell once: for any list of methods,
+repeats allowed, a cell's records carry the distinct labels that
+``baseline.executor`` returns for the methods it accepts there, and no claim
+judges a cell twice.
+
 The reader fuzz test feeds generated CSV and JSON text to ``read_signal``:
 it must return a Signal with finite samples and a positive finite duration,
 or raise SignalParseError -- never anything else.  The differential reader
@@ -30,7 +35,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from alpha_spectra import DenseFactor, Signal, naive_forward, naive_inverse, plan, transform_samples
+from alpha_spectra import (
+    DenseFactor,
+    Signal,
+    baseline,
+    make_report,
+    naive_forward,
+    naive_inverse,
+    plan,
+    run_grid,
+    transform_samples,
+)
 from alpha_spectra.baseline import _pad_or_fold, aliased_reconstruct
 from alpha_spectra.io import (
     _SIGNAL_LAYOUTS,
@@ -115,6 +130,31 @@ def test_fft_of_the_padded_or_folded_samples_is_the_transform(n, m, seed):
     assert_close(np.fft.fft(_pad_or_fold(signal.samples, m)), spectrum.bins)
     if m < n:
         assert_close(aliased_reconstruct(signal, alpha), naive_inverse(spectrum).samples)
+
+
+BENCH_NS = (4, 6, 8, 16)
+BENCH_ALPHAS = (DenseFactor(1, 2), DenseFactor(1), DenseFactor(3, 2), DenseFactor(2))
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(baseline.METHODS), min_size=1, max_size=5))
+def test_bench_times_each_executor_of_a_cell_once(methods):
+    records = run_grid(BENCH_NS, BENCH_ALPHAS, methods=methods, reps=1)
+    cells = [(r.n, r.alpha, r.method) for r in records]
+    assert len(set(cells)) == len(cells)
+    for n in BENCH_NS:
+        for alpha in BENCH_ALPHAS:
+            labels = []
+            for method in methods:
+                try:
+                    labels.append(baseline.executor(n, alpha, method)[1])
+                except ValueError:
+                    pass
+            assert [m for (rn, ra, m) in cells if (rn, ra) == (n, alpha)] == list(
+                dict.fromkeys(labels))
+    for verdict in make_report(records).verdicts:
+        judged = [(d["N"], d["alpha"]) for d in verdict.details if "N" in d]
+        assert len(set(judged)) == len(judged)
 
 
 def test_a_failing_property_prints_its_falsifying_example(tmp_path):
