@@ -15,6 +15,8 @@ Wall times are minima over repetitions of the executors that ``compute`` runs,
 as ``baseline.executor`` plans them; plan construction is never timed.  A
 grid cell times each executor once, under the name ``compute`` writes for
 it, so each claim judges a cell once however the requested methods overlap.
+The repetitions of a cell's executors run in interleaved rounds, so a drift
+in the host's speed reaches all of their minima alike.
 """
 
 import csv
@@ -128,17 +130,6 @@ class ScalingReport:
                 writer.writerow(record.to_row())
 
 
-def _min_wall_seconds(run, reps: int) -> float:
-    best = None
-    for _ in range(reps):
-        start = time.perf_counter_ns()
-        run()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return max(best, 1) / 1e9
-
-
 def run_grid(
     ns,
     alphas,
@@ -159,8 +150,9 @@ def run_grid(
     up front.  Signals are random complex samples from the unit disk, drawn
     only for an N with a runnable cell and deterministic in ``seed``, so
     counts are reproducible (they do not depend on the data at all) and
-    timings comparable.  The naive method runs at most NAIVE_REPS
-    repetitions.
+    timings comparable.  Each wall is the minimum over ``reps`` rounds
+    (NAIVE_REPS at most for the naive method); a round runs every executor
+    of the cell whose repetitions are not yet done, in method order.
     """
     for method in methods:
         if method not in baseline.METHODS:
@@ -172,6 +164,7 @@ def run_grid(
     for n in ns:
         for alpha in alphas:
             timed = {}  # label -> the method that timed it at this cell
+            cell = []  # (label, run, mults, adds, reps) per executor, in method order
             for method in methods:
                 try:
                     run, name = baseline.executor(n, alpha, method)
@@ -192,8 +185,18 @@ def run_grid(
                     counter = fastpath.OpCounter()
                     run(signal, counter)
                     mults, adds, cell_reps = counter.complex_mults, counter.complex_adds, reps
-                wall = _min_wall_seconds(lambda: run(signal), cell_reps)
-                records.append(BenchRecord(n, alpha, name, mults, adds, wall, cell_reps))
+                cell.append((name, run, mults, adds, cell_reps))
+            # The host's speed drifts over stretches of about 100 ms: each round
+            # runs every executor once, so their minima see the same stretches.
+            walls = [[] for _ in cell]
+            for round_no in range(max((entry[4] for entry in cell), default=0)):
+                for (_, run, _, _, cell_reps), wall in zip(cell, walls):
+                    if round_no < cell_reps:
+                        start = time.perf_counter_ns()
+                        run(signal)
+                        wall.append(time.perf_counter_ns() - start)
+            records += [BenchRecord(n, alpha, name, mults, adds, max(min(wall), 1) / 1e9, cell_reps)
+                        for (name, _, mults, adds, cell_reps), wall in zip(cell, walls)]
     return records
 
 

@@ -10,24 +10,22 @@ digits, which round-trips doubles exactly.
 The CSV reader works on whole columns.  It reads the file's bytes once,
 decodes them under one rule (``_text``: CRLF and CR line ends read as LF,
 and the first line holding a byte that does not decode is a bad line), and
-scans the lines up to the header for metadata.  When the rest is clean --
-ASCII rows split by LF, no comment, blank line or whitespace, and the
-header's number of commas in every row, all checked with a few whole-text
-and numpy operations -- it goes on as one block; otherwise the remaining
-lines are read one by one and joined by LF.  Either way ``np.loadtxt``, numpy's C tokenizer, then
-parses the rows without a Python object per cell: each float with the
-parser under ``float()``, and the index as an int64 only where ``int()``
-reads the same number.  It is fed the rows' UTF-8 bytes, since an
-``io.StringIO`` would hold the text at 4 bytes per character.  Only when
-numpy refuses the rows, or reads an index out of order, are they walked
-cell by cell with ``int()`` and ``float()``: to name the first bad cell and
-its line, or to accept what only those accept (``1_0``, Arabic-Indic
-digits).  A JSON sample list of all numbers or all number pairs is
-converted in one ``np.fromiter``; any other list is walked entry by entry,
-to name the first bad sample.  Both shortcuts give the values, bit for
-bit, and the errors of the walks they skip.  JSON is decoded strictly: a
-byte that does not decode is an error there too, naming its line, never a
-character inside a string.
+scans the lines up to the header for metadata.  The rest of the text then
+goes, as UTF-8 bytes (an ``io.StringIO`` would hold it at 4 bytes per
+character), to ``np.loadtxt``: numpy's C tokenizer parses the rows without
+a Python object per cell, each float with the parser under ``float()`` and
+the index as an int64 only where ``int()`` reads the same number.  Its
+columns stand when it reads every line as a row and the index as 0, 1, 2,
+...; otherwise -- a comment or blank line among the rows, a bad cell, or
+what only ``int()`` and ``float()`` accept (``1_0``, Arabic-Indic digits)
+-- the remaining lines are read one by one, and their cells with ``int()``
+and ``float()``, to name the first bad cell and its line.  A JSON sample
+list of all numbers or all number pairs is converted in one
+``np.fromiter``; any other list is walked entry by entry, to name the
+first bad sample.  Both shortcuts give the values, bit for bit, and the
+errors of the walks they skip.  JSON is decoded strictly: a byte that does
+not decode is an error there too, naming its line, never a character
+inside a string.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
 header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
@@ -39,6 +37,7 @@ import io
 import json
 import re
 import warnings
+from array import array
 from itertools import chain
 from pathlib import Path
 
@@ -99,11 +98,17 @@ def _checked_signal(samples, times, declared, line_of=lambda position: 1) -> Sig
                 raise SignalParseError(f"{what} {bad[0]} is not finite", line_of(bad[0]))
     duration = 1.0
     if times is not None and times.size >= 2:
-        steps = np.diff(times)
-        mean_step = float(np.mean(steps))
-        if not (mean_step > 0 and np.max(np.abs(steps - mean_step)) <= TIME_UNIFORMITY_RTOL * mean_step):
-            raise SignalParseError("time values are not uniformly spaced", line_of(times.size - 1))
+        # Times whose span overflows a double give an infinite or NaN step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.diff(times)
+            mean_step = float(np.mean(steps))
+            uniform = mean_step > 0 and (
+                np.max(np.abs(steps - mean_step)) <= TIME_UNIFORMITY_RTOL * mean_step)
         duration = mean_step * times.size
+        if declared is None and not np.isfinite(mean_step):
+            _duration(duration)  # raises: the time column's duration is not finite
+        if not uniform:
+            raise SignalParseError("time values are not uniformly spaced", line_of(times.size - 1))
     if declared is not None:
         duration = declared
     return Signal(samples, _duration(duration))
@@ -124,80 +129,58 @@ def _parse_metadata(line_text, line_no, metadata):
                 raise SignalParseError(f"expected an integer N, got {raw.strip()!r}", line_no) from None
 
 
-def _parse_columns(rows, line_nos, header) -> list:
-    """The float columns of a CSV's data rows, at the positions its header's layout lists.
+def _numpy_columns(rows, count, header):
+    """The float columns of ``rows``, the UTF-8 text after the ``header``, or None.
 
-    ``rows`` is the UTF-8 text of the data rows joined by LF, each row with
-    the ``header``'s number of commas, and ``line_nos`` the rows' 1-based
-    line numbers.  With an index label, column 0 must read 0, 1, 2, ... as
-    integers.  A malformed file raises the error of its first bad row, the
-    row's cells checked from the left.
+    numpy's C tokenizer strips each cell as the per-line loop does and reads
+    it with the parser under float(), or as an int64 that int() reads the
+    same.  None when it refuses a row (``#`` and quotes stay cell text, and a
+    warning, an older numpy reading an integer through a float, counts),
+    skips one (an empty line: fewer than ``count`` rows) or reads an index
+    other than 0, 1, 2, ...
     """
     index_label, positions = _SIGNAL_LAYOUTS[header]
     dtype = [(name, np.int64 if name == index_label else float) for name in header]
-    # numpy's tokenizer reads each cell with the parser under float(), or as
-    # an int64 that int() reads the same, and refuses the rest: ``#`` and
-    # quotes stay cell text, and a warning (an older numpy reading an integer
-    # through a float) is refused too.  It skips blank lines, hence the count.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             table = np.loadtxt(io.BytesIO(rows), delimiter=",", comments=None, ndmin=1,
                                dtype=dtype, encoding="utf-8")
         except (ValueError, Warning):
-            table = None
-    if table is not None and len(table) == len(line_nos) and (
-        index_label is None or np.array_equal(table[index_label], np.arange(len(line_nos)))
+            return None
+    if len(table) != count or (
+        index_label is not None and not np.array_equal(table[index_label], np.arange(count))
     ):
-        return [table[header[k]] for k in positions]
-    # Cell by cell, stripped: float() rejects some characters that strip() removes.
-    width = len(header)
-    cells = [cell.strip() for cell in rows.decode().replace("\n", ",").split(",")]
-    for position, line_no in enumerate(line_nos):
-        row = cells[position * width:(position + 1) * width]
+        return None
+    return [table[header[k]] for k in positions]
+
+
+def _walk_rows(rows, line_nos, header) -> list:
+    """The float columns of the stripped CSV data rows ``rows``, cell by cell by int() and float().
+
+    Each row has the ``header``'s number of commas; ``line_nos`` are their
+    1-based lines.  An index column must read 0, 1, 2, ...  A malformed file
+    raises the error of its first bad row, the row's cells checked from the left.
+    """
+    index_label, positions = _SIGNAL_LAYOUTS[header]
+    columns = [np.empty(len(rows)) for _ in positions]
+    for position, (row, line_no) in enumerate(zip(rows, line_nos)):
+        # Stripped: float() rejects some characters that strip() removes.
+        cells = [cell.strip() for cell in row.split(",")]
         if index_label is not None:
             try:
-                index = int(row[0])
+                index = int(cells[0])
             except ValueError:
                 raise SignalParseError(
-                    f"expected an integer {index_label}, got {row[0]!r}", line_no
+                    f"expected an integer {index_label}, got {cells[0]!r}", line_no
                 ) from None
             if index != position:
                 raise SignalParseError(
                     f"{index_label} {index} out of order (expected {position})", line_no
                 )
-        for k in positions:
-            _parse_float(row[k], line_no)
-    return [np.array(cells[k::width], dtype=float) for k in positions]
-
-
-def _clean_rows(raw, commas) -> int:
-    """The number of rows in the bytes ``raw`` when they are clean, else 0.
-
-    Clean means ASCII rows split by LF alone, each with exactly ``commas``
-    commas, no ``#`` and no byte at or below the space other than the row
-    breaks: nothing for strip() to remove, no blank or comment line and no
-    other line break.  ``raw`` comes from ``_text``, so a CRLF or CR file's
-    rows are split by LF too.  Such rows are their own stripped lines, so
-    their cells are the per-line loop's cells.
-    """
-    if not raw.isascii() or b"#" in raw:
-        return 0
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    breaks = np.flatnonzero(codes == 10)
-    rows = breaks.size + 1
-    if np.count_nonzero(codes <= 32) != breaks.size:  # CR, tab, space, \x1c-\x1f ...
-        return 0
-    # Sorted comma positions, cut into ``commas`` per row: each row holds
-    # exactly its share when its first comma follows the row's start and its
-    # last precedes the row's end.
-    at = np.flatnonzero(codes == 44)
-    if at.size != rows * commas:
-        return 0
-    at = at.reshape(rows, commas)
-    if not (np.all(at[1:, 0] > breaks) and np.all(at[:-1, -1] < breaks)):
-        return 0
-    return rows
+        for column, k in zip(columns, positions):
+            column[position] = _parse_float(cells[k], line_no)
+    return columns
 
 
 def _text(data):
@@ -206,12 +189,11 @@ def _text(data):
 
 
 def _rows_bytes(data, offset):
-    """The text of ``data`` after its first ``offset`` characters, less one final LF, in UTF-8.
+    """The text of ``data`` after its first ``offset`` characters, less its final LFs, in UTF-8.
 
-    A byte that does not decode comes back as itself, so such rows are not ASCII.
+    A byte that does not decode comes back as itself, for numpy to refuse.
     """
-    text = _text(data).read()
-    return text[offset:len(text) - text.endswith("\n")].encode(errors="surrogateescape")
+    return _text(data).read()[offset:].rstrip("\n").encode(errors="surrogateescape")
 
 
 def _read_csv(path):
@@ -220,17 +202,18 @@ def _read_csv(path):
     The header must be one of _SIGNAL_LAYOUTS.  Returns (metadata, header,
     columns, line_nos): ``metadata`` holds the ``T`` and ``N`` comments
     found, ``columns`` is None when there is no data row, and ``line_nos``
-    holds each data row's 1-based line.  Clean rows after the header (see
-    _clean_rows) go to numpy as they are.  Anything else goes on line by
-    line without the decoded text, and the first line holding a byte that
-    does not decode is reported like any other bad line.
+    holds each data row's 1-based line.  At the header, numpy reads all the
+    rows after it in one pass (_numpy_columns).  When it cannot, the loop
+    reads on line by line without the decoded text, reporting the first
+    line holding a byte that does not decode like any other bad line, and
+    _walk_rows reads the rows it gathered.
     """
     data = Path(path).read_bytes()
     lines = _text(data)
     metadata = {}
     header = None
     rows = []
-    line_nos = []
+    line_nos = array("q")  # 8 bytes a row, where an int object and its pointer take 36
     offset = 0
     for line_no, raw in enumerate(lines, start=1):
         offset += len(raw)
@@ -248,12 +231,12 @@ def _read_csv(path):
                 expected = " or ".join(f"'{','.join(names)}'" for names in _SIGNAL_LAYOUTS)
                 raise SignalParseError(f"expected header {expected}, got {stripped!r}", line_no)
             commas = len(header) - 1
-            rows_bytes = _rows_bytes(data, offset)
-            count = _clean_rows(rows_bytes, commas)
-            if count:
-                line_nos = range(line_no + 1, line_no + 1 + count)
-                return metadata, header, _parse_columns(rows_bytes, line_nos, header), line_nos
-            rows_bytes = None  # the loop reads on from ``lines`` alone
+            rest = _rows_bytes(data, offset)
+            count = rest.count(b"\n") + 1
+            columns = _numpy_columns(rest, count, header)
+            if columns is not None:
+                return metadata, header, columns, range(line_no + 1, line_no + 1 + count)
+            rest = None  # the loop reads on from ``lines`` alone
         elif stripped.count(",") != commas:
             raise SignalParseError(
                 f"expected {len(header)} columns, got {stripped.count(',') + 1}", line_no
@@ -263,11 +246,8 @@ def _read_csv(path):
             line_nos.append(line_no)
     if not rows:
         return metadata, header, None, line_nos
-    # The file's bytes go before the rows are joined, and the row strings
-    # before the text is encoded: each takes the text's size or more.
-    data = lines = None
-    text, rows = "\n".join(rows), None
-    return metadata, header, _parse_columns(text.encode(), line_nos, header), line_nos
+    data = lines = None  # the file's bytes go before the walk fills the columns
+    return metadata, header, _walk_rows(rows, line_nos, header), line_nos
 
 
 def _complex(real, imag) -> np.ndarray:

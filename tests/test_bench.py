@@ -8,6 +8,7 @@ from alpha_spectra import (
     BenchRecord,
     DenseFactor,
     IncompleteGridError,
+    baseline,
     bench,
     check_alpha_gt1_savings,
     check_alpha_lt1_savings,
@@ -134,6 +135,29 @@ def test_grid_times_a_repeated_label_once(n, alpha, methods, reason):
     records = run_grid([n], [alpha], methods=methods, reps=1, skipped=skipped)
     assert [r.method for r in records] == [methods[1]]
     assert [(s["method"], s["reason"]) for s in skipped] == [(methods[1], reason)]
+
+
+def test_grid_times_a_cell_in_interleaved_rounds(monkeypatch):
+    # Each executor's counted run comes first; then every round runs each
+    # executor whose repetitions are not done, so one slow stretch of the
+    # host cannot fall on one method's repetitions alone.
+    runs = []
+    executor = baseline.executor
+
+    def logged(n, alpha, method):
+        run, name = executor(n, alpha, method)
+
+        def logged_run(signal, counter=None):
+            runs.append(name if counter is None else f"count {name}")
+            return run(signal, counter)
+
+        return logged_run, name
+
+    monkeypatch.setattr(baseline, "executor", logged)
+    records = run_grid([16], [DenseFactor(2)], methods=("fft", "zeropad", "naive"), reps=4)
+    assert [(r.method, r.repetitions) for r in records] == [("fft", 4), ("zeropad", 4), ("naive", 3)]
+    assert runs == ["count fft", "count zeropad"] + ["fft", "zeropad", "naive"] * 3 + [
+        "fft", "zeropad"]
 
 
 def test_grid_collects_skips():

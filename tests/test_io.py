@@ -90,6 +90,27 @@ def test_nonuniform_times_are_rejected(tmp_path):
     assert info.value.line == 4
 
 
+@pytest.mark.parametrize("name, text", [
+    ("two.csv", "time,value\n-1e308,1\n1e308,1\n"),
+    ("three.csv", "time,value\n-1e308,1\n0,1\n1e308,1\n"),
+    ("two.json", json.dumps({"time": [-1e308, 1e308], "value": [1, 2]})),
+])
+def test_time_span_past_the_largest_double_is_a_duration_error(tmp_path, name, text):
+    # The steps overflow to inf: a named error, and no numpy warning (an
+    # error under this suite's warning filter).
+    with pytest.raises(SignalParseError,
+                       match="^duration T must be a positive finite number, got inf$"):
+        read_signal(write(tmp_path, name, text))
+
+
+def test_declared_duration_reads_a_time_span_past_the_largest_double(tmp_path):
+    # The times are uniform and the declared T stands in for their span.
+    path = write(tmp_path, "s.csv", "# T=1\ntime,value\n-1e308,1\n0,2\n1e308,3\n")
+    signal = read_signal(path)
+    np.testing.assert_array_equal(signal.samples, [1, 2, 3])
+    assert signal.duration == 1.0
+
+
 @pytest.mark.parametrize("body, bad_line, fragment", [
     ("frequency,re\n0,1\n", 1, "expected header"),
     ("index,re,im\n0,one,0\n", 2, "expected a number"),
@@ -366,45 +387,53 @@ def test_seventeen_digit_floats_survive(tmp_path):
 
 
 def test_written_files_take_the_whole_text_path(tmp_path, monkeypatch):
-    # The signal files np.savetxt writes are clean: every row after the
-    # header passes the whole-text check, so none is read line by line.
-    # Their CRLF copies are clean too: decoding reads CRLF as LF.
-    counts = []
-    check = alpha_io._clean_rows
+    # numpy reads every row after the header of the signal files np.savetxt
+    # writes, so none is read line by line.  So it does for their CRLF
+    # copies (decoding reads CRLF as LF), for copies with a space before
+    # each LF (numpy strips cells as the loop does) and for copies ending in
+    # blank lines (the reader drops every final LF).
+    walked = []
+    walk = alpha_io._walk_rows
 
-    def counted(*args):
-        counts.append(check(*args))
-        return counts[-1]
+    def counted(rows, *args):
+        walked.append(len(rows))
+        return walk(rows, *args)
 
-    monkeypatch.setattr(alpha_io, "_clean_rows", counted)
+    monkeypatch.setattr(alpha_io, "_walk_rows", counted)
     rng = np.random.default_rng(5)
-    lf, crlf = tmp_path / "s.csv", tmp_path / "crlf.csv"
+    lf = tmp_path / "s.csv"
     write_signal_csv(lf, rng.normal(size=40) + 1j * rng.normal(size=40), 2.0)
-    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    signals = [read_signal(path) for path in (lf, crlf)]
-    assert counts == [40, 40]
-    np.testing.assert_array_equal(signals[0].samples, signals[1].samples)
-    assert signals[0].duration == signals[1].duration
+    data = lf.read_bytes()
+    copies = {"crlf.csv": data.replace(b"\n", b"\r\n"),
+              "spaced.csv": data.replace(b"\n", b" \n"),
+              "blank_end.csv": data + b"\n\n"}
+    for name, copy in copies.items():
+        (tmp_path / name).write_bytes(copy)
+    signals = [read_signal(tmp_path / name) for name in ("s.csv", *copies)]
+    assert walked == []
+    for signal in signals[1:]:
+        np.testing.assert_array_equal(signal.samples, signals[0].samples)
+        assert signal.duration == signals[0].duration
 
 
 def test_line_by_line_read_peaks_near_the_whole_text_read(tmp_path):
-    # A space before each LF fails the whole-text check; the per-line loop
-    # that reads such a file must not keep the decoded text or the row
-    # strings next to the cells.
+    # A comment after the last row makes numpy refuse the rows; the per-line
+    # loop that reads such a file must not keep the decoded text next to the
+    # row strings, nor the file's bytes next to the cells.
     rng = np.random.default_rng(8)
     lf = tmp_path / "lf.csv"
     write_signal_csv(lf, rng.normal(size=65536) + 1j * rng.normal(size=65536))
-    spaced = tmp_path / "spaced.csv"
-    spaced.write_bytes(lf.read_bytes().replace(b"\n", b" \n"))
+    commented = tmp_path / "commented.csv"
+    commented.write_bytes(lf.read_bytes() + b"# end\n")
     peaks = {}
-    for path in (lf, spaced):
+    for path in (lf, commented):
         tracemalloc.start()
         try:
             read_signal(path)
             peaks[path.name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks["spaced.csv"] <= 1.15 * peaks["lf.csv"]
+    assert peaks["commented.csv"] <= 1.15 * peaks["lf.csv"]
 
 
 def test_clean_read_peaks_under_five_and_a_half_times_the_file(tmp_path):
