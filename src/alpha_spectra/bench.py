@@ -146,17 +146,20 @@ def run_grid(
     that ``executor`` refuses with ValueError (an invalid pair, or sizes it
     cannot take) or whose executor the cell already timed (``fft`` after
     ``auto``) is skipped, not fatal; pass a list through ``skipped`` to
-    collect the skips with the reason.  An unknown method raises ValueError
-    up front.  Signals are random complex samples from the unit disk, drawn
-    only for an N with a runnable cell and deterministic in ``seed``, so
-    counts are reproducible (they do not depend on the data at all) and
-    timings comparable.  Each wall is the minimum over ``reps`` rounds
-    (NAIVE_REPS at most for the naive method); a round runs every executor
-    of the cell whose repetitions are not yet done, in method order.
+    collect the skips with the reason.  An unknown method or ``reps`` below
+    1 raises ValueError up front.  Signals are random complex samples from
+    the unit disk, drawn only for an N with a runnable cell and
+    deterministic in ``seed``, so counts are reproducible (they do not
+    depend on the data at all) and timings comparable.  Each wall is the
+    minimum over ``reps`` rounds (NAIVE_REPS at most for the naive method);
+    a round runs every executor of the cell whose repetitions are not yet
+    done, in method order.
     """
     for method in methods:
         if method not in baseline.METHODS:
             raise ValueError(f"unknown method {method!r}")
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps!r}")
     rng = np.random.default_rng(seed)
     signal_of = functools.cache(lambda n: Signal(random_unit_disk(rng, n)))
 

@@ -80,10 +80,21 @@ def _method_argument(text):
 
 
 def _list_of(parse_item):
-    """argparse type: a non-empty comma-separated list, each item read by ``parse_item``."""
+    """argparse type: a non-empty comma-separated list, each item read by
+    ``parse_item``, with no value twice (compared as parsed, so ``2`` and
+    ``2/1`` are the same density): a repeat would run and judge a grid cell
+    or a verify case once more.
+    """
 
     def parse(text):
-        values = [parse_item(part) for part in text.split(",") if part.strip()]
+        values = []
+        for part in text.split(","):
+            if not part.strip():
+                continue
+            value = parse_item(part)
+            if value in values:
+                raise argparse.ArgumentTypeError(f"repeated value {part.strip()!r}")
+            values.append(value)
         if not values:
             raise argparse.ArgumentTypeError("list must not be empty")
         return values

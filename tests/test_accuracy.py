@@ -13,6 +13,10 @@ Besides fixed pairs, a property covers the power-of-two pairs with
 larger kept table exists, so that every table is a copy served from it.
 At alpha*N = 2 the budget is a single eps, which the rounding of a
 1/alpha-sample block sum alone can exceed (1.44 eps at N = 16, alpha = 1/8).
+
+A nesting property holds the kernel to the same budget against itself:
+every k-th bin of the (k*alpha)-spectrum is the alpha-spectrum, for k = 2
+and 4 over the same pairs, the identity the kept twiddle table relies on.
 """
 
 import math
@@ -22,7 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alpha_spectra import DenseFactor, Signal, fastpath, naive_forward, plan, transform_samples
+from alpha_spectra import (
+    DenseFactor,
+    Signal,
+    alpha_fft,
+    fastpath,
+    naive_forward,
+    plan,
+    transform_samples,
+)
 
 # A host whose long double is a plain double would compare doubles with doubles.
 assert np.finfo(np.longdouble).eps < 1e-18, "np.longdouble has no extended precision here"
@@ -118,3 +130,22 @@ def test_kernel_within_eps_log2_bins_from_kept_tables(pair):
     assert not np.shares_memory(p.twiddles, fastpath._root)
     x = _signal(n, seed)
     _assert_within_budget(transform_samples(x, p), _dft(x, p.m))
+
+
+@st.composite
+def nested_pairs(draw):
+    """(N, alpha, k, seed): power_pairs' N and alpha, and a factor k of 2 or 4."""
+    n, alpha, seed = draw(power_pairs())
+    return n, alpha, draw(st.sampled_from([2, 4])), seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_pairs())
+def test_every_kth_bin_of_k_alpha_is_the_alpha_spectrum(pair):
+    # X_{k*alpha}[k*l] = sum_n x_n exp(-2j*pi*k*l*n/(k*alpha*N)) = X_alpha[l].
+    n, alpha, k, seed = pair
+    signal = Signal(_signal(n, seed))
+    coarse = alpha_fft(signal, plan(n, alpha)).bins
+    fine = alpha_fft(signal, plan(n, DenseFactor(k * alpha.p, alpha.q))).bins
+    reference = (coarse.real.astype(np.longdouble), coarse.imag.astype(np.longdouble))
+    _assert_within_budget(fine[::k], reference)

@@ -86,6 +86,12 @@ def test_grid_rejects_unknown_method():
         run_grid([8], [DenseFactor(2)], methods=("fft", "typo"), **FAST_KW)
 
 
+@pytest.mark.parametrize("reps", [0, -1])
+def test_grid_rejects_reps_below_one(reps):
+    with pytest.raises(ValueError, match=f"reps must be at least 1, got {reps}"):
+        run_grid([16], [DenseFactor(2)], reps=reps)
+
+
 # ------------------------------------------------------------------ run_grid
 
 def test_grid_counts_are_exact():

@@ -471,6 +471,27 @@ def test_invalid_numeric_argument_is_a_usage_error(capsys, argv):
     assert f"error: argument {argv[-2]}" in single_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv, value", [
+    # A repeated grid value would time and judge its cells more than once.
+    (["bench", "--grid-n", "16,16,32,64,128", "--grid-alpha", "2,2,1/2,1", "--reps", "1"], "16"),
+    (["bench", "--grid-n", "16", "--grid-alpha", "2, 1/2,2/1", "--reps", "1"], "2/1"),
+    (["bench", "--grid-n", "16", "--methods", "fft,zeropad,fft", "--reps", "1"], "fft"),
+    (["verify", "--sizes", "4,4"], "4"),
+    (["demo-sine", "--alphas", "1,2,4,2"], "2"),
+])
+def test_repeated_list_value_is_a_usage_error(tmp_path, capsys, argv, value):
+    outputs = [tmp_path / "r.json", tmp_path / "r.csv", tmp_path / "demo"]
+    extra = {"bench": ["--output", str(outputs[0]), "--csv", str(outputs[1])],
+             "verify": [], "demo-sine": ["--output", str(outputs[2])]}[argv[0]]
+    with pytest.raises(SystemExit) as info:
+        run(argv + extra)
+    assert info.value.code == cli.EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert single_error_line(captured.err).endswith(f"repeated value {value!r}")
+    assert not any(path.exists() for path in outputs)
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--input", "{signal}", "--output", "{blocked}/out.csv"],
     ["compute", "--input", "{tmp}", "--output", "{tmp}/out.csv"],

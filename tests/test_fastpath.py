@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from alpha_spectra import fastpath
+from alpha_spectra import baseline, fastpath
 from alpha_spectra import (
     DenseFactor,
     OpCounter,
@@ -18,6 +18,7 @@ from alpha_spectra import (
     predicted_mults,
     transform_samples,
 )
+from test_accuracy import PAIRS as ACCURACY_PAIRS
 
 POWER_ALPHAS = [DenseFactor(1, 8), DenseFactor(1, 4), DenseFactor(1, 2),
                 DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)]
@@ -317,6 +318,61 @@ def test_results_own_their_memory():
     assert not np.shares_memory(spectrum.bins, signal.samples)
     assert not p.twiddles.flags.writeable
     assert p.twiddles.tobytes() == table.tobytes()
+
+
+# The accuracy grid, plus depth 0: one sample, one bin.
+ALIGNED_PAIRS = ACCURACY_PAIRS + [(1, DenseFactor(1))]
+
+
+def shifted_copy(x, offset):
+    """``x`` copied into memory that starts ``offset`` bytes past a 64-byte boundary."""
+    raw = np.empty(x.nbytes + 64 + offset, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    copy = raw[start:start + x.nbytes].view(np.complex128)
+    copy[...] = x
+    return copy
+
+
+@pytest.mark.parametrize("size", [1, 3, 4096])
+def test_empty_starts_on_a_cache_line(size):
+    arrays = [fastpath._empty(size) for _ in range(3)]
+    for array in arrays:
+        assert array.ctypes.data % 64 == 0
+        assert array.dtype == np.complex128 and array.shape == (size,)
+        assert array.flags.writeable and array.flags.c_contiguous
+    assert not np.shares_memory(arrays[0], arrays[1])
+    # The work block at depth 0 holds nothing, so it has no data to align.
+    assert fastpath._empty(0).shape == (0,)
+
+
+@pytest.mark.parametrize("n, alpha", ALIGNED_PAIRS, ids=[f"{n}-{a.p}_{a.q}" for n, a in ALIGNED_PAIRS])
+def test_bins_start_on_a_cache_line_wherever_the_samples_start(n, alpha):
+    p = plan(n, alpha)
+    samples = unit_disk(np.random.default_rng(n), n)
+    first, second = transform_samples(samples, p), transform_samples(samples, p)
+    for bins in (first, second):
+        assert bins.ctypes.data % 64 == 0
+        assert not np.shares_memory(bins, samples)
+        assert not np.shares_memory(bins, p.twiddles)
+    assert not np.shares_memory(first, second)
+    # Samples 16 bytes past a boundary, numpy's own alignment, give the same bins.
+    shifted = shifted_copy(samples, 16)
+    assert shifted.ctypes.data % 64 == 16
+    assert transform_samples(shifted, p).tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("n, alpha", [(n, a) for n, a in ALIGNED_PAIRS if a.p >= a.q],
+                         ids=str)
+def test_zeropad_bins_start_on_a_cache_line(n, alpha):
+    run, name = baseline.executor(n, alpha, "zeropad")
+    signal = Signal(unit_disk(np.random.default_rng(n), n))
+    first, second = run(signal).bins, run(signal).bins
+    for bins in (first, second):
+        assert bins.ctypes.data % 64 == 0
+        assert not np.shares_memory(bins, signal.samples)
+        assert not np.shares_memory(bins, fastpath._root)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == second.tobytes()
 
 
 # ------------------------------------------------------------- full transform
