@@ -236,10 +236,10 @@ def transform_samples(x: np.ndarray, p: Plan, counter: OpCounter | None = None) 
     Besides the bins, a call allocates one work block of at most alpha*N
     values and contiguous copies of the phase-1 twiddle slices (under
     alpha*N/2 values).  The bins and the work block start on a 64-byte
-    boundary (``_empty``), so a vector load never spans two cache lines and
-    the kernel's speed does not depend on where the allocator puts them.  With a ``counter``, each butterfly adds one multiply
-    and two adds where it runs: alpha*N/2 multiplies and alpha*N adds per
-    level.
+    boundary (``_empty``), so no full-width vector load of them spans two
+    cache lines, wherever the allocator puts them.  With a ``counter``, each
+    butterfly adds one multiply and two adds where it runs: alpha*N/2
+    multiplies and alpha*N adds per level.
     """
     if x.shape != (p.n,):
         raise ValueError(f"plan is for N={p.n}, got {x.shape[0] if x.ndim == 1 else x.shape} samples")

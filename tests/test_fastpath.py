@@ -324,15 +324,6 @@ def test_results_own_their_memory():
 ALIGNED_PAIRS = ACCURACY_PAIRS + [(1, DenseFactor(1))]
 
 
-def shifted_copy(x, offset):
-    """``x`` copied into memory that starts ``offset`` bytes past a 64-byte boundary."""
-    raw = np.empty(x.nbytes + 64 + offset, dtype=np.uint8)
-    start = -raw.ctypes.data % 64 + offset
-    copy = raw[start:start + x.nbytes].view(np.complex128)
-    copy[...] = x
-    return copy
-
-
 @pytest.mark.parametrize("size", [1, 3, 4096])
 def test_empty_starts_on_a_cache_line(size):
     arrays = [fastpath._empty(size) for _ in range(3)]
@@ -345,7 +336,7 @@ def test_empty_starts_on_a_cache_line(size):
     assert fastpath._empty(0).shape == (0,)
 
 
-@pytest.mark.parametrize("n, alpha", ALIGNED_PAIRS, ids=[f"{n}-{a.p}_{a.q}" for n, a in ALIGNED_PAIRS])
+@pytest.mark.parametrize("n, alpha", ALIGNED_PAIRS, ids=str)
 def test_bins_start_on_a_cache_line_wherever_the_samples_start(n, alpha):
     p = plan(n, alpha)
     samples = unit_disk(np.random.default_rng(n), n)
@@ -356,15 +347,15 @@ def test_bins_start_on_a_cache_line_wherever_the_samples_start(n, alpha):
         assert not np.shares_memory(bins, p.twiddles)
     assert not np.shares_memory(first, second)
     # Samples 16 bytes past a boundary, numpy's own alignment, give the same bins.
-    shifted = shifted_copy(samples, 16)
+    shifted = fastpath._empty(n + 1)[1:]
+    shifted[...] = samples
     assert shifted.ctypes.data % 64 == 16
     assert transform_samples(shifted, p).tobytes() == first.tobytes()
 
 
-@pytest.mark.parametrize("n, alpha", [(n, a) for n, a in ALIGNED_PAIRS if a.p >= a.q],
-                         ids=str)
+@pytest.mark.parametrize("n, alpha", [(n, a) for n, a in ALIGNED_PAIRS if a.p >= a.q], ids=str)
 def test_zeropad_bins_start_on_a_cache_line(n, alpha):
-    run, name = baseline.executor(n, alpha, "zeropad")
+    run, _ = baseline.executor(n, alpha, "zeropad")
     signal = Signal(unit_disk(np.random.default_rng(n), n))
     first, second = run(signal).bins, run(signal).bins
     for bins in (first, second):
