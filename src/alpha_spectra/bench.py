@@ -130,6 +130,16 @@ class ScalingReport:
                 writer.writerow(record.to_row())
 
 
+def _distinct(values, name) -> list:
+    """``values`` as a list; ValueError naming ``name`` when one repeats."""
+    seen = []
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name} {value} given twice: a cell is timed and judged once")
+        seen.append(value)
+    return seen
+
+
 def run_grid(
     ns,
     alphas,
@@ -146,18 +156,20 @@ def run_grid(
     that ``executor`` refuses with ValueError (an invalid pair, or sizes it
     cannot take) or whose executor the cell already timed (``fft`` after
     ``auto``) is skipped, not fatal; pass a list through ``skipped`` to
-    collect the skips with the reason.  An unknown method or ``reps`` below
-    1 raises ValueError up front.  Signals are random complex samples from
-    the unit disk, drawn only for an N with a runnable cell and
-    deterministic in ``seed``, so counts are reproducible (they do not
-    depend on the data at all) and timings comparable.  Each wall is the
-    minimum over ``reps`` rounds (NAIVE_REPS at most for the naive method);
-    a round runs every executor of the cell whose repetitions are not yet
-    done, in method order.
+    collect the skips with the reason.  An unknown method, an N or alpha
+    given twice (compared as values, so ``DenseFactor(2)`` and
+    ``DenseFactor(2, 1)`` repeat) or ``reps`` below 1 raises ValueError up
+    front.  Signals are random complex samples from the unit disk, drawn
+    only for an N with a runnable cell and deterministic in ``seed``, so
+    counts are reproducible (they do not depend on the data at all) and
+    timings comparable.  Each wall is the minimum over ``reps`` rounds
+    (NAIVE_REPS at most for the naive method); a round runs every executor
+    of the cell whose repetitions are not yet done, in method order.
     """
     for method in methods:
         if method not in baseline.METHODS:
             raise ValueError(f"unknown method {method!r}")
+    ns, alphas = _distinct(ns, "N"), _distinct(alphas, "alpha")
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps!r}")
     rng = np.random.default_rng(seed)

@@ -23,9 +23,28 @@ and ``float()``, to name the first bad cell and its line.  A JSON sample
 list of all numbers or all number pairs is converted in one
 ``np.fromiter``; any other list is walked entry by entry, to name the
 first bad sample.  Both shortcuts give the values, bit for bit, and the
-errors of the walks they skip.  JSON is decoded strictly: a byte that does
-not decode is an error there too, naming its line, never a character
-inside a string.
+errors of the walks they skip.
+
+The JSON reader has two parsers.  ``orjson`` parses the file's bytes
+first, and its document becomes the signal when ``_json_signal`` accepts
+it.  Otherwise the stdlib ``json`` parses the file's text, as open() reads
+it, and its signal or error stands, with its messages and line numbers.
+So a file reads as the stdlib parser alone reads it: both round decimal
+numbers correctly, and the stdlib parser takes every input that ``orjson``
+refuses or reads differently:
+
+* the ``NaN``, ``Infinity`` and ``-Infinity`` literals, even in a key the
+  reader ignores;
+* numbers that overflow a double, such as ``1e400``;
+* a byte order mark, a byte that does not decode, a lone surrogate escape
+  and malformed text;
+* integers of 2**64 or more, which ``orjson`` reads as floats: a T that
+  reads as the largest double may be an integer past it;
+* a document that ``_json_signal`` refuses, or one nested too deeply for
+  its error message, so every error is the stdlib parser's.
+
+JSON is decoded strictly: a byte that does not decode is an error, naming
+its line, never a character inside a string.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
 header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
@@ -36,12 +55,14 @@ header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
 import io
 import json
 import re
+import sys
 import warnings
 from array import array
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .core import Signal, Spectrum, check_duration
 
@@ -319,26 +340,8 @@ def _json_samples(entries) -> np.ndarray:
     return samples
 
 
-def read_signal_json(path) -> Signal:
-    """Parse a signal JSON object.
-
-    Accepted shapes: {"T": seconds?, "samples": [[re, im], ...]} with plain
-    numbers allowed for real samples, or {"T": seconds?, "time": [...],
-    "value": [...]} mirroring the CSV time form.
-    """
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SignalParseError(exc.msg, exc.lineno) from None
-    except UnicodeDecodeError as exc:  # read_text decodes all at once: ``start`` is a file offset
-        # Lines end where read_text and json see them end: at CRLF, CR or LF.
-        line = _text(exc.object[:exc.start]).read().count("\n") + 1
-        raise SignalParseError(f"byte 0x{exc.object[exc.start]:02x} is not {exc.encoding} text",
-                               line) from None
-    except ValueError as exc:  # an integer past the digit limit
-        raise SignalParseError(str(exc), 1) from None
-    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
-        raise SignalParseError("JSON nested too deeply", 1) from None
+def _json_signal(payload) -> Signal:
+    """The signal of a decoded JSON document; SignalParseError at line 1 when it has none."""
     if not isinstance(payload, dict):
         raise SignalParseError("top-level JSON value must be an object", 1)
     declared = _duration(payload["T"]) if "T" in payload else None
@@ -362,6 +365,45 @@ def read_signal_json(path) -> Signal:
         return _checked_signal(_json_reals(values, "value"), _json_reals(times, "time"), declared)
 
     raise SignalParseError("JSON object needs either 'samples' or 'time'+'value'", 1)
+
+
+def _orjson_signal(path) -> Signal:
+    """The signal of a JSON file as orjson parses its bytes."""
+    payload = orjson.loads(Path(path).read_bytes())
+    if isinstance(payload, dict) and payload.get("T") == sys.float_info.max:
+        # Possibly an integer literal past the largest double, which
+        # check_duration refuses and orjson rounds down into range.
+        raise SignalParseError("T may be an integer past the largest double", 1)
+    return _json_signal(payload)
+
+
+def read_signal_json(path) -> Signal:
+    """Parse a signal JSON object.
+
+    Accepted shapes: {"T": seconds?, "samples": [[re, im], ...]} with plain
+    numbers allowed for real samples, or {"T": seconds?, "time": [...],
+    "value": [...]} mirroring the CSV time form.  orjson parses the file
+    first; when it or _json_signal refuses, the stdlib parser's signal or
+    error stands (see the module docstring).
+    """
+    try:
+        return _orjson_signal(path)
+    except (orjson.JSONDecodeError, SignalParseError, RecursionError):
+        pass  # RecursionError: the repr of a deeply nested T, in check_duration's message
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SignalParseError(exc.msg, exc.lineno) from None
+    except UnicodeDecodeError as exc:  # read_text decodes all at once: ``start`` is a file offset
+        # Lines end where read_text and json see them end: at CRLF, CR or LF.
+        line = _text(exc.object[:exc.start]).read().count("\n") + 1
+        raise SignalParseError(f"byte 0x{exc.object[exc.start]:02x} is not {exc.encoding} text",
+                               line) from None
+    except ValueError as exc:  # an integer past the digit limit
+        raise SignalParseError(str(exc), 1) from None
+    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
+        raise SignalParseError("JSON nested too deeply", 1) from None
+    return _json_signal(payload)
 
 
 def read_signal(path) -> Signal:

@@ -92,6 +92,15 @@ def test_grid_rejects_reps_below_one(reps):
         run_grid([16], [DenseFactor(2)], reps=reps)
 
 
+def test_grid_refuses_a_repeated_grid_value():
+    # Values compare as parsed: 2 and 2/1 are one density, so this call used
+    # to time and judge the cell (16, 2) four times over, in 8 records.
+    with pytest.raises(ValueError, match="N 16 given twice"):
+        run_grid([16, 16], [DenseFactor(2), DenseFactor(2, 1)], reps=1)
+    with pytest.raises(ValueError, match="alpha 2/1 given twice"):
+        run_grid([16], [DenseFactor(2), DenseFactor(2, 1)], reps=1)
+
+
 # ------------------------------------------------------------------ run_grid
 
 def test_grid_counts_are_exact():
@@ -391,7 +400,9 @@ def test_report_record_ids_point_at_judged_records(small_report):
 
 
 def test_report_judges_every_copy_of_a_repeated_cell():
-    records = run_grid([64, 64, 128, 256, 512], [DenseFactor(2)], **FAST_KW)
+    # run_grid refuses a repeated N, so the cell (64, 2) is copied by hand.
+    records = run_grid([64, 128, 256, 512], [DenseFactor(2)], **FAST_KW)
+    records = records[:2] + records
     report = make_report(records)
     assert_ids_point_at_judged_records(report)
     gt1 = report.verdicts[0]

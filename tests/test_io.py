@@ -1,5 +1,6 @@
 import inspect
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -276,6 +277,37 @@ def test_json_nested_too_deeply_is_a_parse_error(tmp_path):
     with pytest.raises(SignalParseError, match="nested too deeply") as info:
         read_signal_json(path)
     assert info.value.line == 1
+
+
+def test_a_clean_json_signal_reads_without_the_stdlib_parser(tmp_path, monkeypatch):
+    # The workloads' JSON shape; orjson reads it, so json.loads never runs.
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(65536) + 1j * rng.standard_normal(65536)
+    path = write(tmp_path, "s.json", json.dumps(
+        {"T": 1.0, "samples": np.column_stack((x.real, x.imag)).tolist()}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stdlib parser ran")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    signal = read_signal_json(path)
+    assert signal.samples.tobytes() == x.tobytes()
+    assert signal.duration == 1.0
+
+
+def test_json_integer_t_past_the_largest_double_is_refused(tmp_path):
+    # orjson reads this integer as the largest double, which T may be; the
+    # stdlib parser keeps the integer, which T may not be.
+    path = write(tmp_path, "s.json", '{"T": %d, "samples": [1]}' % (int(sys.float_info.max) + 1))
+    with pytest.raises(SignalParseError, match="duration T must be a positive finite number"):
+        read_signal_json(path)
+
+
+def test_json_nested_t_is_the_stdlib_parser_error(tmp_path):
+    # orjson parses any depth; the repr in T's error message cannot.
+    path = write(tmp_path, "s.json", '{"T": ' + "[" * 100_000 + "]" * 100_000 + ', "samples": [1]}')
+    with pytest.raises(SignalParseError, match="nested too deeply"):
+        read_signal_json(path)
 
 
 def test_read_signal_dispatches_on_extension(tmp_path):

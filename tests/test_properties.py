@@ -22,15 +22,20 @@ it must return a Signal with finite samples and a positive finite duration,
 or raise SignalParseError -- never anything else.  The differential reader
 fuzz tests hold the readers' whole-input shortcuts to per-line and
 per-entry reference copies: the same values bit for bit, or the same error.
+The JSON reader's orjson pass is held to its stdlib parser alone, and
+orjson's decimal-to-double conversion to ``float()``'s, bit for bit.
 """
 
 import json
 import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -152,6 +157,26 @@ def test_bench_times_each_executor_of_a_cell_once(methods):
                     pass
             assert [m for (rn, ra, m) in cells if (rn, ra) == (n, alpha)] == list(
                 dict.fromkeys(labels))
+    for verdict in make_report(records).verdicts:
+        judged = [(d["N"], d["alpha"]) for d in verdict.details if "N" in d]
+        assert len(set(judged)) == len(judged)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(BENCH_NS), min_size=1, max_size=3),
+       st.lists(st.builds(DenseFactor, st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3),
+       st.lists(st.sampled_from(baseline.METHODS), min_size=1, max_size=4))
+def test_grid_records_and_judges_each_cell_once(ns, alphas, methods):
+    # Over the whole argument list: a repeated N or alpha (2/2 repeats 1) is
+    # refused, and otherwise no (N, alpha, label) has two records and no
+    # verdict judges a cell twice.
+    if len(set(ns)) < len(ns) or len(set(alphas)) < len(alphas):
+        with pytest.raises(ValueError, match="given twice"):
+            run_grid(ns, alphas, methods=methods, reps=1)
+        return
+    records = run_grid(ns, alphas, methods=methods, reps=1)
+    cells = [(r.n, r.alpha, r.method) for r in records]
+    assert len(set(cells)) == len(cells)
     for verdict in make_report(records).verdicts:
         judged = [(d["N"], d["alpha"]) for d in verdict.details if "N" in d]
         assert len(set(judged)) == len(judged)
@@ -484,3 +509,92 @@ def test_read_signal_json_is_the_per_entry_loop(fuzz_dir, text):
     path = fuzz_dir / "d.json"
     path.write_text(text, encoding="utf-8")
     assert outcome(read_signal_json, path) == outcome(reference_read_signal_json, path)
+
+
+LARGEST_INT = int(sys.float_info.max)
+# Where orjson and the stdlib parser part: non-finite literals, integers
+# that orjson reads as floats, and numbers past the largest double.
+PARTING_NUMBER = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, LARGEST_INT + 1,
+                                            10 ** 400, -2 ** 64]),
+                           st.integers(2 ** 63, 2 ** 70))
+
+
+@st.composite
+def two_parser_json(draw):
+    """JSON text that orjson refuses or reads otherwise: differential_json's
+    documents with parting numbers as T, in an ignored key and as samples or
+    parts of a pair, with LF, CR or CRLF line ends, and at times a leading
+    byte order mark.
+    """
+    payload = json.loads(draw(differential_json()))
+    if draw(st.booleans()):
+        payload["note"] = draw(PARTING_NUMBER)
+    if draw(st.booleans()):
+        payload["T"] = draw(st.one_of(PARTING_NUMBER, st.just(sys.float_info.max)))
+    parting_sample = st.one_of(PARTING_NUMBER, st.lists(st.one_of(CLEAN_NUMBER, PARTING_NUMBER),
+                                                        min_size=2, max_size=2))
+    entries = payload.get("samples", payload.get("value"))
+    for position in range(len(entries)):
+        if draw(st.sampled_from([False] * 3 + [True])):
+            entries[position] = draw(parting_sample)
+    text = json.dumps(payload, indent=draw(st.sampled_from([None, 1])))
+    text = text.replace("\n", draw(st.sampled_from(["\n", "\r", "\r\n"])))
+    return ("\ufeff" if draw(st.sampled_from([False] * 7 + [True])) else "") + text
+
+
+def stdlib_read_signal_json(path):
+    """read_signal_json with orjson refusing every file: the stdlib parser alone."""
+    refuse = orjson.JSONDecodeError("refused", "", 0)
+    with mock.patch.object(orjson, "loads", side_effect=refuse):
+        return read_signal_json(path)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(two_parser_json())
+@example('{"T": %d, "samples": [1]}' % (LARGEST_INT + 1))
+@example('{"T": %s, "samples": [1]}' % ("[" * 2000 + "]" * 2000))
+@example('{"note": NaN, "samples": [[1.5, 18446744073709551616]]}')
+def test_read_signal_json_is_the_stdlib_parser(fuzz_dir, text):
+    path = fuzz_dir / "o.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_signal_json, path) == outcome(stdlib_read_signal_json, path)
+
+
+def bits(number) -> bytes:
+    return struct.pack("<d", number)
+
+
+@st.composite
+def decimal_literals(draw):
+    """JSON float literals of 1 to 40 significant digits, exponents to both ends of a double."""
+    integer = draw(st.text("0123456789", min_size=1, max_size=40)).lstrip("0") or "0"
+    fraction = draw(st.text("0123456789", max_size=40))
+    exponent = draw(st.one_of(st.none(), st.integers(-360, 330)))
+    if not fraction and exponent is None:
+        exponent = 0
+    return "".join([draw(st.sampled_from(["", "-"])), integer, f".{fraction}" if fraction else "",
+                    "" if exponent is None else f"e{exponent:+d}"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), decimal_literals())
+def test_orjson_rounds_decimals_as_float_does(x, literal):
+    # '%.17g' may write an integer literal, which JSON reads as an int.
+    g17 = "%.17g" % x
+    float_literal = g17 if "." in g17 or "e" in g17 else g17 + "e0"
+    for text in (repr(x), float_literal, "%.20e" % x, literal):
+        if math.isinf(float(text)):
+            with pytest.raises(orjson.JSONDecodeError):
+                orjson.loads(text)
+        else:
+            assert bits(orjson.loads(text)) == bits(float(text)), text
+
+
+@PROPERTY
+@given(st.one_of(st.integers(2 ** 63, 2 ** 70), st.integers(LARGEST_INT - 2 ** 980, LARGEST_INT)))
+def test_orjson_reads_an_integer_past_int64_as_float_does(n):
+    value = orjson.loads(str(n))
+    if n < 2 ** 64:
+        assert value == n and type(value) is int
+    else:
+        assert bits(value) == bits(float(n))
