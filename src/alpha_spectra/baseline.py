@@ -39,9 +39,7 @@ def executor(n: int, alpha: DenseFactor, method: str = "auto"):
     ``fft`` raises UnsupportedSizeError where the fast kernel cannot run and
     ``auto`` picks ``naive``; ``zeropad`` needs alpha >= 1 and a power-of-two alpha*N.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
-    if method == "zeropad":
+    if check_method(method) == "zeropad":
         if alpha.p < alpha.q:  # refused before the pair is checked, whatever N is
             raise IncompatibleAlphaError(f"zero-padding needs alpha >= 1, got {alpha}")
         m = validate_pair(n, alpha)[1]
@@ -67,6 +65,13 @@ def executor(n: int, alpha: DenseFactor, method: str = "auto"):
                 raise
     validate_pair(n, alpha)
     return (lambda signal, counter=None: oracle.naive_forward(_checked(signal, n), alpha)), "naive"
+
+
+def check_method(method: str) -> str:
+    """``method``, or ValueError naming it and METHODS: the one refusal of an unknown method."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
+    return method
 
 
 def _checked(signal: Signal, n: int) -> Signal:

@@ -167,8 +167,7 @@ def run_grid(
     of the cell whose repetitions are not yet done, in method order.
     """
     for method in methods:
-        if method not in baseline.METHODS:
-            raise ValueError(f"unknown method {method!r}")
+        baseline.check_method(method)
     ns, alphas = _distinct(ns, "N"), _distinct(alphas, "alpha")
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps!r}")

@@ -71,12 +71,10 @@ _seed_argument = _int_in(0)  # numpy's default_rng rejects negative seeds
 
 
 def _method_argument(text):
-    method = text.strip()
-    if method not in baseline.METHODS:
-        raise argparse.ArgumentTypeError(
-            f"unknown method {method!r} (choose from {', '.join(baseline.METHODS)})"
-        )
-    return method
+    try:
+        return baseline.check_method(text.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _list_of(parse_item):
@@ -121,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--output", required=True, help="spectrum CSV to write")
     compute.add_argument("--alpha", type=_alpha_argument, default=DenseFactor(1),
                          help="bin density p/q (default 1/1)")
-    compute.add_argument("--method", choices=baseline.METHODS, default="auto",
+    compute.add_argument("--method", type=_method_argument, default="auto",
+                         metavar="{" + ",".join(baseline.METHODS) + "}",
                          help="auto picks the fast kernel when sizes allow, else naive")
     compute.add_argument("--duration", type=_duration_argument, default=None,
                          help="override the signal duration T in seconds")
@@ -226,11 +225,19 @@ def cmd_bench(args) -> int:
         print("error: no runnable grid cells", file=sys.stderr)
         return EXIT_PARSE_ERROR
     report = bench.make_report(records, skipped)
+    written = []
+    try:
+        for path, write in ((args.output, report.write_json), (args.csv, report.write_csv)):
+            if path:
+                write(path)
+                written.append(path)
+    except OSError:
+        for path in written:  # a refused bench leaves neither file
+            Path(path).unlink()
+        raise
     if args.output:
-        report.write_json(args.output)
         print(f"wrote {args.output} ({len(records)} records)")
     if args.csv:
-        report.write_csv(args.csv)
         print(f"wrote {args.csv}")
     for cell in skipped:
         print(f"skipped N={cell['N']} alpha={cell['alpha_p']}/{cell['alpha_q']} "

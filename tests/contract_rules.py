@@ -1,0 +1,210 @@
+"""The command line's contract, written once as rules that the tests read.
+
+``expected(n, alpha, method)`` is the exit code that ``compute`` gives at N
+samples and density alpha, and the ``# method=`` label of the executor
+that runs.  It follows from the rules written here, never from
+``baseline.executor``, so a change to what a method accepts shows as failing
+tests until the rule here changes with it.  ``auto_label`` is the rule for
+what ``auto`` runs: changing ``auto`` is one edit there, and every test that
+pins a label, an exit code, a count or a bin of ``auto`` follows it.
+
+The library raises ``EXCEPTIONS[code]`` where ``compute`` exits with
+``code``.  ``reference_bins`` and ``expected_mults`` give a label's bins and
+multiply count without ``executor``.  ``bench_cell`` is what ``bench`` times
+at one grid cell.  ``bench_outcome``, ``verify_outcome`` and
+``demo_outcome`` give those commands' exit code from the text of their flags.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from alpha_spectra import (
+    DenseFactor,
+    IncompatibleAlphaError,
+    TooManyBinsError,
+    UnsupportedSizeError,
+    alpha_fft,
+    cli,
+    naive_forward,
+    plan,
+    predicted_mults,
+    transform_samples,
+)
+from alpha_spectra.bench import MIN_LT1_BINS, NAIVE_REPS
+from alpha_spectra.core import MAX_BINS
+
+METHODS = ("auto", "fft", "naive", "zeropad")
+
+#: The exception the library raises where ``compute`` exits with the code.
+EXCEPTIONS = {
+    cli.EXIT_BAD_ALPHA: IncompatibleAlphaError,
+    cli.EXIT_BAD_SIZE: UnsupportedSizeError,
+    cli.EXIT_NOT_REPRESENTABLE: TooManyBinsError,
+}
+
+
+def power_of_two(value):
+    return value.denominator == 1 and value >= 1 and (value.numerator & (value.numerator - 1)) == 0
+
+
+def kernel_takes(n, m):
+    """Whether the radix-2 kernel runs at N samples and alpha*N = m bins."""
+    return power_of_two(Fraction(n)) and power_of_two(Fraction(m))
+
+
+def auto_label(n, m):
+    """The method ``auto`` runs at N samples and alpha*N = m bins."""
+    return "fft" if kernel_takes(n, m) else "naive"
+
+
+def expected(n, alpha, method):
+    """(exit code, method label) that ``compute`` gives at (N, alpha) with ``method``."""
+    alpha = Fraction(str(alpha))  # "3/2", 2 or a DenseFactor
+    m = alpha * n
+    if method == "zeropad" and alpha < 1:
+        return cli.EXIT_BAD_ALPHA, None  # refused before the pair is checked
+    if m.denominator != 1:
+        return cli.EXIT_BAD_ALPHA, None
+    if m > MAX_BINS:
+        return cli.EXIT_NOT_REPRESENTABLE, None
+    if method == "fft" and not kernel_takes(n, m):
+        return cli.EXIT_BAD_SIZE, None
+    if method == "zeropad" and not power_of_two(m):
+        return cli.EXIT_BAD_SIZE, None
+    if method == "auto":
+        return cli.EXIT_OK, auto_label(n, m)
+    return cli.EXIT_OK, method
+
+
+def _density(alpha):
+    alpha = Fraction(str(alpha))
+    return DenseFactor(alpha.numerator, alpha.denominator)
+
+
+def reference_bins(label, signal, alpha):
+    """The bins of the executor named ``label`` for ``signal``, computed without ``executor``."""
+    n, alpha = len(signal), _density(alpha)
+    if label == "fft":
+        return alpha_fft(signal, plan(n, alpha)).bins
+    if label == "naive":
+        return naive_forward(signal, alpha).bins
+    assert label == "zeropad", label
+    m = n * alpha.p // alpha.q
+    padded = np.concatenate([signal.samples, np.zeros(m - n)])
+    return transform_samples(padded, plan(m, DenseFactor(1)))
+
+
+def expected_mults(label, n, alpha):
+    """The complex multiplies that ``bench`` records for ``label`` at (N, alpha)."""
+    alpha = _density(alpha)
+    m = n * alpha.p // alpha.q
+    if label == "naive":
+        return n * m  # the matrix product's, one per matrix entry
+    return predicted_mults(plan(n, alpha) if label == "fft" else plan(m, DenseFactor(1)))
+
+
+def expected_reps(label, reps):
+    """The repetitions that ``bench`` times ``label`` for when asked for ``reps``."""
+    return min(reps, NAIVE_REPS) if label == "naive" else reps
+
+
+def bench_cell(n, alpha, methods):
+    """(labels, repeats) of one ``bench`` cell.
+
+    ``labels`` holds the label of each method that ``compute`` runs at
+    (N, alpha), once each, in method order.  ``repeats`` holds
+    (method, reason) for each method whose label an earlier method timed.
+    """
+    timed, repeats = {}, []
+    for method in methods:
+        code, label = expected(n, alpha, method)
+        if code != cli.EXIT_OK:
+            continue
+        if label in timed:
+            repeats.append((method, f"{label} is timed at this cell already, as {timed[label]}"))
+        else:
+            timed[label] = method
+    return list(timed), repeats
+
+
+# ------------------------------------------------------------- list flags
+# A list flag takes comma-separated items and drops empty ones.  It refuses
+# an empty list, an item it cannot read and a value given twice, compared as
+# read, with exit 2 and one error line.
+
+def _integers_from(low, high=MAX_BINS):
+    def read(text):
+        return int(text) if text.lstrip("-").isdigit() and low <= int(text) <= high else None
+    return read
+
+
+def _alpha(text):
+    parts = text.split("/")
+    if len(parts) > 2 or not all(part.strip().isdigit() for part in parts):
+        return None
+    numbers = [int(part) for part in parts]
+    return Fraction(*numbers) if min(numbers) >= 1 else None
+
+
+def _method(text):
+    return text if text in METHODS else None
+
+
+def read_list(text, read):
+    """The values of a list flag's ``text``, or None where the flag refuses it."""
+    values = [read(part.strip()) for part in text.split(",") if part.strip()]
+    if not values or None in values or len(set(values)) < len(values):
+        return None
+    return values
+
+
+def bench_outcome(grid_n, grid_alpha, methods):
+    """(exit code, "error", "warning" or None) of ``bench`` with these flag texts.
+
+    A grid with no runnable cell is exit 2.  Otherwise the claims hold, so
+    the exit is 0.  It prints a warning when no claim judges a cell, or when
+    the alpha < 1 claim judges a cell and leaves out one of fewer than
+    MIN_LT1_BINS bins.
+    """
+    ns, alphas = read_list(grid_n, _integers_from(1)), read_list(grid_alpha, _alpha)
+    methods = read_list(methods, _method)
+    if ns is None or alphas is None or methods is None:
+        return cli.EXIT_PARSE_ERROR, "error"
+    labels = {(n, alpha): bench_cell(n, alpha, methods)[0] for n in ns for alpha in alphas}
+    if not any(labels.values()):
+        return cli.EXIT_PARSE_ERROR, "error"
+    fft = {cell for cell, names in labels.items() if "fft" in names}
+    gt1 = any(alpha > 1 and "zeropad" in labels[n, alpha] for n, alpha in fft)
+    lt1 = [n * alpha >= MIN_LT1_BINS for n, alpha in fft if alpha < 1 and (n, 1) in fft]
+    fit = any(len({n for n, a in fft if a == alpha and min(n, n * alpha) > 1}) >= 4
+              for alpha in alphas)
+    warns = not (gt1 or any(lt1) or fit) or (any(lt1) and not all(lt1))
+    return cli.EXIT_OK, "warning" if warns else None
+
+
+def verify_outcome(sizes, seed):
+    """(exit code, "error" or None) of ``verify`` with these flag texts.
+
+    The round-trip suite runs the oracle at alpha = 1, which every N takes,
+    so some suite checks a case at any sizes the flag reads, and it passes.
+    """
+    if read_list(sizes, _integers_from(1)) is None or _integers_from(0)(seed) is None:
+        return cli.EXIT_PARSE_ERROR, "error"
+    return cli.EXIT_OK, None
+
+
+def demo_outcome(n, alphas):
+    """(exit code, "error" or None) of ``demo-sine`` with these flag texts.
+
+    It runs ``auto`` at each density before it writes anything, so the first
+    density that ``compute`` refuses at N gives the exit code.
+    """
+    n, alphas = _integers_from(2)(n), read_list(alphas, _alpha)
+    if n is None or alphas is None:
+        return cli.EXIT_PARSE_ERROR, "error"
+    for alpha in alphas:
+        code = expected(n, alpha, "auto")[0]
+        if code != cli.EXIT_OK:
+            return code, "error"
+    return cli.EXIT_OK, None

@@ -17,9 +17,10 @@ from alpha_spectra import (
     naive_inverse,
     plan,
     predicted_mults,
-    transform_samples,
 )
 from alpha_spectra.baseline import METHODS, executor
+
+import contract_rules
 
 
 def unit_disk(rng, n):
@@ -119,38 +120,31 @@ def test_padding_equivalence_for_naive_path():
 
 # ----------------------------------------------------------- method choice
 
-FFT, NAIVE, PAD = "fft", "naive", "zeropad"
-
-
-@pytest.mark.parametrize("n, alpha, outcomes", [
-    # What auto, fft, naive and zeropad each run, or the error they raise.
-    (8, DenseFactor(4), (FFT, FFT, NAIVE, PAD)),
-    (8, DenseFactor(1, 2), (FFT, FFT, NAIVE, ValueError)),
-    (12, DenseFactor(1), (NAIVE, UnsupportedSizeError, NAIVE, UnsupportedSizeError)),
-    (6, DenseFactor(3, 2), (NAIVE, UnsupportedSizeError, NAIVE, UnsupportedSizeError)),
-    (16, DenseFactor(3, 2), (NAIVE, UnsupportedSizeError, NAIVE, UnsupportedSizeError)),
-    (12, DenseFactor(3), (NAIVE, UnsupportedSizeError, NAIVE, UnsupportedSizeError)),
+@pytest.mark.parametrize("n, alpha", [
+    # What auto, fft, naive and zeropad each run, or the error they raise, by the contract's rules.
+    (8, DenseFactor(4)),
+    (8, DenseFactor(1, 2)),
+    (12, DenseFactor(1)),
+    (6, DenseFactor(3, 2)),
+    (16, DenseFactor(3, 2)),
+    (12, DenseFactor(3)),
 ])
-def test_transform_runs_the_executor_its_method_names(n, alpha, outcomes):
+def test_transform_runs_the_executor_its_method_names(n, alpha):
     rng = np.random.default_rng(n * alpha.p + alpha.q)
     signal = Signal(unit_disk(rng, n), duration=2.5)
-    direct = {
-        FFT: lambda: alpha_fft(signal, plan(n, alpha)).bins,
-        NAIVE: lambda: naive_forward(signal, alpha).bins,
-        PAD: lambda: transform_samples(zero_padded(signal.samples, n * alpha.p),
-                                       plan(n * alpha.p, DenseFactor(1))),
-    }
-    assert METHODS == ("auto", FFT, NAIVE, PAD)
-    for method, outcome in zip(METHODS, outcomes):
-        if isinstance(outcome, str):
+    assert METHODS == contract_rules.METHODS
+    for method in METHODS:
+        code, outcome = contract_rules.expected(n, alpha, method)
+        if outcome is not None:
             run, label = executor(n, alpha, method)
             assert label == outcome
             spectrum = run(signal)
-            assert spectrum.bins.tobytes() == direct[outcome]().tobytes()
+            assert spectrum.bins.tobytes() == contract_rules.reference_bins(
+                outcome, signal, alpha).tobytes()
             assert (spectrum.origin_n, spectrum.alpha, spectrum.duration) == (n, alpha, 2.5)
             assert not spectrum.bins.flags.writeable
         else:
-            with pytest.raises(outcome):
+            with pytest.raises(contract_rules.EXCEPTIONS[code]):
                 executor(n, alpha, method)
 
 

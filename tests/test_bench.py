@@ -17,6 +17,8 @@ from alpha_spectra import (
     run_grid,
 )
 
+from contract_rules import bench_cell, expected, expected_mults, expected_reps
+
 FAST_KW = dict(reps=2)
 
 
@@ -122,34 +124,38 @@ def test_grid_naive_counts():
 
 
 def test_grid_records_the_method_auto_runs():
-    # auto is timed as what compute runs by default, under that method's name:
-    # naive where the fast kernel cannot take the pair, fft where it can.
+    # auto is timed as what compute runs by default, under that method's name.
     records = run_grid([12, 16], [DenseFactor(1)], methods=("auto",), reps=5)
-    assert [(r.n, r.method) for r in records] == [(12, "naive"), (16, "fft")]
-    assert [r.repetitions for r in records] == [3, 5]
-    assert records[1].complex_mults == 32  # (16/2) * log2(16)
+    labels = [expected(n, 1, "auto")[1] for n in (12, 16)]
+    assert [(r.n, r.method) for r in records] == list(zip((12, 16), labels))
+    assert [r.repetitions for r in records] == [expected_reps(label, 5) for label in labels]
+    assert [r.complex_mults for r in records] == [
+        expected_mults(label, n, 1) for n, label in zip((12, 16), labels)]
 
 
 def test_grid_times_each_label_of_a_cell_once():
-    # auto runs the kernel at (16, 2), so fft names an executor already timed.
+    # A method whose label an earlier method of the cell timed is skipped.
+    methods = ("auto", "fft", "zeropad")
     skipped = []
-    records = run_grid([16], [DenseFactor(2)], methods=("auto", "fft", "zeropad"),
-                       reps=1, skipped=skipped)
-    assert [r.method for r in records] == ["fft", "zeropad"]
-    assert [(s["method"], s["reason"]) for s in skipped] == [
-        ("fft", "fft is timed at this cell already, as auto")]
-    assert check_alpha_gt1_savings(records).record_ids == [0, 1]
+    records = run_grid([16], [DenseFactor(2)], methods=methods, reps=1, skipped=skipped)
+    labels, repeats = bench_cell(16, 2, methods)
+    assert [r.method for r in records] == labels
+    assert [(s["method"], s["reason"]) for s in skipped] == repeats
+    assert check_alpha_gt1_savings(records).record_ids == [labels.index("fft"),
+                                                           labels.index("zeropad")]
 
 
-@pytest.mark.parametrize("n, alpha, methods, reason", [
-    (16, DenseFactor(2), ("fft", "fft"), "fft is timed at this cell already, as fft"),
-    (12, DenseFactor(3, 2), ("auto", "naive"), "naive is timed at this cell already, as auto"),
+@pytest.mark.parametrize("n, alpha, methods", [
+    (16, DenseFactor(2), ("fft", "fft")),
+    (12, DenseFactor(3, 2), ("auto", "naive")),
 ])
-def test_grid_times_a_repeated_label_once(n, alpha, methods, reason):
+def test_grid_times_a_repeated_label_once(n, alpha, methods):
     skipped = []
     records = run_grid([n], [alpha], methods=methods, reps=1, skipped=skipped)
-    assert [r.method for r in records] == [methods[1]]
-    assert [(s["method"], s["reason"]) for s in skipped] == [(methods[1], reason)]
+    labels, repeats = bench_cell(n, alpha, methods)
+    assert len(labels) == len(repeats) == 1  # by the rules, both methods run one executor
+    assert [r.method for r in records] == labels
+    assert [(s["method"], s["reason"]) for s in skipped] == repeats
 
 
 def test_grid_times_a_cell_in_interleaved_rounds(monkeypatch):

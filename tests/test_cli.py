@@ -14,12 +14,12 @@ from alpha_spectra import (
     Spectrum,
     cli,
     fastpath,
-    naive_forward,
     run_grid,
     verify,
 )
 from alpha_spectra.baseline import METHODS, executor
 
+from contract_rules import bench_cell, expected, reference_bins
 from file_formats import read_spectrum_csv, write_signal_csv
 
 
@@ -69,10 +69,10 @@ def test_compute_auto_falls_back_to_naive(tmp_path):
     assert run(["compute", "--input", str(path), "--output", str(out),
                 "--alpha", "3/2"]) == cli.EXIT_OK
     spectrum, method = read_spectrum_csv(out)
-    assert method == "naive"               # M = 6 keeps the fast kernel out
-    # %.17g round-trips a double, so the file holds the oracle's bins exactly.
-    expected = naive_forward(Signal([1.0, 2.0, 3.0, 4.0]), DenseFactor(3, 2)).bins
-    assert spectrum.bins.tobytes() == expected.tobytes()
+    assert method == expected(4, "3/2", "auto")[1]  # M = 6 keeps the fast kernel out
+    # %.17g round-trips a double, so the file holds that method's bins exactly.
+    reference = reference_bins(method, Signal([1.0, 2.0, 3.0, 4.0]), "3/2")
+    assert spectrum.bins.tobytes() == reference.tobytes()
 
 
 def test_compute_duration_override(signal_file, tmp_path):
@@ -252,6 +252,26 @@ def test_bench_rejects_unknown_method(capsys):
                 in capsys.readouterr().err)
 
 
+def test_compute_and_bench_refuse_an_unknown_method_alike(signal_file, tmp_path, capsys):
+    # One wording, from baseline: the flags, the executor and run_grid.
+    text = "unknown method 'fast' (choose from auto, fft, naive, zeropad)"
+    lines = []
+    for argv in (["compute", "--input", str(signal_file), "--output", str(tmp_path / "out.csv"),
+                  "--method", "fast"], ["bench", "--methods", "fast"]):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == cli.EXIT_PARSE_ERROR
+        lines.append(single_error_line(capsys.readouterr().err))
+    assert lines == [f"alpha-spectra compute: error: argument --method: {text}",
+                     f"alpha-spectra bench: error: argument --methods: {text}"]
+    for refuse in (lambda: executor(8, DenseFactor(1), "fast"),
+                   lambda: run_grid([8], [DenseFactor(1)], methods=("fast",), reps=1)):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        assert str(info.value) == text
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_bench_labels_a_record_as_compute_labels_its_spectrum(tmp_path, capsys):
     # --methods auto times what compute runs by default, under the name
     # compute writes as its # method= line.
@@ -266,24 +286,24 @@ def test_bench_labels_a_record_as_compute_labels_its_spectrum(tmp_path, capsys):
         assert run(["compute", "--input", str(path), "--output", str(out)]) == cli.EXIT_OK
         computed += [line.split("=", 1)[1] for line in out.read_text().splitlines()
                      if line.startswith("# method=")]
-    assert benched == computed == ["naive", "fft"]
+    assert benched == computed == [expected(n, 1, "auto")[1] for n in (12, 16)]
 
 
 def test_bench_times_a_repeated_label_once(tmp_path, capsys):
-    # At a power-of-two pair auto runs the kernel, so fft repeats its label in
-    # every cell: the 8 cells at alpha 2 and 1 record fft and zeropad, the 4 at
-    # alpha 1/2 (which padding cannot take) fft alone.
+    # Where auto runs the kernel, fft repeats its label: such a cell records
+    # each label once and prints the skip.  Padding cannot take alpha 1/2.
     json_path = tmp_path / "r.json"
+    ns, alphas, methods = (16, 32, 64, 128), ("2/1", "1/2", "1/1"), ("auto", "fft", "zeropad")
     assert run(["bench", "--grid-n", "16,32,64,128", "--grid-alpha", "2,1/2,1",
-                "--methods", "auto,fft,zeropad", "--reps", "1",
+                "--methods", ",".join(methods), "--reps", "1",
                 "--output", str(json_path)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     report = json.loads(json_path.read_text())
-    assert len(report["records"]) == 20
-    repeats = [line for line in out.splitlines()
-               if line.endswith(" fft: fft is timed at this cell already, as auto")]
-    assert [line.split()[1:3] for line in repeats] == [
-        [f"N={n}", f"alpha={a}"] for n in (16, 32, 64, 128) for a in ("2/1", "1/2", "1/1")]
+    cells = [(n, a, *bench_cell(n, a, methods)) for n in ns for a in alphas]
+    assert len(report["records"]) == sum(len(labels) for _, _, labels, _ in cells)
+    repeats = [line for line in out.splitlines() if " is timed at this cell already, as " in line]
+    assert repeats == [f"skipped N={n} alpha={a} {method}: {reason}"
+                       for n, a, _, skips in cells for method, reason in skips]
     gt1, lt1 = report["verdicts"][:2]
     assert gt1["claim"] == "alpha_gt1_savings"
     assert [(d["N"], d["alpha"]) for d in gt1["details"]] == [

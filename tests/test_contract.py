@@ -1,13 +1,22 @@
-"""The ``compute`` contract on a fixed grid, run in process through ``cli.main``.
+"""The command line's contract on fixed grids, run in process through ``cli.main``.
 
-Every N in NS, alpha in ALPHAS and method: the exit code follows from the
-rules in ``expected`` alone, written here rather than read from the
-executor, so a change to what a method accepts shows as a failing cell.
-A run that succeeds writes numpy's FFT of the samples padded or folded into
-alpha*N slots, labelled with the method that ran; a run that fails prints
-one ``error:`` line, nothing on stdout, and writes no file.
+Every N in NS, alpha in ALPHAS and method: ``compute``'s exit code follows
+from the rules in ``contract_rules.expected`` alone, written there rather
+than read from the executor, so a change to what a method accepts shows as
+a failing cell.  A run that succeeds writes numpy's FFT of the samples
+padded or folded into alpha*N slots, labelled with the method that ran; a
+run that fails prints one ``error:`` line, nothing on stdout, and writes no
+file.
+
+``bench``, ``verify`` and ``demo-sine`` run over small grids of flag texts:
+empty, repeated and out-of-range lists, grids with no runnable cell, and
+alpha < 1 cells below ``bench.MIN_LT1_BINS``.  Each case gives the exit code
+that ``contract_rules`` derives, and one ``error:`` line when refused, or a
+``warning:`` line where the rules expect one.  A refused request leaves no
+file or directory.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -16,34 +25,18 @@ import pytest
 
 from alpha_spectra import cli
 
+from contract_rules import (
+    METHODS,
+    bench_outcome,
+    demo_outcome,
+    expected,
+    verify_outcome,
+)
 from file_formats import read_spectrum_csv, write_signal_csv
 
 NS = (1, 6, 12, 64, 4096)
 ALPHAS = ("1/8", "1/4", "1/3", "1/2", "2/3", "1", "4/3", "3/2", "2", "3", "4", "8")
-METHODS = ("auto", "fft", "naive", "zeropad")
 RTOL = 1e-10
-
-
-def power_of_two(value):
-    return value.denominator == 1 and value >= 1 and (value.numerator & (value.numerator - 1)) == 0
-
-
-def expected(n, alpha, method):
-    """(exit code, method label) that ``compute`` gives at (N, alpha) with ``method``."""
-    alpha = Fraction(alpha)
-    m = alpha * n
-    if method == "zeropad" and alpha < 1:
-        return cli.EXIT_BAD_ALPHA, None  # refused before the pair is checked
-    if m.denominator != 1:
-        return cli.EXIT_BAD_ALPHA, None
-    fast = power_of_two(Fraction(n)) and power_of_two(m)
-    if method == "fft" and not fast:
-        return cli.EXIT_BAD_SIZE, None
-    if method == "zeropad" and not power_of_two(m):
-        return cli.EXIT_BAD_SIZE, None
-    if method == "auto":
-        return cli.EXIT_OK, "fft" if fast else "naive"
-    return cli.EXIT_OK, method
 
 
 def test_the_grid_reaches_every_outcome():
@@ -90,3 +83,93 @@ def test_compute_contract(signals, tmp_path, capsys, n, alpha, method):
     reference = np.fft.fft(slots)
     assert spectrum.m == m
     assert np.max(np.abs(spectrum.bins - reference)) <= RTOL * np.max(np.abs(reference))
+
+
+# ------------------------------------------------------ bench, verify, demo-sine
+# Flag texts: an empty list, a repeat (as read: 1/1 repeats 1), values out of
+# range, a grid with no runnable cell (N = 3 at alpha 1/2), and alpha < 1
+# cells below MIN_LT1_BINS (16 and 64 at alpha 1/4).
+
+BENCH_NS = (",", "4,4", "0", "3", "16,64,128,256")
+BENCH_ALPHAS = (",", "1,1/1", "0", "1/2", "1/4,1,2")
+BENCH_METHODS = ("fast", "fft,fft", "auto", "fft,zeropad")
+VERIFY_SIZES = (",", "4,4", "0", "268435457", "3", "2,3,5")
+VERIFY_SEEDS = ("0", "-1")
+DEMO_NS = ("0", "1", "3", "8", "268435457")
+DEMO_ALPHAS = (",", "1,1/1", "0", "1/2", "1,2", "100000000000")
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``argv``; argparse's refusal exits 2."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    return (code, *capsys.readouterr())
+
+
+def assert_outcome(argv, want, kind, tmp_path, capsys):
+    code, stdout, stderr = outcome(argv, capsys)
+    assert code == want
+    lines = (stdout + stderr).splitlines()
+    errors = [line for line in lines if "error:" in line]
+    warnings = [line for line in lines if "warning:" in line]
+    if want == cli.EXIT_OK:
+        assert stderr == "" and errors == []
+        assert bool(warnings) == (kind == "warning")
+        return
+    assert kind == "error"
+    assert stdout == "" and len(errors) == 1 and warnings == []
+    assert stderr.endswith(errors[0] + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("methods", BENCH_METHODS)
+@pytest.mark.parametrize("grid_alpha", BENCH_ALPHAS)
+@pytest.mark.parametrize("grid_n", BENCH_NS)
+def test_bench_contract(tmp_path, capsys, grid_n, grid_alpha, methods):
+    want, kind = bench_outcome(grid_n, grid_alpha, methods)
+    argv = ["bench", "--grid-n", grid_n, "--grid-alpha", grid_alpha, "--methods", methods,
+            "--reps", "1", "--output", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")]
+    assert_outcome(argv, want, kind, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("blocked", ["--output", "--csv"])
+def test_bench_contract_with_an_unwritable_output(tmp_path, capsys, blocked):
+    # The grid runs and the other file is writable, but neither file is left behind.
+    assert bench_outcome("4", "1", "naive")[0] == cli.EXIT_OK
+    paths = {"--output": tmp_path / "ok.json", "--csv": tmp_path / "ok.csv"}
+    paths[blocked] = tmp_path / "nodir" / "r"
+    argv = ["bench", "--grid-n", "4", "--grid-alpha", "1", "--methods", "naive", "--reps", "1",
+            *(arg for flag, path in paths.items() for arg in (flag, str(path)))]
+    assert_outcome(argv, cli.EXIT_PARSE_ERROR, "error", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed", VERIFY_SEEDS)
+@pytest.mark.parametrize("sizes", VERIFY_SIZES)
+def test_verify_contract(tmp_path, capsys, sizes, seed):
+    want, kind = verify_outcome(sizes, seed)
+    assert_outcome(["verify", "--sizes", sizes, "--seed", seed], want, kind, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("alphas", DEMO_ALPHAS)
+@pytest.mark.parametrize("n", DEMO_NS)
+def test_demo_sine_contract(tmp_path, capsys, n, alphas):
+    want, kind = demo_outcome(n, alphas)
+    argv = ["demo-sine", "--n", n, "--alphas", alphas, "--output", str(tmp_path / "demo")]
+    assert_outcome(argv, want, kind, tmp_path, capsys)
+    if want == cli.EXIT_OK:
+        assert len(list((tmp_path / "demo").iterdir())) == len(alphas.split(",")) + 1
+
+
+def test_the_command_grids_reach_every_outcome():
+    bench = Counter(bench_outcome(*flags)
+                    for flags in itertools.product(BENCH_NS, BENCH_ALPHAS, BENCH_METHODS))
+    assert set(bench) == {(cli.EXIT_PARSE_ERROR, "error"), (cli.EXIT_OK, "warning"),
+                          (cli.EXIT_OK, None)}
+    verify = Counter(verify_outcome(*flags) for flags in itertools.product(VERIFY_SIZES,
+                                                                           VERIFY_SEEDS))
+    assert set(verify) == {(cli.EXIT_PARSE_ERROR, "error"), (cli.EXIT_OK, None)}
+    demo = Counter(demo_outcome(*flags) for flags in itertools.product(DEMO_NS, DEMO_ALPHAS))
+    assert {code for code, _ in demo} == {cli.EXIT_OK, cli.EXIT_PARSE_ERROR, cli.EXIT_BAD_ALPHA,
+                                          cli.EXIT_NOT_REPRESENTABLE}

@@ -13,9 +13,9 @@ At any N <= 96 and alpha*N <= 160 the oracle's bins are also numpy's FFT of
 x padded or folded into alpha*N slots, to the same tolerance.
 
 ``bench`` times each executor of a grid cell once: for any list of methods,
-repeats allowed, a cell's records carry the distinct labels that
-``baseline.executor`` returns for the methods it accepts there, and no claim
-judges a cell twice.
+repeats allowed, a cell's records carry the distinct labels that the
+contract's rules (``contract_rules.bench_cell``) give the methods that
+``compute`` runs there, and no claim judges a cell twice.
 
 The reader fuzz test feeds generated CSV and JSON text to ``read_signal``:
 it must return a Signal with finite samples and a positive finite duration,
@@ -61,6 +61,8 @@ from alpha_spectra.io import (
     read_signal,
     read_signal_json,
 )
+
+from contract_rules import bench_cell
 
 RTOL = 1e-10
 ALPHAS = [DenseFactor(1, 8), DenseFactor(1, 4), DenseFactor(1, 2),
@@ -149,14 +151,8 @@ def test_bench_times_each_executor_of_a_cell_once(methods):
     assert len(set(cells)) == len(cells)
     for n in BENCH_NS:
         for alpha in BENCH_ALPHAS:
-            labels = []
-            for method in methods:
-                try:
-                    labels.append(baseline.executor(n, alpha, method)[1])
-                except ValueError:
-                    pass
-            assert [m for (rn, ra, m) in cells if (rn, ra) == (n, alpha)] == list(
-                dict.fromkeys(labels))
+            labels = bench_cell(n, alpha, methods)[0]
+            assert [m for (rn, ra, m) in cells if (rn, ra) == (n, alpha)] == labels
     for verdict in make_report(records).verdicts:
         judged = [(d["N"], d["alpha"]) for d in verdict.details if "N" in d]
         assert len(set(judged)) == len(judged)
