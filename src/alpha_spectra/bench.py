@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baseline, fastpath
-from .core import DenseFactor, Signal, validate_pair
+from .core import DenseFactor, Signal, distinct, validate_pair
 from .verify import random_unit_disk
 
 #: Repetitions of a naive cell at most: its quadratic cost makes 20 impractical at large N.
@@ -130,16 +130,6 @@ class ScalingReport:
                 writer.writerow(record.to_row())
 
 
-def _distinct(values, name) -> list:
-    """``values`` as a list; ValueError naming ``name`` when one repeats."""
-    seen = []
-    for value in values:
-        if value in seen:
-            raise ValueError(f"{name} {value} given twice: a cell is timed and judged once")
-        seen.append(value)
-    return seen
-
-
 def run_grid(
     ns,
     alphas,
@@ -168,7 +158,7 @@ def run_grid(
     """
     for method in methods:
         baseline.check_method(method)
-    ns, alphas = _distinct(ns, "N"), _distinct(alphas, "alpha")
+    ns, alphas = distinct(ns, "N"), distinct(alphas, "alpha")
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps!r}")
     rng = np.random.default_rng(seed)

@@ -78,6 +78,16 @@ class DenseFactor:
         return f"{self.p}/{self.q}"
 
 
+def distinct(values, name) -> list:
+    """``values`` as a list; ValueError naming ``name`` when one repeats, compared as values."""
+    seen = []
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{name} {value} given twice")
+        seen.append(value)
+    return seen
+
+
 def validate_pair(n: int, alpha: DenseFactor) -> tuple[int, int]:
     """Check that alpha*N is a positive integer and return (N, M=alpha*N).
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import executor
-from .core import DenseFactor, Signal, Spectrum
+from .core import DenseFactor, Signal, Spectrum, distinct
 
 #: Normalizer of the analytic curve: its value at zero frequency.
 SINE_DC = 2.0 / np.pi
@@ -53,11 +53,13 @@ def sine_demo(n: int = 64, alphas=(1, 2, 4, 8)) -> dict:
     """Half-sine spectra for each density factor, keyed by DenseFactor.
 
     Runs ``executor``'s ``auto`` method, so rational densities work too.
+    A density given twice (``2`` and ``DenseFactor(2, 1)`` included) raises
+    ValueError.
     """
     signal = sine_signal(n)
     curves = {}
-    for raw in alphas:
-        alpha = raw if isinstance(raw, DenseFactor) else DenseFactor(raw)
+    for alpha in distinct([a if isinstance(a, DenseFactor) else DenseFactor(a) for a in alphas],
+                          "alpha"):
         spectrum = executor(n, alpha)[0](signal)
         magnitudes = spectrum.magnitudes
         if magnitudes[0] == 0:

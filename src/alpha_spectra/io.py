@@ -7,12 +7,15 @@ other comment is ignored) or as JSON.  Spectra go out as CSV with
 ``m,freq,re,im,magnitude`` rows.  Floats are rendered with 17 significant
 digits, which round-trips doubles exactly.
 
-The CSV reader works on whole columns.  It reads the file's bytes once,
-decodes them under one rule (``_text``: CRLF and CR line ends read as LF,
-and the first line holding a byte that does not decode is a bad line), and
-scans the lines up to the header for metadata.  The rest of the text then
-goes, as UTF-8 bytes (an ``io.StringIO`` would hold it at 4 bytes per
-character), to ``np.loadtxt``: numpy's C tokenizer parses the rows without
+Both readers read a file's bytes once and decode them under one rule,
+``_text``: CRLF and CR line ends read as LF, and the first line holding a
+byte that does not decode is a bad line (``_check_decoded``), never a
+character inside a string.
+
+The CSV reader works on whole columns.  It scans the decoded lines up to
+the header for metadata.  The rest of the text then goes, as UTF-8 bytes
+(an ``io.StringIO`` would hold it at 4 bytes per character), to
+``np.loadtxt``: numpy's C tokenizer parses the rows without
 a Python object per cell, each float with the parser under ``float()`` and
 the index as an int64 only where ``int()`` reads the same number.  Its
 columns stand when it reads every line as a row and the index as 0, 1, 2,
@@ -27,11 +30,11 @@ errors of the walks they skip.
 
 The JSON reader has two parsers.  ``orjson`` parses the file's bytes
 first, and its document becomes the signal when ``_json_signal`` accepts
-it.  Otherwise the stdlib ``json`` parses the file's text, as open() reads
-it, and its signal or error stands, with its messages and line numbers.
-So a file reads as the stdlib parser alone reads it: both round decimal
-numbers correctly, and the stdlib parser takes every input that ``orjson``
-refuses or reads differently:
+it.  Otherwise the stdlib ``json`` parses the same bytes as ``_text``
+decodes them, and its signal or error stands, with its messages and line
+numbers.  So a file reads as the stdlib parser alone reads it: both round
+decimal numbers correctly, and the stdlib parser takes every input that
+``orjson`` refuses or reads differently:
 
 * the ``NaN``, ``Infinity`` and ``-Infinity`` literals, even in a key the
   reader ignores;
@@ -42,9 +45,6 @@ refuses or reads differently:
   reads as the largest double may be an integer past it;
 * a document that ``_json_signal`` refuses, or one nested too deeply for
   its error message, so every error is the stdlib parser's.
-
-JSON is decoded strictly: a byte that does not decode is an error, naming
-its line, never a character inside a string.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
 header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
@@ -209,6 +209,14 @@ def _text(data):
     return io.TextIOWrapper(io.BytesIO(data), errors="surrogateescape")
 
 
+def _check_decoded(text, encoding, line=1):
+    """Refuse the first byte that ``_text`` did not decode in ``text``, which starts at ``line``."""
+    if not text.isascii() and (bad := _UNDECODABLE.search(text)):
+        byte = ord(bad[0]) - 0xDC00  # the escape of byte b is chr(0xDC00 + b)
+        raise SignalParseError(f"byte 0x{byte:02x} is not {encoding} text",
+                               line + text.count("\n", 0, bad.start()))
+
+
 def _rows_bytes(data, offset):
     """The text of ``data`` after its first ``offset`` characters, less its final LFs, in UTF-8.
 
@@ -238,9 +246,7 @@ def _read_csv(path):
     offset = 0
     for line_no, raw in enumerate(lines, start=1):
         offset += len(raw)
-        if not raw.isascii() and (bad := _UNDECODABLE.search(raw)):
-            byte = ord(bad[0]) - 0xDC00  # the escape of byte b is chr(0xDC00 + b)
-            raise SignalParseError(f"byte 0x{byte:02x} is not {lines.encoding} text", line_no)
+        _check_decoded(raw, lines.encoding, line_no)
         stripped = raw.strip()
         if not stripped:
             continue
@@ -367,38 +373,32 @@ def _json_signal(payload) -> Signal:
     raise SignalParseError("JSON object needs either 'samples' or 'time'+'value'", 1)
 
 
-def _orjson_signal(path) -> Signal:
-    """The signal of a JSON file as orjson parses its bytes."""
-    payload = orjson.loads(Path(path).read_bytes())
-    if isinstance(payload, dict) and payload.get("T") == sys.float_info.max:
-        # Possibly an integer literal past the largest double, which
-        # check_duration refuses and orjson rounds down into range.
-        raise SignalParseError("T may be an integer past the largest double", 1)
-    return _json_signal(payload)
-
-
 def read_signal_json(path) -> Signal:
     """Parse a signal JSON object.
 
     Accepted shapes: {"T": seconds?, "samples": [[re, im], ...]} with plain
     numbers allowed for real samples, or {"T": seconds?, "time": [...],
-    "value": [...]} mirroring the CSV time form.  orjson parses the file
-    first; when it or _json_signal refuses, the stdlib parser's signal or
-    error stands (see the module docstring).
+    "value": [...]} mirroring the CSV time form.  orjson parses the file's
+    bytes first; when it or _json_signal refuses, the stdlib parser's signal
+    or error on the same bytes stands (see the module docstring).
     """
+    data = Path(path).read_bytes()
     try:
-        return _orjson_signal(path)
+        payload = orjson.loads(data)
+        # A T that reads as the largest double may be an integer literal past
+        # it, which check_duration refuses and orjson rounds down into range.
+        if not (isinstance(payload, dict) and payload.get("T") == sys.float_info.max):
+            return _json_signal(payload)
     except (orjson.JSONDecodeError, SignalParseError, RecursionError):
         pass  # RecursionError: the repr of a deeply nested T, in check_duration's message
+    lines = _text(data)
+    text = lines.read()
+    _check_decoded(text, lines.encoding)
+    data = lines = None  # the bytes go before the stdlib parser runs
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SignalParseError(exc.msg, exc.lineno) from None
-    except UnicodeDecodeError as exc:  # read_text decodes all at once: ``start`` is a file offset
-        # Lines end where read_text and json see them end: at CRLF, CR or LF.
-        line = _text(exc.object[:exc.start]).read().count("\n") + 1
-        raise SignalParseError(f"byte 0x{exc.object[exc.start]:02x} is not {exc.encoding} text",
-                               line) from None
     except ValueError as exc:  # an integer past the digit limit
         raise SignalParseError(str(exc), 1) from None
     except RecursionError:  # arrays or objects nested past the interpreter's recursion limit

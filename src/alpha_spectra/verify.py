@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .baseline import aliased_reconstruct, executor
-from .core import DenseFactor, Signal, validate_pair
+from .core import DenseFactor, Signal, distinct, validate_pair
 from .oracle import naive_inverse, orthogonality_kernel
 
 DEFAULT_SIZES = (2, 4, 8, 16, 32, 64)
@@ -142,6 +142,6 @@ def suite_orthogonality(sizes=DEFAULT_SIZES) -> SuiteResult:
 
 
 def run_all(seed=0, sizes=DEFAULT_SIZES) -> list:
-    """Run every suite."""
-    sizes = tuple(sizes)
+    """Run every suite; ValueError when a size repeats, which would check its cases twice."""
+    sizes = distinct(sizes, "N")
     return [run_sweep(sweep, seed, sizes) for sweep in SWEEPS] + [suite_orthogonality(sizes)]

@@ -341,15 +341,14 @@ def test_verify_skips_suites_without_cases(capsys, sizes, skipped):
     assert sum(line.endswith(" PASS") for line in lines) == 5 - len(skipped)
 
 
-def test_verify_with_no_case_is_an_error(capsys, monkeypatch):
-    # 96 is not a power of two and above the orthogonality cut-off, so the
-    # two fast-path suites and the orthogonality sweep check nothing.
-    monkeypatch.setattr(verify, "SWEEPS", verify.SWEEPS[:2])
-    assert run(["verify", "--sizes", "96"]) == cli.EXIT_PARSE_ERROR
-    captured = capsys.readouterr()
-    assert captured.out.count("SKIP") == 3
-    assert "PASS" not in captured.out
-    assert "no suite checked any case" in single_error_line(captured.err)
+def test_verify_checks_a_case_at_every_size():
+    # The round-trip suite runs the oracle at alpha = 1, which every N takes,
+    # so no --sizes leaves verify with nothing checked.
+    for n in range(1, 97):
+        assert sum(result.cases for result in verify.run_all(sizes=(n,))) > 0, n
+    # A size given twice would check each of its cases twice.
+    with pytest.raises(ValueError, match="N 4 given twice"):
+        verify.run_all(sizes=(4, 2, 4))
 
 
 # ---------------------------------------------------------- boundary probes
@@ -483,6 +482,7 @@ def test_too_many_bins_exits_6(tmp_path, capsys, argv):
     ["demo-sine", "--output", "unused", "--n", "268435457"],
     ["bench", "--grid-alpha", "1", "--reps", "1", "--grid-n", "64,268435457"],
     ["verify", "--sizes", "268435457"],
+    ["bench", "--reps", "abc"],
 ])
 def test_invalid_numeric_argument_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:

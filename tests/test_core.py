@@ -25,6 +25,7 @@ def test_dense_factor_reduces():
     assert DenseFactor(8, 2) == DenseFactor(4, 1)
     assert DenseFactor(5).q == 1
     assert str(DenseFactor(2)) == "2/1"
+    assert float(DenseFactor(6, 4)) == 1.5
 
 
 @pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (-2, 1), (1, -3), (0, 0)])

@@ -69,6 +69,12 @@ def test_demo_returns_requested_densities(curves):
         assert curve.spectrum.alpha == alpha
         assert curve.spectrum.m == 64 * alpha.p
         assert curve.normalized[0] == 1.0
+    # 2 and 2/1 are one density, which would give one curve for two.
+    with pytest.raises(ValueError, match="alpha 2/1 given twice"):
+        sine_demo(8, (2, DenseFactor(2, 1)))
+    # sin(0) is the one sample of N = 1: no DC to scale the curve by.
+    with pytest.raises(ValueError, match="zero DC magnitude"):
+        sine_demo(1)
 
 
 def test_curve_magnitudes_are_the_spectrum_magnitudes(curves):

@@ -435,6 +435,19 @@ def test_transform_is_deterministic():
     assert np.array_equal(first, second)
 
 
+def test_transform_leaves_numpys_buffer_size_as_it_found_it():
+    # The kernel sets a 16-value ufunc buffer inside np.errstate(); numpy
+    # 2.0 and later restore the caller's size when that scope exits.
+    samples = unit_disk(np.random.default_rng(43), 64)
+    before = np.getbufsize()
+    np.setbufsize(4096)
+    try:
+        transform_samples(samples, plan(64, DenseFactor(4)))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(before)
+
+
 def test_block_sum_leaf_transform():
     # alpha = 1/N collapses everything into the single bin sum(x).
     rng = np.random.default_rng(53)

@@ -1,6 +1,8 @@
 import inspect
 import json
+import os
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -269,6 +271,11 @@ def test_json_decode_error_carries_line(tmp_path):
     with pytest.raises(SignalParseError) as info:
         read_signal_json(path)
     assert info.value.line == 2
+    # An integer past the stdlib parser's digit limit, read or ignored, is at line 1.
+    for text in ('{"samples": [%s]}', '{"note": %s, "samples": [1]}'):
+        path = write(tmp_path, "s.json", text % ("7" * 5000))
+        with pytest.raises(SignalParseError, match=r"^line 1: Exceeds the limit \(4300 digits\)"):
+            read_signal_json(path)
 
 
 def test_json_nested_too_deeply_is_a_parse_error(tmp_path):
@@ -308,6 +315,65 @@ def test_json_nested_t_is_the_stdlib_parser_error(tmp_path):
     path = write(tmp_path, "s.json", '{"T": ' + "[" * 100_000 + "]" * 100_000 + ', "samples": [1]}')
     with pytest.raises(SignalParseError, match="nested too deeply"):
         read_signal_json(path)
+
+
+def through_fifo(path, data, read):
+    """``read(path)`` on a named pipe that a second thread writes ``data`` to, once.
+
+    A reader that opens the pipe again waits for a writer: after 10 s it gets
+    one that writes nothing, and the call fails, with no thread left behind.
+    """
+    os.mkfifo(path)
+    results = []
+
+    def write():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader never read it
+            pass
+
+    def run():
+        try:
+            results.append(read(path))
+        except Exception as exc:  # noqa: BLE001 -- raised again below
+            results.append(exc)
+
+    writer, reader = threading.Thread(target=write), threading.Thread(target=run)
+    writer.start()
+    reader.start()
+    reader.join(timeout=10)
+    opened_twice = reader.is_alive()
+    if opened_twice:  # a writer that writes nothing ends the second open
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+    writer.join(timeout=1)
+    if writer.is_alive():  # the reader never opened the pipe: a reader ends the write
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+    for thread in (reader, writer):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert not opened_twice, f"read {path.name} opened the pipe a second time"
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+@pytest.mark.parametrize("suffix, clean, malformed, error", [
+    # Only the stdlib parser reads a NaN, here in a key the reader ignores.
+    (".json", b'{"samples": [1, 2], "note": NaN}', b'{"samples": [1,]}',
+     "line 1: Expecting value"),
+    (".csv", b"index,re,im\n0,1,0\n1,2,0\n", b"index,re,im\n0,1,\n",
+     "line 2: expected a number, got ''"),
+], ids=["json", "csv"])
+def test_a_named_pipe_is_read_once(tmp_path, capsys, suffix, clean, malformed, error):
+    signal = through_fifo(tmp_path / f"clean{suffix}", clean, read_signal)
+    np.testing.assert_array_equal(signal.samples, [1, 2])
+    bad, out = tmp_path / f"malformed{suffix}", tmp_path / "out.csv"
+    code = through_fifo(bad, malformed,
+                        lambda path: cli.main(["compute", "--input", str(path), "--output", str(out)]))
+    assert code == cli.EXIT_PARSE_ERROR
+    assert capsys.readouterr().err == f"error: {bad}: {error}\n"
+    assert not out.exists()
 
 
 def test_read_signal_dispatches_on_extension(tmp_path):

@@ -22,8 +22,9 @@ it must return a Signal with finite samples and a positive finite duration,
 or raise SignalParseError -- never anything else.  The differential reader
 fuzz tests hold the readers' whole-input shortcuts to per-line and
 per-entry reference copies: the same values bit for bit, or the same error.
-The JSON reader's orjson pass is held to its stdlib parser alone, and
-orjson's decimal-to-double conversion to ``float()``'s, bit for bit.
+The JSON reader's orjson pass is held to its stdlib parser alone, its
+decoding of the file's bytes to ``Path.read_text()``'s, and orjson's
+decimal-to-double conversion to ``float()``'s, bit for bit.
 """
 
 import json
@@ -56,6 +57,7 @@ from alpha_spectra.io import (
     _SIGNAL_LAYOUTS,
     SignalParseError,
     _checked_signal,
+    _json_signal,
     _parse_metadata,
     _read_csv,
     read_signal,
@@ -516,11 +518,12 @@ PARTING_NUMBER = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, LARGE
 
 
 @st.composite
-def two_parser_json(draw):
+def two_parser_json(draw, undecodable=False):
     """JSON text that orjson refuses or reads otherwise: differential_json's
     documents with parting numbers as T, in an ignored key and as samples or
     parts of a pair, with LF, CR or CRLF line ends, and at times a leading
-    byte order mark.
+    byte order mark.  With ``undecodable``, at times one or two bytes of
+    0x80 to 0xff go in anywhere, as their ``surrogateescape`` characters.
     """
     payload = json.loads(draw(differential_json()))
     if draw(st.booleans()):
@@ -535,7 +538,12 @@ def two_parser_json(draw):
             entries[position] = draw(parting_sample)
     text = json.dumps(payload, indent=draw(st.sampled_from([None, 1])))
     text = text.replace("\n", draw(st.sampled_from(["\n", "\r", "\r\n"])))
-    return ("\ufeff" if draw(st.sampled_from([False] * 7 + [True])) else "") + text
+    text = ("\ufeff" if draw(st.sampled_from([False] * 7 + [True])) else "") + text
+    if undecodable and draw(st.sampled_from([False] * 3 + [True])):
+        for _ in range(draw(st.integers(1, 2))):
+            k = draw(st.integers(0, len(text)))
+            text = text[:k] + chr(0xDC00 + draw(st.integers(0x80, 0xFF))) + text[k:]
+    return text
 
 
 def stdlib_read_signal_json(path):
@@ -554,6 +562,38 @@ def test_read_signal_json_is_the_stdlib_parser(fuzz_dir, text):
     path = fuzz_dir / "o.json"
     path.write_bytes(text.encode("utf-8"))
     assert outcome(read_signal_json, path) == outcome(stdlib_read_signal_json, path)
+
+
+def read_text_read_signal_json(path):
+    """The stdlib parser alone on the text ``Path.read_text()`` decodes, naming
+    the line of a byte that does not decode from the offset of its error.
+    """
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        before = exc.object[:exc.start].decode(exc.encoding)
+        line = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise SignalParseError(f"byte 0x{exc.object[exc.start]:02x} is not {exc.encoding} text",
+                               line) from None
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SignalParseError(exc.msg, exc.lineno) from None
+    except ValueError as exc:
+        raise SignalParseError(str(exc), 1) from None
+    except RecursionError:
+        raise SignalParseError("JSON nested too deeply", 1) from None
+    return _json_signal(payload)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(two_parser_json(undecodable=True))
+@example('{"T": 1,\r\n "samples": [1,\r\udcff\n 2, "\udce9"]}')
+@example('{"samples": [1, 2], "note": "caf\udce9"}')
+def test_read_signal_json_decodes_as_read_text_does(fuzz_dir, text):
+    path = fuzz_dir / "b.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert outcome(read_signal_json, path) == outcome(read_text_read_signal_json, path)
 
 
 def bits(number) -> bytes:
