@@ -23,7 +23,7 @@ import csv
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -89,13 +89,8 @@ class ClaimVerdict:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "pass": self.passed,
-            "record_ids": self.record_ids,
-            "details": self.details,
-            "warnings": self.warnings,
-        }
+        """The fields in order, with ``passed`` written as ``pass``."""
+        return {"pass" if key == "passed" else key: value for key, value in asdict(self).items()}
 
 
 @dataclass

@@ -54,7 +54,8 @@ def sine_demo(n: int = 64, alphas=(1, 2, 4, 8)) -> dict:
 
     Runs ``executor``'s ``auto`` method, so rational densities work too.
     A density given twice (``2`` and ``DenseFactor(2, 1)`` included) raises
-    ValueError.
+    ValueError, as does N = 1, whose one-sample half-sine has a zero DC
+    magnitude to normalize by.
     """
     signal = sine_signal(n)
     curves = {}

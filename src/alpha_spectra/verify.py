@@ -121,7 +121,11 @@ def run_sweep(sweep: Sweep, seed=0, sizes=DEFAULT_SIZES) -> SuiteResult:
 
 
 def suite_orthogonality(sizes=DEFAULT_SIZES) -> SuiteResult:
-    """The inverse-forward kernel is 1 on the alpha*N comb and ~0 off it."""
+    """The inverse-forward kernel is 1 on the alpha*N comb and ~0 off it.
+
+    It checks the 2N - 1 offsets of each valid (N, alpha) of KERNEL_ALPHAS
+    with N <= 64.
+    """
 
     def measurements():
         for n in sizes:

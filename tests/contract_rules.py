@@ -13,6 +13,9 @@ The library raises ``EXCEPTIONS[code]`` where ``compute`` exits with
 multiply count without ``executor``.  ``bench_cell`` is what ``bench`` times
 at one grid cell.  ``bench_outcome``, ``verify_outcome`` and
 ``demo_outcome`` give those commands' exit code from the text of their flags.
+``run_grid_refusals``, ``grid_cell``, ``verify_cases`` and ``sine_demo_refusal``
+give what the library calls behind them, ``bench.run_grid``,
+``verify.run_all`` and ``demo.sine_demo``, refuse, skip and check.
 """
 
 from fractions import Fraction
@@ -33,6 +36,7 @@ from alpha_spectra import (
 )
 from alpha_spectra.bench import MIN_LT1_BINS, NAIVE_REPS
 from alpha_spectra.core import MAX_BINS
+from alpha_spectra.verify import KERNEL_ALPHAS, SEEDS_PER_CASE, SWEEPS
 
 METHODS = ("auto", "fft", "naive", "zeropad")
 
@@ -109,23 +113,36 @@ def expected_reps(label, reps):
     return min(reps, NAIVE_REPS) if label == "naive" else reps
 
 
-def bench_cell(n, alpha, methods):
-    """(labels, repeats) of one ``bench`` cell.
+def grid_cell(n, alpha, methods):
+    """(labels, skips) of one ``bench.run_grid`` cell.
 
     ``labels`` holds the label of each method that ``compute`` runs at
-    (N, alpha), once each, in method order.  ``repeats`` holds
-    (method, reason) for each method whose label an earlier method timed.
+    (N, alpha), once each, in method order.  ``skips`` holds (method,
+    reason) for every other method, in method order.  The reason is None
+    where ``compute`` refuses the method: the skip carries the library's
+    refusal text.  Otherwise an earlier method timed the label, and the
+    reason names that method.
     """
-    timed, repeats = {}, []
+    timed, skips = {}, []
     for method in methods:
         code, label = expected(n, alpha, method)
         if code != cli.EXIT_OK:
-            continue
-        if label in timed:
-            repeats.append((method, f"{label} is timed at this cell already, as {timed[label]}"))
+            skips.append((method, None))
+        elif label in timed:
+            skips.append((method, f"{label} is timed at this cell already, as {timed[label]}"))
         else:
             timed[label] = method
-    return list(timed), repeats
+    return list(timed), skips
+
+
+def bench_cell(n, alpha, methods):
+    """(labels, repeats) of one ``bench`` cell.
+
+    ``repeats`` holds ``grid_cell``'s skips of a label that an earlier
+    method timed.
+    """
+    labels, skips = grid_cell(n, alpha, methods)
+    return labels, [(method, reason) for method, reason in skips if reason]
 
 
 # ------------------------------------------------------------- list flags
@@ -208,3 +225,76 @@ def demo_outcome(n, alphas):
         if code != cli.EXIT_OK:
             return code, "error"
     return cli.EXIT_OK, None
+
+
+# ---------------------------------------------------------- library calls
+# ``bench.run_grid``, ``verify.run_all`` and ``demo.sine_demo`` refuse a value
+# given twice, compared as values, with a ValueError that names it; an N is
+# named as written and a density as p/q.
+
+def given_twice(name, values):
+    """The ValueError text for the first value of ``values`` that repeats, or None."""
+    seen = []
+    for value in values:
+        value = _density(value) if name == "alpha" else value
+        if value in seen:
+            return f"{name} {value} given twice"
+        seen.append(value)
+    return None
+
+
+def run_grid_refusals(ns, alphas, methods, reps):
+    """The ValueError texts ``bench.run_grid`` may raise up front, empty when it runs.
+
+    It refuses an unknown method, an N or alpha given twice and ``reps``
+    below 1.  Where several apply, any one of them may be the one raised.
+    """
+    texts = [f"unknown method {method!r} (choose from {', '.join(METHODS)})"
+             for method in methods if method not in METHODS]
+    texts += [text for text in (given_twice("N", ns), given_twice("alpha", alphas)) if text]
+    if reps < 1:
+        texts.append(f"reps must be at least 1, got {reps!r}")
+    return texts
+
+
+def verify_cases(sizes):
+    """Suite name -> the cases ``verify.run_all`` checks at ``sizes``, a list without repeats.
+
+    A random-signal suite scores SEEDS_PER_CASE signals at each (N, alpha) of
+    its densities that all of its methods take.  The orthogonality suite
+    checks 2N - 1 offsets at each valid (N, alpha) of KERNEL_ALPHAS with
+    N <= 64.  Every suite passes, and one with no case prints SKIP.
+    """
+    def takes(n, alpha, methods):
+        return all(expected(n, alpha, method)[0] == cli.EXIT_OK for method in methods)
+
+    cases = {sweep.name: SEEDS_PER_CASE * sum(takes(n, alpha, sweep.methods)
+                                              for n in sizes for alpha in sweep.alphas)
+             for sweep in SWEEPS}
+    cases["orthogonality"] = sum(2 * n - 1 for n in sizes if n <= 64
+                                 for alpha in KERNEL_ALPHAS if takes(n, alpha, ["naive"]))
+    return cases
+
+
+def sine_demo_refusal(n, alphas):
+    """None when ``demo.sine_demo(n, alphas)`` returns a curve per density.
+
+    Else (exception class, its text), or (exception class, the density)
+    where ``compute`` refuses a density: then the text is the library's
+    refusal of ``auto`` at (N, density).
+
+    A density given twice is refused first.  Then each density runs
+    ``auto`` in order, so the first that ``compute`` refuses at N raises
+    there.  At N = 1 the half-sine is zero, and its zero DC magnitude
+    cannot normalize a curve.
+    """
+    repeat = given_twice("alpha", alphas)
+    if repeat:
+        return ValueError, repeat
+    for alpha in alphas:
+        code = expected(n, alpha, "auto")[0]
+        if code != cli.EXIT_OK:
+            return EXCEPTIONS[code], alpha
+        if n == 1:
+            return ValueError, "cannot normalize a spectrum with zero DC magnitude"
+    return None

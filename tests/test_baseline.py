@@ -19,12 +19,9 @@ from alpha_spectra import (
     predicted_mults,
 )
 from alpha_spectra.baseline import METHODS, executor
+from alpha_spectra.verify import random_unit_disk
 
 import contract_rules
-
-
-def unit_disk(rng, n):
-    return np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
 
 
 # ------------------------------------------------------------------- padding
@@ -53,7 +50,7 @@ def test_zero_pad_layout():
 
 def test_zero_pad_rational_factor():
     # N = 6 is no power of two, but alpha*N = 8 is: 6 samples, 2 zeros.
-    samples = unit_disk(np.random.default_rng(6), 6)
+    samples = random_unit_disk(np.random.default_rng(6), 6)
     spectrum = zeropad(Signal(samples, duration=3.0), DenseFactor(4, 3))
     assert np.max(np.abs(spectrum.bins - np.fft.fft(zero_padded(samples, 8)))) <= 1e-12
     assert (spectrum.origin_n, spectrum.alpha, spectrum.duration) == (6, DenseFactor(4, 3), 3.0)
@@ -62,7 +59,7 @@ def test_zero_pad_rational_factor():
 
 def test_zero_pad_alpha_one_is_copy():
     # Nothing to pad: the plain FFT, bit for bit the fast path at alpha = 1.
-    signal = Signal(unit_disk(np.random.default_rng(9), 64))
+    signal = Signal(random_unit_disk(np.random.default_rng(9), 64))
     spectrum = zeropad(signal, DenseFactor(1))
     assert spectrum.bins.tobytes() == alpha_fft(signal, plan(64, DenseFactor(1))).bins.tobytes()
     assert np.max(np.abs(spectrum.bins - np.fft.fft(signal.samples))) < 1e-11
@@ -103,7 +100,7 @@ def test_padding_reproduces_dense_bins(n, alpha):
     # Same butterflies plus exact zeros: the two pipelines agree bitwise,
     # but the contract we hold them to is 1e-12 absolute.
     rng = np.random.default_rng(n * alpha.p)
-    signal = Signal(unit_disk(rng, n))
+    signal = Signal(random_unit_disk(rng, n))
     dense = alpha_fft(signal, plan(n, alpha))
     padded = zeropad(signal, alpha)
     assert np.max(np.abs(dense.bins - padded.bins)) <= 1e-12
@@ -111,7 +108,7 @@ def test_padding_reproduces_dense_bins(n, alpha):
 
 def test_padding_equivalence_for_naive_path():
     rng = np.random.default_rng(100)
-    signal = Signal(unit_disk(rng, 12))
+    signal = Signal(random_unit_disk(rng, 12))
     dense = naive_forward(signal, DenseFactor(3))
     padded = naive_forward(Signal(zero_padded(signal.samples, 36), 3 * signal.duration),
                            DenseFactor(1))
@@ -131,7 +128,7 @@ def test_padding_equivalence_for_naive_path():
 ])
 def test_transform_runs_the_executor_its_method_names(n, alpha):
     rng = np.random.default_rng(n * alpha.p + alpha.q)
-    signal = Signal(unit_disk(rng, n), duration=2.5)
+    signal = Signal(random_unit_disk(rng, n), duration=2.5)
     assert METHODS == contract_rules.METHODS
     for method in METHODS:
         code, outcome = contract_rules.expected(n, alpha, method)
@@ -224,7 +221,7 @@ def test_aliased_reconstruct_rejects_dense_factors():
 ])
 def test_inverse_of_sparse_spectrum_is_alias_fold(n, alpha):
     rng = np.random.default_rng(n + alpha.q)
-    signal = Signal(unit_disk(rng, n))
+    signal = Signal(random_unit_disk(rng, n))
     recovered = naive_inverse(naive_forward(signal, alpha))
     expected = aliased_reconstruct(signal, alpha)
     assert np.max(np.abs(recovered.samples - expected)) < 1e-10

@@ -14,6 +14,12 @@ alpha < 1 cells below ``bench.MIN_LT1_BINS``.  Each case gives the exit code
 that ``contract_rules`` derives, and one ``error:`` line when refused, or a
 ``warning:`` line where the rules expect one.  A refused request leaves no
 file or directory.
+
+The library calls behind them, ``bench.run_grid``, ``verify.run_all`` and
+``demo.sine_demo``, run over small grids of arguments: an unknown method, a
+repeated N or alpha, ``reps`` below 1, a pair that every method refuses and
+``sine_demo(1)``'s zero DC.  Each case raises the ValueError text that
+``contract_rules`` gives, or skips or checks what the rules say.
 """
 
 import itertools
@@ -23,13 +29,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alpha_spectra import cli
+from alpha_spectra import DenseFactor, baseline, cli, verify
+from alpha_spectra.bench import run_grid
+from alpha_spectra.demo import sine_demo
 
 from contract_rules import (
+    EXCEPTIONS,
     METHODS,
     bench_outcome,
     demo_outcome,
     expected,
+    expected_reps,
+    given_twice,
+    grid_cell,
+    run_grid_refusals,
+    sine_demo_refusal,
+    verify_cases,
     verify_outcome,
 )
 from file_formats import read_spectrum_csv, write_signal_csv
@@ -173,3 +188,101 @@ def test_the_command_grids_reach_every_outcome():
     demo = Counter(demo_outcome(*flags) for flags in itertools.product(DEMO_NS, DEMO_ALPHAS))
     assert {code for code, _ in demo} == {cli.EXIT_OK, cli.EXIT_PARSE_ERROR, cli.EXIT_BAD_ALPHA,
                                           cli.EXIT_NOT_REPRESENTABLE}
+
+
+# ------------------------------------------------------------- library calls
+# Arguments: an unknown method, a repeat (DenseFactor(2, 1) repeats 2, and a
+# method named twice), reps below 1, pairs that every method refuses (N = 3
+# at alpha 1/2), sizes at which a suite checks no case, a density that
+# ``auto`` refuses, and N = 1, whose half-sine is zero.
+
+GRID_NS = ((4, 16), (16, 16), (3,))
+GRID_ALPHAS = ((DenseFactor(2), DenseFactor(1, 2)), (DenseFactor(2), DenseFactor(2, 1)))
+GRID_METHODS = (("auto", "fft", "zeropad"), ("naive", "fast"), ("zeropad", "naive", "naive"))
+GRID_REPS = (1, 0)
+RUN_ALL_SIZES = ((2, 4), (4, 4), (3,), (1, 6, 128))
+SINE_DEMO_CALLS = (
+    (8, (1, 2, DenseFactor(3, 2))),
+    (8, (2, DenseFactor(2, 1))),
+    (6, (1, DenseFactor(1, 4))),
+    (1, (1, 2)),
+    (1, (DenseFactor(1, 4), 1)),
+)
+
+
+def refusal(n, alpha, method):
+    """The text of ``executor``'s refusal of ``method`` at (N, alpha), raised as the rules say."""
+    with pytest.raises(EXCEPTIONS[expected(n, alpha, method)[0]]) as info:
+        baseline.executor(n, alpha, method)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("reps", GRID_REPS)
+@pytest.mark.parametrize("methods", GRID_METHODS)
+@pytest.mark.parametrize("alphas", GRID_ALPHAS)
+@pytest.mark.parametrize("ns", GRID_NS)
+def test_run_grid_contract(ns, alphas, methods, reps):
+    skipped = []
+    refusals = run_grid_refusals(ns, alphas, methods, reps)
+    if refusals:
+        with pytest.raises(ValueError) as info:
+            run_grid(ns, alphas, methods, reps=reps, skipped=skipped)
+        assert str(info.value) in refusals and skipped == []
+        return
+    records = run_grid(ns, alphas, methods, reps=reps, skipped=skipped)
+    want_records, want_skips = [], []
+    for n in ns:
+        for alpha in alphas:
+            labels, skips = grid_cell(n, alpha, methods)
+            want_records += [(n, alpha, label, expected_reps(label, reps)) for label in labels]
+            want_skips += [(n, alpha, method, reason or refusal(n, alpha, method))
+                           for method, reason in skips]
+    assert [(r.n, r.alpha, r.method, r.repetitions) for r in records] == want_records
+    assert [(s["N"], DenseFactor(s["alpha_p"], s["alpha_q"]), s["method"], s["reason"])
+            for s in skipped] == want_skips
+
+
+@pytest.mark.parametrize("sizes", RUN_ALL_SIZES)
+def test_run_all_contract(sizes):
+    repeat = given_twice("N", sizes)
+    if repeat:
+        with pytest.raises(ValueError) as info:
+            verify.run_all(sizes=sizes)
+        assert str(info.value) == repeat
+        return
+    results = verify.run_all(sizes=sizes)
+    assert {r.name: r.cases for r in results} == verify_cases(sizes)
+    assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("n, alphas", SINE_DEMO_CALLS)
+def test_sine_demo_contract(n, alphas):
+    refused = sine_demo_refusal(n, alphas)
+    if refused:
+        kind, text = refused
+        with pytest.raises(kind) as info:
+            sine_demo(n, alphas)
+        assert type(info.value) is kind
+        assert str(info.value) == (text if isinstance(text, str) else refusal(n, text, "auto"))
+        return
+    curves = sine_demo(n, alphas)
+    densities = [a if isinstance(a, DenseFactor) else DenseFactor(a) for a in alphas]
+    assert list(curves) == densities
+    assert [curve.spectrum.m for curve in curves.values()] == [n * a.p // a.q for a in densities]
+
+
+def test_the_library_grids_reach_every_outcome():
+    calls = list(itertools.product(GRID_NS, GRID_ALPHAS, GRID_METHODS, GRID_REPS))
+    refusals = [run_grid_refusals(*call) for call in calls]
+    assert {text.split()[0] for texts in refusals for text in texts} == {
+        "unknown", "N", "alpha", "reps"}
+    cells = [grid_cell(n, alpha, methods) for (ns, alphas, methods, _), texts
+             in zip(calls, refusals) if not texts for n in ns for alpha in alphas]
+    assert [] in (labels for labels, _ in cells)  # a pair that every method refuses
+    reasons = [reason for _, skips in cells for _, reason in skips]
+    assert None in reasons and any(reasons)  # a refused method and a label timed twice
+    assert any(0 in verify_cases(sizes).values() for sizes in RUN_ALL_SIZES
+               if not given_twice("N", sizes))
+    demo = [sine_demo_refusal(*call) for call in SINE_DEMO_CALLS]
+    assert None in demo
+    assert [type(text) for _, text in filter(None, demo)] == [str, DenseFactor, str, DenseFactor]

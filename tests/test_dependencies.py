@@ -1,4 +1,5 @@
-"""Every third-party module the library imports is a declared dependency."""
+"""Every third-party module the library imports is a declared dependency, and every
+module parses at the declared Python floor."""
 
 import ast
 import re
@@ -32,3 +33,14 @@ def test_every_third_party_import_is_a_declared_dependency():
                 third_party.setdefault(module, path.name)
     assert {"numpy", "orjson"} <= third_party.keys()
     assert {module: name for module, name in third_party.items() if module not in declared} == {}
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # Syntax newer than the floor fails here; a library API newer than it does not.
+    tomllib = pytest.importorskip("tomllib")
+    requires = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    floor = tuple(int(part) for part in re.fullmatch(r">=\s*(\d+)\.(\d+)", requires).groups())
+    paths = sorted((ROOT / "src" / "alpha_spectra").glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

@@ -18,14 +18,11 @@ from alpha_spectra import (
     predicted_mults,
     transform_samples,
 )
+from alpha_spectra.verify import random_unit_disk
 from test_accuracy import PAIRS as ACCURACY_PAIRS
 
 POWER_ALPHAS = [DenseFactor(1, 8), DenseFactor(1, 4), DenseFactor(1, 2),
                 DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)]
-
-
-def unit_disk(rng, n):
-    return np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
 
 
 def valid_power_pairs(sizes):
@@ -243,7 +240,7 @@ def test_transform_quarter_turn():
 def assert_bitwise_reference(n, alpha, rng):
     """Bins bitwise those of the fresh-array loop, counts those of the closed forms."""
     p = plan(n, alpha)
-    samples = unit_disk(rng, n)
+    samples = random_unit_disk(rng, n)
     counter = OpCounter()
     bins = transform_samples(samples, p, counter)
     assert bins.dtype == np.complex128 and bins.shape == (p.m,)
@@ -288,7 +285,7 @@ def test_transform_memory_is_under_three_bin_arrays(alpha):
     # alpha*N is at least 65536 because a ufunc may also take an iterator
     # buffer, which is sizeable next to a small bin array.
     p = plan(65536 * alpha.q, alpha)
-    samples = unit_disk(np.random.default_rng(71), p.n)
+    samples = random_unit_disk(np.random.default_rng(71), p.n)
     peak = traced_peak(lambda: transform_samples(samples, p))
     assert peak < 3 * 16 * p.m, peak / (16 * p.m)
 
@@ -296,7 +293,7 @@ def test_transform_memory_is_under_three_bin_arrays(alpha):
 def test_alpha_fft_adds_no_bin_array():
     # The Spectrum takes over the kernel's bins instead of copying them.
     p = plan(65536, DenseFactor(8))
-    signal = Signal(unit_disk(np.random.default_rng(79), p.n))
+    signal = Signal(random_unit_disk(np.random.default_rng(79), p.n))
     kernel = traced_peak(lambda: transform_samples(signal.samples, p))
     wrapped = traced_peak(lambda: alpha_fft(signal, p))
     assert wrapped <= 1.03 * kernel, wrapped / kernel
@@ -306,12 +303,12 @@ def test_results_own_their_memory():
     p = plan(64, DenseFactor(4))
     table = p.twiddles.copy()
     rng = np.random.default_rng(73)
-    first = transform_samples(unit_disk(rng, 64), p)
-    second = transform_samples(unit_disk(rng, 64), p)
+    first = transform_samples(random_unit_disk(rng, 64), p)
+    second = transform_samples(random_unit_disk(rng, 64), p)
     assert not np.shares_memory(first, second)
     assert not np.shares_memory(first, p.twiddles)
     # alpha_fft's Spectrum holds such an array itself, read-only.
-    signal = Signal(unit_disk(rng, 64))
+    signal = Signal(random_unit_disk(rng, 64))
     spectrum = alpha_fft(signal, p)
     assert not spectrum.bins.flags.writeable
     assert not np.shares_memory(spectrum.bins, p.twiddles)
@@ -339,7 +336,7 @@ def test_empty_starts_on_a_cache_line(size):
 @pytest.mark.parametrize("n, alpha", ALIGNED_PAIRS, ids=str)
 def test_bins_start_on_a_cache_line_wherever_the_samples_start(n, alpha):
     p = plan(n, alpha)
-    samples = unit_disk(np.random.default_rng(n), n)
+    samples = random_unit_disk(np.random.default_rng(n), n)
     first, second = transform_samples(samples, p), transform_samples(samples, p)
     for bins in (first, second):
         assert bins.ctypes.data % 64 == 0
@@ -356,7 +353,7 @@ def test_bins_start_on_a_cache_line_wherever_the_samples_start(n, alpha):
 @pytest.mark.parametrize("n, alpha", [(n, a) for n, a in ALIGNED_PAIRS if a.p >= a.q], ids=str)
 def test_zeropad_bins_start_on_a_cache_line(n, alpha):
     run, _ = baseline.executor(n, alpha, "zeropad")
-    signal = Signal(unit_disk(np.random.default_rng(n), n))
+    signal = Signal(random_unit_disk(np.random.default_rng(n), n))
     first, second = run(signal).bins, run(signal).bins
     for bins in (first, second):
         assert bins.ctypes.data % 64 == 0
@@ -377,7 +374,7 @@ def test_impulse_spreads_flat():
 def test_matches_oracle_across_densities(n):
     rng = np.random.default_rng(n)
     for n_, alpha in valid_power_pairs([n]):
-        signal = Signal(unit_disk(rng, n_))
+        signal = Signal(random_unit_disk(rng, n_))
         fast = alpha_fft(signal, plan(n_, alpha))
         reference = naive_forward(signal, alpha)
         scale = max(np.max(np.abs(reference.bins)), 1.0)
@@ -386,7 +383,7 @@ def test_matches_oracle_across_densities(n):
 
 def test_alpha_one_matches_numpy_fft():
     rng = np.random.default_rng(77)
-    samples = unit_disk(rng, 128)
+    samples = random_unit_disk(rng, 128)
     bins = transform_samples(samples, plan(128, DenseFactor(1)))
     assert np.max(np.abs(bins - np.fft.fft(samples))) < 1e-11
 
@@ -402,7 +399,7 @@ def test_counter_matches_closed_forms():
     for n, alpha in valid_power_pairs([1, 2, 4, 8, 16, 32, 128]):
         p = plan(n, alpha)
         counter = OpCounter()
-        alpha_fft(Signal(unit_disk(rng, n)), p, counter)
+        alpha_fft(Signal(random_unit_disk(rng, n)), p, counter)
         assert counter.complex_mults == predicted_mults(p), (n, str(alpha))
         assert counter.complex_adds == predicted_adds(p), (n, str(alpha))
         # (alpha*N/2) multiplies per level, log2(min(N, alpha*N)) levels
@@ -428,7 +425,7 @@ def test_transform_rejects_wrong_length():
 
 def test_transform_is_deterministic():
     rng = np.random.default_rng(41)
-    samples = unit_disk(rng, 64)
+    samples = random_unit_disk(rng, 64)
     p = plan(64, DenseFactor(4))
     first = transform_samples(samples, p)
     second = transform_samples(samples, p)
@@ -438,7 +435,7 @@ def test_transform_is_deterministic():
 def test_transform_leaves_numpys_buffer_size_as_it_found_it():
     # The kernel sets a 16-value ufunc buffer inside np.errstate(); numpy
     # 2.0 and later restore the caller's size when that scope exits.
-    samples = unit_disk(np.random.default_rng(43), 64)
+    samples = random_unit_disk(np.random.default_rng(43), 64)
     before = np.getbufsize()
     np.setbufsize(4096)
     try:
@@ -451,7 +448,7 @@ def test_transform_leaves_numpys_buffer_size_as_it_found_it():
 def test_block_sum_leaf_transform():
     # alpha = 1/N collapses everything into the single bin sum(x).
     rng = np.random.default_rng(53)
-    samples = unit_disk(rng, 16)
+    samples = random_unit_disk(rng, 16)
     counter = OpCounter()
     bins = transform_samples(samples, plan(16, DenseFactor(1, 16)), counter)
     assert bins.shape == (1,)

@@ -14,6 +14,7 @@ from alpha_spectra import (
     naive_inverse,
     orthogonality_kernel,
 )
+from alpha_spectra.verify import random_unit_disk
 
 
 def slow_reference(samples, p, q):
@@ -30,10 +31,6 @@ def slow_reference(samples, p, q):
     return out
 
 
-def unit_disk(rng, n):
-    return np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
-
-
 def test_forward_two_sample_example():
     spectrum = naive_forward(Signal([0.0, 1.0]), DenseFactor(2))
     assert spectrum.m == 4
@@ -42,7 +39,7 @@ def test_forward_two_sample_example():
 
 def test_forward_halving_collapses_to_two_bins():
     rng = np.random.default_rng(3)
-    a, b, c, d = unit_disk(rng, 4)
+    a, b, c, d = random_unit_disk(rng, 4)
     spectrum = naive_forward(Signal([a, b, c, d]), DenseFactor(1, 2))
     np.testing.assert_allclose(spectrum.bins, [a + b + c + d, a - b + c - d], atol=1e-14)
 
@@ -57,7 +54,7 @@ SCALAR_GRID = [
 @pytest.mark.parametrize("p, q, n", [(p, q, n) for p, q, n in SCALAR_GRID if n * p % q == 0])
 def test_forward_matches_scalar_reference(p, q, n):
     rng = np.random.default_rng(100 * n + 10 * p + q)
-    samples = unit_disk(rng, n)
+    samples = random_unit_disk(rng, n)
     got = naive_forward(Signal(samples), DenseFactor(p, q)).bins
     want = slow_reference(samples, p, q)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -73,7 +70,7 @@ def test_forward_refuses_fractional_bin_count(p, q, n):
 def test_forward_matches_padded_numpy_fft(n, p):
     # For alpha >= 1 the dense spectrum equals the FFT of the zero-padded signal.
     rng = np.random.default_rng(n + p)
-    samples = unit_disk(rng, n)
+    samples = random_unit_disk(rng, n)
     got = naive_forward(Signal(samples), DenseFactor(p)).bins
     want = np.fft.fft(samples, n * p)
     assert np.max(np.abs(got - want)) < 1e-11
@@ -83,7 +80,7 @@ def test_forward_matches_padded_numpy_fft(n, p):
 def test_forward_matches_subsampled_numpy_fft(n, q):
     # For alpha = 1/q the spectrum is every q-th bin of the ordinary FFT.
     rng = np.random.default_rng(n * q)
-    samples = unit_disk(rng, n)
+    samples = random_unit_disk(rng, n)
     got = naive_forward(Signal(samples), DenseFactor(1, q)).bins
     want = np.fft.fft(samples)[::q]
     assert np.max(np.abs(got - want)) < 1e-11
@@ -97,8 +94,8 @@ def test_forward_rejects_incompatible_pair():
 def test_forward_is_linear():
     rng = np.random.default_rng(17)
     alpha = DenseFactor(3, 2)
-    x = unit_disk(rng, 6)
-    y = unit_disk(rng, 6)
+    x = random_unit_disk(rng, 6)
+    y = random_unit_disk(rng, 6)
     scale = complex(rng.standard_normal(), rng.standard_normal())
     lhs = naive_forward(Signal(x + scale * y), alpha).bins
     rhs = naive_forward(Signal(x), alpha).bins + scale * naive_forward(Signal(y), alpha).bins
@@ -109,7 +106,7 @@ def test_forward_is_linear():
 def test_parseval_for_dense_spectra(p):
     # With alpha >= 1 no information is lost: sum |X|^2 == alpha*N * sum |x|^2.
     rng = np.random.default_rng(23 + p)
-    samples = unit_disk(rng, 32)
+    samples = random_unit_disk(rng, 32)
     spectrum = naive_forward(Signal(samples), DenseFactor(p))
     lhs = np.sum(np.abs(spectrum.bins) ** 2)
     rhs = spectrum.m * np.sum(np.abs(samples) ** 2)
@@ -118,7 +115,7 @@ def test_parseval_for_dense_spectra(p):
 
 def test_dft_matrix_agrees_with_forward():
     rng = np.random.default_rng(5)
-    samples = unit_disk(rng, 12)
+    samples = random_unit_disk(rng, 12)
     alpha = DenseFactor(2, 3)
     matrix = dft_matrix(12, alpha)
     assert matrix.shape == (8, 12)
@@ -129,7 +126,7 @@ def test_dft_matrix_agrees_with_forward():
 @pytest.mark.parametrize("n, p, q", [(8, 1, 1), (8, 2, 1), (16, 4, 1), (12, 3, 2), (64, 1, 1)])
 def test_round_trip_recovers_signal(n, p, q):
     rng = np.random.default_rng(1000 + n)
-    signal = Signal(unit_disk(rng, n), duration=2.0)
+    signal = Signal(random_unit_disk(rng, n), duration=2.0)
     recovered = naive_inverse(naive_forward(signal, DenseFactor(p, q)))
     assert len(recovered) == n
     assert recovered.duration == signal.duration
@@ -138,7 +135,7 @@ def test_round_trip_recovers_signal(n, p, q):
 
 def test_inverse_folds_when_alpha_below_one():
     rng = np.random.default_rng(9)
-    a, b, c, d = unit_disk(rng, 4)
+    a, b, c, d = random_unit_disk(rng, 4)
     recovered = naive_inverse(naive_forward(Signal([a, b, c, d]), DenseFactor(1, 2)))
     np.testing.assert_allclose(recovered.samples, [a + c, b + d, a + c, b + d], atol=1e-14)
 
@@ -148,7 +145,7 @@ def test_inverse_alias_sum_formula(n, q):
     # x'_n = sum over k of x_{n + k*M} for indices that stay inside the record,
     # extended with period M across the full length-N output.
     rng = np.random.default_rng(n * q + 1)
-    samples = unit_disk(rng, n)
+    samples = random_unit_disk(rng, n)
     recovered = naive_inverse(naive_forward(Signal(samples), DenseFactor(1, q))).samples
     m = n // q
     expected = np.zeros(n, dtype=complex)
@@ -192,7 +189,7 @@ def test_forward_takes_over_its_product(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(oracle, "_reduced_product", product)
-    signal = Signal(unit_disk(np.random.default_rng(43), 12))
+    signal = Signal(random_unit_disk(np.random.default_rng(43), 12))
     spectrum = naive_forward(signal, DenseFactor(4, 3))
     assert spectrum.bins is made[0]
     assert not spectrum.bins.flags.writeable
@@ -217,7 +214,7 @@ def test_forward_takes_over_its_product(monkeypatch):
 def test_blocked_product_matches_the_full_matrix(n, p, q):
     rng = np.random.default_rng(n + 7 * p + q)
     alpha = DenseFactor(p, q)
-    samples = unit_disk(rng, n)
+    samples = random_unit_disk(rng, n)
     matrix = dft_matrix(n, alpha)
     spectrum = naive_forward(Signal(samples), alpha)
     want = matrix @ samples
@@ -231,7 +228,7 @@ def test_oracle_memory_is_a_fixed_budget():
     # Both directions gather a bounded block of table entries at a time,
     # rather than whole (rows x columns) index and entry matrices.
     rng = np.random.default_rng(41)
-    signal = Signal(unit_disk(rng, 3000))
+    signal = Signal(random_unit_disk(rng, 3000))
     alpha = DenseFactor(5, 3)
     spectrum = naive_forward(signal, alpha)
     for call in (lambda: naive_forward(signal, alpha), lambda: naive_inverse(spectrum)):
