@@ -8,8 +8,9 @@ bench      run the operation-count/wall-time grid and judge the scaling claims
 verify     run the numerical cross-checking suites
 
 A flag's text is read by the library's own rule (``DenseFactor.from_string``,
-``check_method``, ``check_duration``); the ValueError that refuses it becomes
-argparse's usage error, exit 2, in one adapter, ``_argument``.
+``parse_int``, ``check_method``, ``check_duration``); the ValueError that
+refuses it becomes argparse's usage error, exit 2, in one adapter,
+``_argument``.
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed input
 (JSON nested too deeply included), an invalid argument, an unwritable output
@@ -37,6 +38,7 @@ from .core import (
     UnsupportedSizeError,
     bin_frequency,
     check_duration,
+    parse_int,
 )
 
 EXIT_OK = 0
@@ -66,11 +68,11 @@ _duration_argument = _argument(lambda text: check_duration(float(text)))
 
 
 def _int_in(minimum, maximum=None):
-    """argparse type: an integer from ``minimum`` up to ``maximum``, if given."""
+    """argparse type: an integer (``parse_int``) from ``minimum`` up to ``maximum``, if given."""
 
     def parse(text):
         try:
-            value = int(text)
+            value = parse_int(text)
         except ValueError:
             value = minimum - 1
         if value < minimum or maximum is not None and value > maximum:

@@ -7,6 +7,7 @@ reduced rational, never a float, so "alpha*N is an integer" is decidable.
 """
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -30,8 +31,23 @@ class TooManyBinsError(ValueError):
     """alpha*N exceeds MAX_BINS."""
 
 
+#: What parse_int reads, once stripped.
+_INTEGER = re.compile("[+-]?[0-9]+")
+
+
 def _is_int(value) -> bool:  # N, p and q: an int, not a bool
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_int(text: str) -> int:
+    """The integer of ``text``: ASCII digits after an optional sign, amid whitespace.
+
+    ValueError otherwise, also where int() alone reads a number: ``1_0`` and
+    the digits of other scripts, such as ``\u0662``.
+    """
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def is_power_of_two(n: int) -> bool:
@@ -61,14 +77,14 @@ class DenseFactor:
 
     @classmethod
     def from_string(cls, text: str) -> "DenseFactor":
-        """Parse 'p/q' or a bare integer 'p'."""
-        parts = text.strip().split("/")
-        if len(parts) > 2 or not all(part.strip() for part in parts):
-            raise ValueError(f"cannot parse density factor from {text!r}")
+        """Parse 'p/q' or a bare integer 'p', each integer by parse_int."""
+        parts = text.split("/")
         try:
-            numbers = [int(part) for part in parts]
+            numbers = [parse_int(part) for part in parts]
         except ValueError:
-            raise ValueError(f"cannot parse density factor from {text!r}") from None
+            numbers = []
+        if not 1 <= len(numbers) <= 2:
+            raise ValueError(f"cannot parse density factor from {text!r}")
         return cls(*numbers)
 
     def __float__(self) -> float:

@@ -4,8 +4,8 @@ Signals come in as CSV (columns ``index,re,im`` or ``time,value``; a ``#``
 comment line may carry ``T=<seconds>`` or ``N=<count>`` metadata, and any
 other comment is ignored) or as JSON.  Spectra go out as CSV with
 ``# N=``, ``# alpha=p/q``, ``# T=`` and ``# method=`` metadata followed by
-``m,freq,re,im,magnitude`` rows.  Floats are rendered with 17 significant
-digits, which round-trips doubles exactly.
+``m,freq,re,im,magnitude`` rows.  Each cell is the shortest decimal that
+reads back as the same double, so a file round-trips its values exactly.
 
 Both readers read a file's bytes once and decode them under one rule,
 ``_text``: CRLF and CR line ends read as LF, and the first line holding a
@@ -47,7 +47,8 @@ decimal numbers correctly, and the stdlib parser takes every input that
   its error message, so every error is the stdlib parser's.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
-header, then ``%.17g`` rows, WRITE_BLOCK_ROWS at a time.  A spectrum's
+header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time,
+``inf``, ``-inf`` and ``nan`` spelled as Python spells them.  A spectrum's
 ``freq`` and ``magnitude`` are ``Spectrum.frequencies`` and
 ``Spectrum.magnitudes``, bitwise ``bin_frequency`` and Python's ``abs``.
 """
@@ -416,17 +417,28 @@ def read_signal(path) -> Signal:
 def write_csv(path, comments, names, columns) -> None:
     """CSV of ``# key=value`` lines from ``comments``, a header of ``names``, then ``columns``.
 
-    Float comment values and every cell are written with ``%.17g``; rows go
-    out WRITE_BLOCK_ROWS at a time, one ``%`` over the row template per block.
+    Float comment values are written with ``.17g``, other comment values with
+    str().  The cells go out WRITE_BLOCK_ROWS rows at a time, each block
+    through one ``orjson.dumps``: the shortest decimal that reads back as the
+    same double (``0.0``, ``1e16``, ``5e-324``).  orjson writes ``null`` for
+    every non-finite cell, so a block that holds one puts back, in C order,
+    the ``.17g`` spellings ``inf``, ``-inf`` and ``nan``.
     """
-    template = ",".join(["%.17g"] * len(names)) + "\n"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         for key, value in comments.items():
-            fh.write(f"# {key}={format(value, '.17g') if isinstance(value, float) else value}\n")
-        fh.write(",".join(names) + "\n")
+            fh.write(f"# {key}={format(value, '.17g') if isinstance(value, float) else value}\n"
+                     .encode())
+        fh.write(f"{','.join(names)}\n".encode())
         for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
             block = np.column_stack([column[start:start + WRITE_BLOCK_ROWS] for column in columns])
-            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+            body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+            body = body.replace(b"],[", b"\n")
+            cells = block.ravel()
+            spellings = [format(value, ".17g").encode() for value in cells[~np.isfinite(cells)]]
+            if spellings:  # no finite cell contains "null"
+                body = b"".join(chain.from_iterable(zip(body.split(b"null"), spellings + [b""])))
+            fh.write(body)
+            fh.write(b"\n")
 
 
 def write_spectrum(spectrum: Spectrum, path, method: str) -> None:

@@ -148,19 +148,28 @@ def bench_cell(n, alpha, methods):
 # ------------------------------------------------------------- list flags
 # A list flag takes comma-separated items and drops empty ones.  It refuses
 # an empty list, an item it cannot read and a value given twice, compared as
-# read, with exit 2 and one error line.
+# read, with exit 2 and one error line.  An integer is ASCII digits after an
+# optional sign, amid whitespace: not ``1_0`` or the digits of other scripts,
+# which int() alone reads.
+
+def _integer(text):
+    """The int of ``text``, ASCII digits after an optional sign amid whitespace, or None."""
+    body = text.strip()
+    digits = body[1:] if body.startswith(("+", "-")) else body
+    return int(body) if digits.isascii() and digits.isdigit() else None
+
 
 def _integers_from(low, high=MAX_BINS):
     def read(text):
-        return int(text) if text.lstrip("-").isdigit() and low <= int(text) <= high else None
+        value = _integer(text)
+        return value if value is not None and low <= value <= high else None
     return read
 
 
 def _alpha(text):
-    parts = text.split("/")
-    if len(parts) > 2 or not all(part.strip().isdigit() for part in parts):
+    numbers = [_integer(part) for part in text.split("/")]
+    if len(numbers) > 2 or None in numbers:
         return None
-    numbers = [int(part) for part in parts]
     return Fraction(*numbers) if min(numbers) >= 1 else None
 
 

@@ -13,11 +13,13 @@ from alpha_spectra import (
     Signal,
     Spectrum,
     cli,
+    demo,
     fastpath,
     run_grid,
     verify,
 )
 from alpha_spectra.baseline import METHODS, executor
+from alpha_spectra.io import WRITE_BLOCK_ROWS
 
 from contract_rules import bench_cell, expected, reference_bins
 from file_formats import read_spectrum_csv, write_signal_csv
@@ -70,9 +72,27 @@ def test_compute_auto_falls_back_to_naive(tmp_path):
                 "--alpha", "3/2"]) == cli.EXIT_OK
     spectrum, method = read_spectrum_csv(out)
     assert method == expected(4, "3/2", "auto")[1]  # M = 6 keeps the fast kernel out
-    # %.17g round-trips a double, so the file holds that method's bins exactly.
+    # Every cell reads back as its double, so the file holds that method's bins exactly.
     reference = reference_bins(method, Signal([1.0, 2.0, 3.0, 4.0]), "3/2")
     assert spectrum.bins.tobytes() == reference.tobytes()
+
+
+def test_compute_file_across_write_blocks_reads_back_bitwise(tmp_path):
+    # The benchmark's output check at M = 16384 bins, four write blocks: the
+    # parsed bins are the method's, and freq and magnitude the Spectrum's.
+    rng = np.random.default_rng(5)
+    samples = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+    path, out = tmp_path / "s.csv", tmp_path / "out.csv"
+    write_signal_csv(path, samples)
+    assert run(["compute", "--input", str(path), "--output", str(out),
+                "--alpha", "4"]) == cli.EXIT_OK
+    spectrum, method = read_spectrum_csv(out)
+    assert spectrum.m > 2 * WRITE_BLOCK_ROWS
+    assert method == expected(4096, "4", "auto")[1]
+    assert spectrum.bins.tobytes() == reference_bins(method, Signal(samples), "4").tobytes()
+    table = np.loadtxt(out, delimiter=",", skiprows=5)
+    assert table[:, 1].tobytes() == spectrum.frequencies.tobytes()
+    assert table[:, 4].tobytes() == spectrum.magnitudes.tobytes()
 
 
 def test_compute_duration_override(signal_file, tmp_path):
@@ -172,6 +192,18 @@ def test_bad_alpha_string_is_a_usage_error(signal_file, tmp_path):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("alpha", ["1_0/5", "\u0662", "4/\u0662"])
+def test_an_alpha_that_only_int_reads_is_a_usage_error(signal_file, tmp_path, capsys, alpha):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        run(["compute", "--input", str(signal_file), "--output", str(out), "--alpha", alpha])
+    assert info.value.code == cli.EXIT_PARSE_ERROR
+    assert single_error_line(capsys.readouterr().err) == (
+        f"alpha-spectra compute: error: argument --alpha: "
+        f"cannot parse density factor from {alpha!r}")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------- demo-sine
 
 def test_demo_sine_writes_curves(tmp_path, capsys):
@@ -186,6 +218,23 @@ def test_demo_sine_writes_curves(tmp_path, capsys):
     assert len(lines) == 5 + 32
     first = lines[5].split(",")
     assert float(first[0]) == 0.0 and float(first[2]) == 1.0
+
+
+def test_demo_sine_files_read_back_bitwise(tmp_path, capsys):
+    # alpha = 4 at N = 2048 is 8192 rows, two full write blocks.
+    out = tmp_path / "demo"
+    assert run(["demo-sine", "--n", "2048", "--alphas", "1/2,4",
+                "--output", str(out)]) == cli.EXIT_OK
+    curves = demo.sine_demo(2048, (DenseFactor(1, 2), DenseFactor(4)))
+    for alpha, curve in curves.items():
+        path = out / f"sine_alpha_{alpha.p}_{alpha.q}.csv"
+        assert float(path.read_text().splitlines()[3].removeprefix("# X0=")) == (
+            curve.spectrum.magnitudes[0])
+        table = np.loadtxt(path, delimiter=",", skiprows=5)
+        assert len(table) == curve.spectrum.m
+        for column, values in zip(table.T, (curve.spectrum.frequencies,
+                                            curve.spectrum.magnitudes, curve.normalized)):
+            assert column.tobytes() == values.tobytes()
 
 
 def test_refused_demo_sine_creates_no_directory(tmp_path, capsys):

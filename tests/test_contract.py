@@ -102,16 +102,17 @@ def test_compute_contract(signals, tmp_path, capsys, n, alpha, method):
 
 # ------------------------------------------------------ bench, verify, demo-sine
 # Flag texts: an empty list, a repeat (as read: 1/1 repeats 1), values out of
-# range, a grid with no runnable cell (N = 3 at alpha 1/2), and alpha < 1
-# cells below MIN_LT1_BINS (16 and 64 at alpha 1/4).
+# range, a grid with no runnable cell (N = 3 at alpha 1/2), alpha < 1 cells
+# below MIN_LT1_BINS (16 and 64 at alpha 1/4), integers that only int()
+# reads (``1_6``, Arabic-Indic digits) and a signed, padded integer.
 
-BENCH_NS = (",", "4,4", "0", "3", "16,64,128,256")
-BENCH_ALPHAS = (",", "1,1/1", "0", "1/2", "1/4,1,2")
+BENCH_NS = (",", "4,4", "0", "3", "16,64,128,256", "1_6")
+BENCH_ALPHAS = (",", "1,1/1", "0", "1/2", "1/4,1,2", "\u0662")
 BENCH_METHODS = ("fast", "fft,fft", "auto", "fft,zeropad")
-VERIFY_SIZES = (",", "4,4", "0", "268435457", "3", "2,3,5")
-VERIFY_SEEDS = ("0", "-1")
-DEMO_NS = ("0", "1", "3", "8", "268435457")
-DEMO_ALPHAS = (",", "1,1/1", "0", "1/2", "1,2", "100000000000")
+VERIFY_SIZES = (",", "4,4", "0", "268435457", "3", "2,3,5", "6_4")
+VERIFY_SEEDS = ("0", "-1", "\u0661")
+DEMO_NS = ("0", "1", "3", "8", "268435457", "6_4", "\u0668", " +8 ")
+DEMO_ALPHAS = (",", "1,1/1", "0", "1/2", "1,2", "100000000000", "1_0/5", "1/\u0662")
 
 
 def outcome(argv, capsys):

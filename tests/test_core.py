@@ -17,7 +17,7 @@ from alpha_spectra import (
     plan,
     validate_pair,
 )
-from alpha_spectra.core import MAX_BINS
+from alpha_spectra.core import MAX_BINS, parse_int
 
 
 def test_dense_factor_reduces():
@@ -59,6 +59,28 @@ def test_dense_factor_from_string(text, expected):
 def test_dense_factor_from_string_rejects(text):
     with pytest.raises(ValueError):
         DenseFactor.from_string(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("0", 0), ("+8", 8), ("-3", -3), (" 12\t", 12), ("\u00a08\u2003", 8), ("007", 7),
+])
+def test_parse_int_reads_ascii_digits(text, expected):
+    assert parse_int(text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "+", "-", "1_0", "\u0662", "\uff18", "1 0", "0x10", "1.0", "1e3", "++1",
+])
+def test_parse_int_refuses_what_only_int_or_nothing_reads(text):
+    with pytest.raises(ValueError, match="invalid integer"):
+        parse_int(text)
+
+
+@pytest.mark.parametrize("text", ["1_0/5", "\u0662", "1/\u0662", "6_4", "+/2"])
+def test_dense_factor_from_string_reads_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="cannot parse density factor"):
+        DenseFactor.from_string(text)
+    assert DenseFactor.from_string(" +2 / +4 ") == DenseFactor(1, 2)
 
 
 def test_validate_pair_examples():

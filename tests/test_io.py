@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import sys
 import threading
@@ -384,6 +385,28 @@ def test_read_signal_dispatches_on_extension(tmp_path):
 
 # ------------------------------------------------------------------ spectra
 
+def significant_digits(literal):
+    """The significant digits of a decimal literal: its mantissa less leading and trailing zeros."""
+    mantissa = literal.lstrip("+-").lower().partition("e")[0].replace(".", "")
+    return len(mantissa.strip("0")) or 1
+
+
+def assert_rows_read_back(lines, columns):
+    """Each CSV line holds its row of ``columns``: every finite cell reads back as its
+    value bit for bit, in no more significant digits than repr() writes, and every
+    other cell is ``inf``, ``-inf`` or ``nan``."""
+    assert len(lines) == len(columns[0])
+    for line, values in zip(lines, zip(*columns)):
+        cells = line.split(",")
+        assert len(cells) == len(values)
+        for cell, value in zip(cells, map(float, values)):
+            if math.isfinite(value):
+                assert float(cell).hex() == value.hex(), (cell, value)
+                assert significant_digits(cell) <= significant_digits(repr(value)), (cell, value)
+            else:
+                assert cell == repr(value) and cell in ("inf", "-inf", "nan")
+
+
 @pytest.fixture
 def spectrum():
     rng = np.random.default_rng(7)
@@ -417,16 +440,21 @@ def test_spectrum_file_layout(tmp_path, spectrum):
     assert len(lines) == 5 + 18
     # freq column comes from the same function the API exposes
     first_row = lines[5].split(",")
-    assert first_row[0] == "0"
+    assert first_row[0] == "0.0"
     assert float(first_row[1]) == spectrum.frequencies[0]
     row_three = lines[8].split(",")
     assert float(row_three[1]) == spectrum.frequencies[3]
+    # Every cell follows one rule, the m column's included.
+    assert [line.split(",")[0] for line in lines[5:]] == [f"{m}.0" for m in range(18)]
+    assert_rows_read_back(lines[5:], (np.arange(18.0), spectrum.frequencies, spectrum.bins.real,
+                                      spectrum.bins.imag, spectrum.magnitudes))
 
 
 def test_write_spectrum_matches_the_row_by_row_format(tmp_path):
-    # The rows a per-bin loop writes: bin_frequency, 17 significant digits
-    # and abs() of each complex128 bin, over signed zeros, subnormals,
-    # +-1.7e308, a bin whose magnitude overflows to inf and several blocks.
+    # The values a per-bin loop gives: bin_frequency and abs() of each
+    # complex128 bin, each cell read back bit for bit, over signed zeros,
+    # subnormals, +-1.7e308, a bin whose magnitude overflows to inf and
+    # several blocks.
     specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308, 1.0, -np.pi])
     rng = np.random.default_rng(4)
     size = 2 * WRITE_BLOCK_ROWS + 3
@@ -437,27 +465,27 @@ def test_write_spectrum_matches_the_row_by_row_format(tmp_path):
     path = tmp_path / "s.csv"
     write_spectrum(spectrum, path, "fft")
     with np.errstate(over="ignore"):
-        expected = [
-            f"{m},{format(bin_frequency(m, spectrum.alpha, 0.3), '.17g')},"
-            f"{format(value.real, '.17g')},{format(value.imag, '.17g')},{format(abs(value), '.17g')}"
-            for m, value in enumerate(spectrum.bins)
-        ]
+        expected = [(m, bin_frequency(m, spectrum.alpha, 0.3), value.real, value.imag, abs(value))
+                    for m, value in enumerate(spectrum.bins)]
     lines = path.read_text().splitlines()
     assert lines[:5] == ["# N=%d" % size, "# alpha=1/1", "# T=0.29999999999999999",
                          "# method=fft", "m,freq,re,im,magnitude"]
-    assert lines[5:] == expected
+    assert len(lines) == 5 + size
+    assert_rows_read_back(lines[5:], list(zip(*expected)))
     assert lines[-1].endswith(",inf")
 
 
 def test_write_csv_layout(tmp_path):
-    # Float comments and every cell take %.17g, other comments str(); an
-    # integer-valued float cell prints as its digits.
+    # Float comments take .17g, other comments str(); every cell is its
+    # shortest round-trip decimal, an integer-valued one with ".0" and a
+    # large one without "+", and non-finite cells are spelled as repr() does.
     path = tmp_path / "t.csv"
     write_csv(path, {"N": 3, "alpha": DenseFactor(3, 2), "T": 0.1, "X0": np.float64(2.5)},
-              ("k", "value"), (np.arange(3, dtype=float), np.array([0.1, -0.0, np.inf])))
+              ("k", "value"), (np.arange(6, dtype=float),
+                               np.array([0.1, -0.0, np.inf, -np.inf, np.nan, 1e16])))
     assert path.read_text().splitlines() == [
         "# N=3", "# alpha=3/2", "# T=0.10000000000000001", "# X0=2.5", "k,value",
-        "0,0.10000000000000001", "1,-0", "2,inf",
+        "0.0,0.1", "1.0,-0.0", "2.0,inf", "3.0,-inf", "4.0,nan", "5.0,1e16",
     ]
 
 

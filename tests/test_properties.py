@@ -25,6 +25,11 @@ per-entry reference copies: the same values bit for bit, or the same error.
 The JSON reader's orjson pass is held to its stdlib parser alone, its
 decoding of the file's bytes to ``Path.read_text()``'s, and orjson's
 decimal-to-double conversion to ``float()``'s, bit for bit.
+
+The writer property feeds ``write_csv`` tables of 1 to 5 float64 columns
+and up to two write blocks and three rows, signed zeros, subnormals,
++-1.7e308, infinities and NaN among them: ``np.loadtxt`` reads every value
+back bit for bit, and a NaN as NaN.
 """
 
 import json
@@ -55,6 +60,7 @@ from alpha_spectra import (
 from alpha_spectra.baseline import _pad_or_fold, aliased_reconstruct
 from alpha_spectra.io import (
     _SIGNAL_LAYOUTS,
+    WRITE_BLOCK_ROWS,
     SignalParseError,
     _checked_signal,
     _json_signal,
@@ -62,6 +68,7 @@ from alpha_spectra.io import (
     _read_csv,
     read_signal,
     read_signal_json,
+    write_csv,
 )
 
 from contract_rules import bench_cell
@@ -634,3 +641,37 @@ def test_orjson_reads_an_integer_past_int64_as_float_does(n):
         assert value == n and type(value) is int
     else:
         assert bits(value) == bits(float(n))
+
+
+# ------------------------------------------------------------ the CSV writer
+
+SPECIAL_CELLS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+                 math.inf, -math.inf, math.nan)
+MAX_WRITE_ROWS = 2 * WRITE_BLOCK_ROWS + 3
+
+
+@settings(max_examples=50, deadline=None)
+@example(5, MAX_WRITE_ROWS, 0, [(0, math.nan), (1, -math.inf), (5 * MAX_WRITE_ROWS - 1, math.inf)])
+@given(st.integers(1, 5), st.integers(0, MAX_WRITE_ROWS), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 5 * MAX_WRITE_ROWS - 1), st.sampled_from(SPECIAL_CELLS)),
+                max_size=12))
+def test_write_csv_reads_back_bitwise(tmp_path_factory, width, rows, seed, specials):
+    # Random bit patterns reach every exponent, NaN payloads included, and
+    # half the cells are ordinary numbers; the specials land anywhere.
+    rng = np.random.default_rng(seed)
+    table = np.frombuffer(rng.bytes(8 * rows * width), dtype=float).reshape(rows, width).copy()
+    ordinary = rng.random(table.shape) < 0.5
+    table[ordinary] = rng.standard_normal(np.count_nonzero(ordinary))
+    for position, value in specials:
+        if table.size:
+            table.flat[position % table.size] = value
+    path = tmp_path_factory.mktemp("write_csv") / "t.csv"
+    names = [f"c{k}" for k in range(width)]
+    write_csv(path, {"rows": rows}, names, list(table.T))
+    if not rows:
+        assert path.read_text() == f"# rows=0\n{','.join(names)}\n"
+        return
+    back = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+    nan = np.isnan(table)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(back.view(np.uint64)[~nan], table.view(np.uint64)[~nan])
