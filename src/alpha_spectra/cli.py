@@ -38,6 +38,7 @@ from .core import (
     UnsupportedSizeError,
     bin_frequency,
     check_duration,
+    distinct,
     parse_int,
 )
 
@@ -86,22 +87,15 @@ def _int_in(minimum, maximum=None):
 _seed_argument = _int_in(0)  # numpy's default_rng rejects negative seeds
 
 
-def _list_of(parse_item):
+def _list_of(parse_item, name):
     """argparse type: a non-empty comma-separated list, each item read by
-    ``parse_item``, with no value twice (compared as parsed, so ``2`` and
-    ``2/1`` are the same density): a repeat would run and judge a grid cell
-    or a verify case once more.
+    ``parse_item``, with no value twice (``distinct``, naming the value
+    ``name``; compared as parsed, so ``2`` and ``2/1`` are the same density):
+    a repeat would run and judge a grid cell or a verify case once more.
     """
 
     def parse(text):
-        values = []
-        for part in text.split(","):
-            if not part.strip():
-                continue
-            value = parse_item(part)
-            if value in values:
-                raise ValueError(f"repeated value {part.strip()!r}")
-            values.append(value)
+        values = distinct((parse_item(part) for part in text.split(",") if part.strip()), name)
         if not values:
             raise ValueError("list must not be empty")
         return values
@@ -131,21 +125,21 @@ def build_parser() -> argparse.ArgumentParser:
     demo_cmd = sub.add_parser("demo-sine", help="emit the half-sine demo curves")
     demo_cmd.add_argument("--n", type=_int_in(2, MAX_BINS), default=64,
                           help="signal length (default 64)")
-    demo_cmd.add_argument("--alphas", type=_list_of(_alpha_argument),
+    demo_cmd.add_argument("--alphas", type=_list_of(_alpha_argument, "alpha"),
                           default=[DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)],
                           help="comma-separated densities (default 1,2,4,8)")
     demo_cmd.add_argument("--output", required=True, help="directory for the demo CSV files")
     demo_cmd.set_defaults(run=cmd_demo_sine)
 
     bench_cmd = sub.add_parser("bench", help="run the benchmark grid and judge scaling claims")
-    bench_cmd.add_argument("--grid-n", type=_list_of(_int_in(1, MAX_BINS)),
+    bench_cmd.add_argument("--grid-n", type=_list_of(_int_in(1, MAX_BINS), "N"),
                            default=[64, 128, 256, 512, 1024],
                            help="comma-separated positive signal lengths")
-    bench_cmd.add_argument("--grid-alpha", type=_list_of(_alpha_argument),
+    bench_cmd.add_argument("--grid-alpha", type=_list_of(_alpha_argument, "alpha"),
                            default=[DenseFactor(1, 8), DenseFactor(1, 4), DenseFactor(1, 2),
                                     DenseFactor(1), DenseFactor(2), DenseFactor(4), DenseFactor(8)],
                            help="comma-separated densities")
-    bench_cmd.add_argument("--methods", type=_list_of(_method_argument),
+    bench_cmd.add_argument("--methods", type=_list_of(_method_argument, "method"),
                            default=["fft", "zeropad"],
                            help=f"comma-separated methods ({', '.join(baseline.METHODS)})")
     bench_cmd.add_argument("--reps", type=_int_in(1), default=20,
@@ -157,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="run numerical cross-checking suites")
     verify_cmd.add_argument("--seed", type=_seed_argument, default=0, help="RNG seed")
-    verify_cmd.add_argument("--sizes", type=_list_of(_int_in(1, MAX_BINS)),
+    verify_cmd.add_argument("--sizes", type=_list_of(_int_in(1, MAX_BINS), "N"),
                             default=list(verify.DEFAULT_SIZES),
                             help="comma-separated positive signal lengths")
     verify_cmd.set_defaults(run=cmd_verify)

@@ -15,18 +15,21 @@ character inside a string.
 The CSV reader works on whole columns.  It scans the decoded lines up to
 the header for metadata.  The rest of the text then goes, as UTF-8 bytes
 (an ``io.StringIO`` would hold it at 4 bytes per character), to
-``np.loadtxt``: numpy's C tokenizer parses the rows without
-a Python object per cell, each float with the parser under ``float()`` and
-the index as an int64 only where ``int()`` reads the same number.  Its
-columns stand when it reads every line as a row and the index as 0, 1, 2,
-...; otherwise -- a comment or blank line among the rows, a bad cell, or
-what only ``int()`` and ``float()`` accept (``1_0``, Arabic-Indic digits)
--- the remaining lines are read one by one, and their cells with ``int()``
-and ``float()``, to name the first bad cell and its line.  A JSON sample
-list of all numbers or all number pairs is converted in one
+``np.loadtxt``: numpy's C tokenizer parses the rows without a Python
+object per cell, each float with the parser under ``float()`` and the
+index as an int64 only where ``int()`` reads the same number.  Its columns
+stand when it reads every line as a row and the index as 0, 1, 2, ...;
+otherwise -- a comment or blank line among the rows, a bad cell, or what
+only ``int()`` and ``float()`` accept (``1_0``, Arabic-Indic digits) --
+the same loop reads on after the header, line by line, and parses each
+row where it reads it, its cells with ``int()`` and ``float()``.  So the
+first bad line is the error, whatever is wrong with it: a column count, an
+index, a cell, a byte that does not decode or a metadata comment.  A
+``# N=`` count reads as an integer flag does (``core.parse_int``).  A JSON
+sample list of all numbers or all number pairs is converted in one
 ``np.fromiter``; any other list is walked entry by entry, to name the
 first bad sample.  Both shortcuts give the values, bit for bit, and the
-errors of the walks they skip.
+errors of the loops they skip.
 
 The JSON reader has two parsers.  ``orjson`` parses the file's bytes
 first, and its document becomes the signal when ``_json_signal`` accepts
@@ -65,7 +68,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .core import Signal, Spectrum, check_duration
+from .core import Signal, Spectrum, check_duration, parse_int
 
 #: Relative tolerance when checking that a time column is uniformly spaced.
 TIME_UNIFORMITY_RTOL = 1e-9
@@ -146,7 +149,7 @@ def _parse_metadata(line_text, line_no, metadata):
             metadata["T"] = _parse_float(raw.strip(), line_no)
         elif key == "N":
             try:
-                metadata["N"] = int(raw.strip())
+                metadata["N"] = parse_int(raw)
             except ValueError:
                 raise SignalParseError(f"expected an integer N, got {raw.strip()!r}", line_no) from None
 
@@ -175,34 +178,6 @@ def _numpy_columns(rows, count, header):
     ):
         return None
     return [table[header[k]] for k in positions]
-
-
-def _walk_rows(rows, line_nos, header) -> list:
-    """The float columns of the stripped CSV data rows ``rows``, cell by cell by int() and float().
-
-    Each row has the ``header``'s number of commas; ``line_nos`` are their
-    1-based lines.  An index column must read 0, 1, 2, ...  A malformed file
-    raises the error of its first bad row, the row's cells checked from the left.
-    """
-    index_label, positions = _SIGNAL_LAYOUTS[header]
-    columns = [np.empty(len(rows)) for _ in positions]
-    for position, (row, line_no) in enumerate(zip(rows, line_nos)):
-        # Stripped: float() rejects some characters that strip() removes.
-        cells = [cell.strip() for cell in row.split(",")]
-        if index_label is not None:
-            try:
-                index = int(cells[0])
-            except ValueError:
-                raise SignalParseError(
-                    f"expected an integer {index_label}, got {cells[0]!r}", line_no
-                ) from None
-            if index != position:
-                raise SignalParseError(
-                    f"{index_label} {index} out of order (expected {position})", line_no
-                )
-        for column, k in zip(columns, positions):
-            column[position] = _parse_float(cells[k], line_no)
-    return columns
 
 
 def _text(data):
@@ -234,15 +209,14 @@ def _read_csv(path):
     found, ``columns`` is None when there is no data row, and ``line_nos``
     holds each data row's 1-based line.  At the header, numpy reads all the
     rows after it in one pass (_numpy_columns).  When it cannot, the loop
-    reads on line by line without the decoded text, reporting the first
-    line holding a byte that does not decode like any other bad line, and
-    _walk_rows reads the rows it gathered.
+    reads on line by line and parses each row where it reads it: the
+    header's number of cells, an index that int() reads as 0, 1, 2, ... and
+    floats that float() reads.  So the first bad line is the error.
     """
     data = Path(path).read_bytes()
     lines = _text(data)
     metadata = {}
     header = None
-    rows = []
     line_nos = array("q")  # 8 bytes a row, where an int object and its pointer take 36
     offset = 0
     for line_no, raw in enumerate(lines, start=1):
@@ -258,24 +232,36 @@ def _read_csv(path):
             if header not in _SIGNAL_LAYOUTS:
                 expected = " or ".join(f"'{','.join(names)}'" for names in _SIGNAL_LAYOUTS)
                 raise SignalParseError(f"expected header {expected}, got {stripped!r}", line_no)
-            commas = len(header) - 1
             rest = _rows_bytes(data, offset)
             count = rest.count(b"\n") + 1
             columns = _numpy_columns(rest, count, header)
             if columns is not None:
                 return metadata, header, columns, range(line_no + 1, line_no + 1 + count)
             rest = None  # the loop reads on from ``lines`` alone
-        elif stripped.count(",") != commas:
-            raise SignalParseError(
-                f"expected {len(header)} columns, got {stripped.count(',') + 1}", line_no
-            )
+            index_label, positions = _SIGNAL_LAYOUTS[header]
+            columns = [array("d") for _ in positions]
         else:
-            rows.append(stripped)
+            # Stripped: float() rejects some characters that strip() removes.
+            cells = [cell.strip() for cell in stripped.split(",")]
+            if len(cells) != len(header):
+                raise SignalParseError(f"expected {len(header)} columns, got {len(cells)}", line_no)
+            if index_label is not None:
+                try:
+                    index = int(cells[0])
+                except ValueError:
+                    raise SignalParseError(
+                        f"expected an integer {index_label}, got {cells[0]!r}", line_no
+                    ) from None
+                if index != len(line_nos):
+                    raise SignalParseError(
+                        f"{index_label} {index} out of order (expected {len(line_nos)})", line_no
+                    )
+            for column, k in zip(columns, positions):
+                column.append(_parse_float(cells[k], line_no))
             line_nos.append(line_no)
-    if not rows:
+    if not line_nos:
         return metadata, header, None, line_nos
-    data = lines = None  # the file's bytes go before the walk fills the columns
-    return metadata, header, _walk_rows(rows, line_nos, header), line_nos
+    return metadata, header, [np.frombuffer(column) for column in columns], line_nos
 
 
 def _complex(real, imag) -> np.ndarray:

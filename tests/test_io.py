@@ -131,6 +131,18 @@ def test_declared_duration_reads_a_time_span_past_the_largest_double(tmp_path):
                  + b"4000,\xfe,0\n", 4002, "byte 0xfe is not", id="past-first-chunk"),
     pytest.param(b"index,real,imag\n" + b"0,1.0,2.0\n" * 5 + b"\xff\n", 1, "expected header",
                  id="header-before-byte"),
+    # Two faults: the first bad line is the error, whatever the later one holds.
+    pytest.param(b"# N=0\nindex,re,im\n" + b"".join(b"%d,0.0,0.0\n" % k for k in range(4))
+                 + b"5,0.0,0.0\n5,0.0,0.0,1\n", 7, "index 5 out of order", id="index-then-columns"),
+    pytest.param(b"index,re,im\n0,x,1\n1,2\n", 2, "got 'x'", id="cell-then-columns"),
+    pytest.param(b"index,re,im\n0,x,1\n1,\xff,0\n", 2, "got 'x'", id="cell-then-byte"),
+    pytest.param(b"index,re,im\n0,1,0\n2,1,0\n# T=abc\n", 3, "index 2 out of order",
+                 id="index-then-comment"),
+    # N reads as an integer flag does: ASCII digits only.
+    pytest.param("# N=\u0663\nindex,re,im\n0,1,0\n1,1,0\n2,1,0\n", 1, "integer N",
+                 id="N-arabic-indic"),
+    pytest.param("# N=0_3\nindex,re,im\n0,1,0\n1,1,0\n2,1,0\n", 1, "integer N",
+                 id="N-underscore"),
 ])
 def test_csv_errors_carry_line_numbers(tmp_path, body, bad_line, fragment):
     path = write(tmp_path, "s.csv", body)
@@ -170,7 +182,7 @@ def test_compute_refuses_an_index_that_reads_only_as_a_float(tmp_path, capsys):
 
 
 def test_a_warning_from_numpys_reader_sends_the_rows_to_the_walk(tmp_path, monkeypatch):
-    # An older numpy reads 1.0 as the index 1 and only warns; the walk's
+    # An older numpy reads 1.0 as the index 1 and only warns; the loop's
     # error must win over whatever such a reader returns.
     def warns(*args, **kwargs):
         warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
@@ -518,14 +530,14 @@ def test_written_files_take_the_whole_text_path(tmp_path, monkeypatch):
     # copies (decoding reads CRLF as LF), for copies with a space before
     # each LF (numpy strips cells as the loop does) and for copies ending in
     # blank lines (the reader drops every final LF).
-    walked = []
-    walk = alpha_io._walk_rows
+    returned = []
+    numpy_columns = alpha_io._numpy_columns
 
-    def counted(rows, *args):
-        walked.append(len(rows))
-        return walk(rows, *args)
+    def recorded(*args):
+        returned.append(numpy_columns(*args))
+        return returned[-1]
 
-    monkeypatch.setattr(alpha_io, "_walk_rows", counted)
+    monkeypatch.setattr(alpha_io, "_numpy_columns", recorded)
     rng = np.random.default_rng(5)
     lf = tmp_path / "s.csv"
     write_signal_csv(lf, rng.normal(size=40) + 1j * rng.normal(size=40), 2.0)
@@ -536,7 +548,8 @@ def test_written_files_take_the_whole_text_path(tmp_path, monkeypatch):
     for name, copy in copies.items():
         (tmp_path / name).write_bytes(copy)
     signals = [read_signal(tmp_path / name) for name in ("s.csv", *copies)]
-    assert walked == []
+    assert len(returned) == len(signals)
+    assert all(columns is not None for columns in returned)
     for signal in signals[1:]:
         np.testing.assert_array_equal(signal.samples, signals[0].samples)
         assert signal.duration == signals[0].duration
@@ -544,8 +557,8 @@ def test_written_files_take_the_whole_text_path(tmp_path, monkeypatch):
 
 def test_line_by_line_read_peaks_near_the_whole_text_read(tmp_path):
     # A comment after the last row makes numpy refuse the rows; the per-line
-    # loop that reads such a file must not keep the decoded text next to the
-    # row strings, nor the file's bytes next to the cells.
+    # loop that reads such a file must not keep the decoded text, nor a
+    # string per row, next to the columns it fills.
     rng = np.random.default_rng(8)
     lf = tmp_path / "lf.csv"
     write_signal_csv(lf, rng.normal(size=65536) + 1j * rng.normal(size=65536))

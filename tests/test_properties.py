@@ -289,34 +289,15 @@ def test_read_signal_returns_a_finite_signal_or_a_parse_error(fuzz_dir, named_te
 # them to plain per-line and per-entry references: the same columns bit for
 # bit, the same line numbers and metadata, or the same error and line.
 
-def reference_parse_columns(rows, line_nos, index_label, positions):
-    width = rows[0].count(",") + 1
-    cells = [cell.strip() for cell in ",".join(rows).split(",")]
-    for position, line_no in enumerate(line_nos):
-        row = cells[position * width:(position + 1) * width]
-        if index_label is not None:
-            try:
-                index = int(row[0])
-            except ValueError:
-                raise SignalParseError(
-                    f"expected an integer {index_label}, got {row[0]!r}", line_no
-                ) from None
-            if index != position:
-                raise SignalParseError(
-                    f"{index_label} {index} out of order (expected {position})", line_no
-                )
-        for k in positions:
-            try:
-                float(row[k])
-            except ValueError:
-                raise SignalParseError(f"expected a number, got {row[k]!r}", line_no) from None
-    return [np.array([float(cell) for cell in cells[k::width]]) for k in positions]
-
-
 def reference_read_csv(path):
-    metadata, header, rows, line_nos = {}, None, [], []
-    with open(path, "r", newline="") as fh:
+    metadata, header, columns, line_nos = {}, None, None, []
+    with open(path, "r", newline="", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            for char in raw:
+                if 0xDC80 <= ord(char) <= 0xDCFF:
+                    raise SignalParseError(
+                        f"byte 0x{ord(char) - 0xDC00:02x} is not {fh.encoding} text", line_no
+                    )
             text = raw.strip()
             if not text:
                 continue
@@ -327,14 +308,35 @@ def reference_read_csv(path):
                 if header not in _SIGNAL_LAYOUTS:
                     expected = " or ".join(f"'{','.join(names)}'" for names in _SIGNAL_LAYOUTS)
                     raise SignalParseError(f"expected header {expected}, got {text!r}", line_no)
-            elif text.count(",") != len(header) - 1:
-                raise SignalParseError(
-                    f"expected {len(header)} columns, got {text.count(',') + 1}", line_no
-                )
+                index_label, positions = _SIGNAL_LAYOUTS[header]
+                columns = [[] for _ in positions]
             else:
-                rows.append(text)
+                row = [cell.strip() for cell in text.split(",")]
+                if len(row) != len(header):
+                    raise SignalParseError(
+                        f"expected {len(header)} columns, got {len(row)}", line_no
+                    )
+                if index_label is not None:
+                    try:
+                        index = int(row[0])
+                    except ValueError:
+                        raise SignalParseError(
+                            f"expected an integer {index_label}, got {row[0]!r}", line_no
+                        ) from None
+                    if index != len(line_nos):
+                        raise SignalParseError(
+                            f"{index_label} {index} out of order (expected {len(line_nos)})",
+                            line_no,
+                        )
+                for column, k in zip(columns, positions):
+                    try:
+                        column.append(float(row[k]))
+                    except ValueError:
+                        raise SignalParseError(
+                            f"expected a number, got {row[k]!r}", line_no
+                        ) from None
                 line_nos.append(line_no)
-    columns = reference_parse_columns(rows, line_nos, *_SIGNAL_LAYOUTS[header]) if rows else None
+    columns = [np.array(column) for column in columns] if line_nos else None
     return metadata, header, columns, line_nos
 
 
@@ -425,9 +427,16 @@ def differential_csv(draw):
 @example("index,re,im\n0,1,2\n1e0,3,4\n")
 # numpy skips an empty line: the row count must send such a file to the loop.
 @example("time,value\n0,1\n\n0.5,2\n")
+# Two faults: the first bad line is the error, whatever is wrong with the
+# later one (a column count, a byte that does not decode, a metadata comment).
+@example("# N=0\nindex,re,im\n0,0.0,0.0\n1,0.0,0.0\n2,0.0,0.0\n3,0.0,0.0\n5,0.0,0.0\n"
+         "5,0.0,0.0,1\n")
+@example("index,re,im\n0,x,1\n1,2\n")
+@example("index,re,im\n0,x,1\n1,\udcff,0\n")
+@example("index,re,im\n0,1,0\n2,1,0\n# T=abc\n")
 def test_read_csv_is_the_per_line_loop(fuzz_dir, text):
     path = fuzz_dir / "d.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert outcome(_read_csv, path) == outcome(reference_read_csv, path)
 
 
