@@ -35,11 +35,7 @@ from .baseline import aliased_reconstruct
 from .bench import (
     BenchRecord,
     ClaimVerdict,
-    IncompleteGridError,
     ScalingReport,
-    check_alpha_gt1_savings,
-    check_alpha_lt1_savings,
-    fit_complexity,
     make_report,
     run_grid,
 )
@@ -71,11 +67,7 @@ __all__ = [
     "aliased_reconstruct",
     "BenchRecord",
     "ClaimVerdict",
-    "IncompleteGridError",
     "ScalingReport",
-    "check_alpha_gt1_savings",
-    "check_alpha_lt1_savings",
-    "fit_complexity",
     "make_report",
     "run_grid",
     "analytic_sine_spectrum",

@@ -11,6 +11,9 @@ this counting convention, not curve fits:
               estimate (N/2)*log2(1/alpha) by (N-M)/2 * log2(M), because
               the shrunken transform also runs fewer, shorter levels.
 
+``make_report`` is the one judge of these claims and of the complexity fits:
+a claim whose grid points are absent judges no cell and has no verdict.
+
 Wall times are minima over repetitions of the executors that ``compute`` runs,
 as ``baseline.executor`` plans them; plan construction is never timed.  A
 grid cell times each executor once, under the name ``compute`` writes for
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import baseline, fastpath
 from .core import DenseFactor, Signal, distinct, validate_pair
+from .io import _open_output
 from .verify import random_unit_disk
 
 #: Repetitions of a naive cell at most: its quadratic cost makes 20 impractical at large N.
@@ -40,10 +44,6 @@ MIN_LT1_BINS = 16
 #: Largest relative residual a complexity fit passes with, and largest
 #: relative gap between its fitted c and the expected constant.
 FIT_RESIDUAL_LIMIT = 0.01
-
-
-class IncompleteGridError(ValueError):
-    """The record set lacks the grid points a claim check needs."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ class BenchRecord:
     repetitions: int
 
     def __post_init__(self):
+        validate_pair(self.n, self.alpha)  # a pair no transform takes has no record
         labels = [name for name in baseline.METHODS if name != "auto"]  # what executors run
         if self.method not in labels:
             raise ValueError(f"unknown method {self.method!r} (choose from {', '.join(labels)})")
@@ -111,14 +112,18 @@ class ScalingReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as fh:
+        """The report as indented JSON; a write that raises removes the file."""
+        with _open_output(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        """Records as CSV with columns N, alpha_p, alpha_q, method, mults, adds, wall_ns, reps."""
+        """Records as CSV with columns N, alpha_p, alpha_q, method, mults, adds, wall_ns, reps.
+
+        A write that raises removes the file, as in write_json.
+        """
         fields = ["N", "alpha_p", "alpha_q", "method", "mults", "adds", "wall_ns", "reps"]
-        with open(path, "w", newline="") as fh:
+        with _open_output(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
             writer.writeheader()
             for record in self.records:
@@ -203,13 +208,13 @@ def _log2_int(n: int) -> int:
     return n.bit_length() - 1
 
 
-def check_alpha_gt1_savings(records) -> ClaimVerdict:
+def _gt1_savings(records) -> ClaimVerdict | None:
     """Exact multiply savings of the direct dense transform over padding.
 
     Each fft record at alpha > 1 with a zeropad record at the same
     (N, alpha) is judged, in record order: the count gap must equal
     (alpha*N/2) * log2(alpha) exactly -- growing in proportion to
-    alpha*N*log(alpha) across the grid.
+    alpha*N*log(alpha) across the grid.  None when no pair is judged.
     """
     by_cell = {(r.n, r.alpha, r.method): i for i, r in enumerate(records)}
     verdict = ClaimVerdict("alpha_gt1_savings", True)
@@ -230,14 +235,10 @@ def check_alpha_gt1_savings(records) -> ClaimVerdict:
              "alpha_mults": fast.complex_mults, "gap": gap, "expected_gap": expected,
              "ok": ok}
         )
-    if not verdict.details:
-        raise IncompleteGridError(
-            "no (fft, zeropad) record pairs with alpha > 1 in the grid"
-        )
-    return verdict
+    return verdict if verdict.details else None
 
 
-def check_alpha_lt1_savings(records) -> ClaimVerdict:
+def _lt1_savings(records) -> ClaimVerdict | None:
     """Exact multiply savings of a shortened spectrum over the full FFT.
 
     Compares each alpha < 1 fft record, in record order, against the
@@ -245,8 +246,7 @@ def check_alpha_lt1_savings(records) -> ClaimVerdict:
     (M/2)*log2(M) exactly (M = alpha*N) and is never below the per-level
     floor (N/2)*log2(1/alpha).  Cells with M < MIN_LT1_BINS are
     asymptotically meaningless and are flagged as warnings instead of
-    judged; with no cell judged, the claim is IncompleteGridError, not a
-    pass.
+    judged; with no cell judged, there is no verdict (None), not a pass.
     """
     by_cell = {(r.n, r.alpha, r.method): i for i, r in enumerate(records)}
     verdict = ClaimVerdict("alpha_lt1_savings", True)
@@ -273,27 +273,24 @@ def check_alpha_lt1_savings(records) -> ClaimVerdict:
              "alpha_mults": fast.complex_mults, "gap": gap, "expected_gap": expected,
              "floor": floor, "ok": ok}
         )
-    if not verdict.details:
-        raise IncompleteGridError(
-            f"need alpha < 1 fft records with alpha*N >= {MIN_LT1_BINS} "
-            "plus the alpha = 1 record at the same N"
-        )
-    return verdict
+    return verdict if verdict.details else None
 
 
-def fit_complexity(records) -> ClaimVerdict:
+def _fit(records, ids) -> ClaimVerdict | None:
     """Judge one density's multiply counts against c * max(N,M) * log2(min(N,M)).
 
-    ``records`` share one alpha.  The verdict passes when the least-squares
-    c is the paper's constant (1/2 for alpha >= 1, alpha/2 for alpha < 1)
-    and every count is c times its feature, each to within a relative
-    FIT_RESIDUAL_LIMIT.  Exact fast-path counts pass with zero residual;
-    the naive transform's counts and doubled ones (c = 1) fail.  record_ids
-    index ``records``; cells with min(N, M) = 1 carry no scaling information
-    and stay out of the fit.  Needs at least four distinct N values.
+    The records ``records[i]`` for i in ``ids`` share one alpha; ``ids``
+    become the verdict's record_ids.  The verdict passes when the
+    least-squares c is the paper's constant (1/2 for alpha >= 1, alpha/2 for
+    alpha < 1) and every count is c times its feature, each to within a
+    relative FIT_RESIDUAL_LIMIT.  Exact fast-path counts pass with zero
+    residual; the naive transform's counts and doubled ones (c = 1) fail.
+    Cells with min(N, M) = 1 carry no scaling information and stay out of
+    the fit.  None below four distinct N values.
     """
     features, counts, sizes = [], [], set()
-    for record in records:
+    for i in ids:
+        record = records[i]
         _, m = validate_pair(record.n, record.alpha)
         small = min(record.n, m)
         if small > 1:
@@ -301,10 +298,8 @@ def fit_complexity(records) -> ClaimVerdict:
             features.append(max(record.n, m) * _log2_int(small))
             counts.append(record.complex_mults)
     if len(sizes) < 4:
-        raise IncompleteGridError("complexity fit needs at least 4 distinct N values")
-    alpha = records[0].alpha
-    if any(record.alpha != alpha for record in records):
-        raise ValueError("complexity fit needs records of one density factor")
+        return None
+    alpha = records[ids[0]].alpha
     f = np.asarray(features, dtype=float)
     y = np.asarray(counts, dtype=float)
     c = float(f @ y / (f @ f))
@@ -314,37 +309,27 @@ def fit_complexity(records) -> ClaimVerdict:
     return ClaimVerdict(
         claim=f"complexity_fit_alpha_{alpha.p}_{alpha.q}",
         passed=residual <= FIT_RESIDUAL_LIMIT and c_ok,
-        record_ids=list(range(len(records))),
+        record_ids=ids,
         details=[{"c": c, "expected_c": expected_c, "max_rel_residual": residual,
                   "n_points": len(features)}],
     )
 
 
 def make_report(records, skipped: list | None = None) -> ScalingReport:
-    """Attach every evaluable claim verdict to a set of records.
+    """Judge every claim that ``records`` hold a cell for.
 
-    The savings checks come first, then one ``fit_complexity`` verdict per
-    alpha of the fft records, in ascending alpha, with record_ids into
-    ``records``.  Claims whose grid points are absent (say, no alpha < 1
-    cells were requested) are left out rather than failed; the default
-    command-line grid exercises all of them.
+    This is the one claim judge.  Its verdicts come in a fixed order: the
+    alpha > 1 savings, the alpha < 1 savings, then one complexity fit per
+    alpha of the fft records, in ascending alpha, each with record_ids into
+    ``records``.  A claim that judges no cell (say, no alpha < 1 cells were
+    requested, or a density has fewer than four N values) is left out
+    rather than failed; the default command-line grid exercises all of them.
     """
-    verdicts = []
-    for check in (check_alpha_gt1_savings, check_alpha_lt1_savings):
-        try:
-            verdicts.append(check(records))
-        except IncompleteGridError:
-            pass
     fit_groups = {}
     for i, record in enumerate(records):
         if record.method == "fft":
             fit_groups.setdefault(record.alpha, []).append(i)
-    for alpha in sorted(fit_groups, key=lambda a: (a.p / a.q, a.p)):
-        ids = fit_groups[alpha]
-        try:
-            verdict = fit_complexity([records[i] for i in ids])
-        except IncompleteGridError:
-            continue
-        verdict.record_ids = ids
-        verdicts.append(verdict)
-    return ScalingReport(list(records), verdicts, skipped or [])
+    verdicts = [_gt1_savings(records), _lt1_savings(records)] + [
+        _fit(records, fit_groups[alpha])
+        for alpha in sorted(fit_groups, key=lambda a: (a.p / a.q, a.p))]
+    return ScalingReport(list(records), [v for v in verdicts if v is not None], skipped or [])

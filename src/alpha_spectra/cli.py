@@ -23,6 +23,7 @@ or not enough memory for the request.
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -218,6 +219,10 @@ def cmd_demo_sine(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.output and args.csv and os.path.realpath(args.output) == os.path.realpath(args.csv):
+        # The records CSV would overwrite the JSON report it follows.
+        print(f"error: --output and --csv name one file: {args.csv}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     skipped = []
     records = bench.run_grid(args.grid_n, args.grid_alpha, args.methods,
                              reps=args.reps, seed=args.seed, skipped=skipped)
@@ -232,7 +237,8 @@ def cmd_bench(args) -> int:
                 write(path)
                 written.append(path)
     except OSError:
-        for path in written:  # a refused bench leaves neither file
+        # The writer that raised removed its own file: a refused bench leaves neither.
+        for path in written:
             Path(path).unlink()
         raise
     if args.output:

@@ -56,8 +56,10 @@ header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time,
 ``Spectrum.magnitudes``, bitwise ``bin_frequency`` and Python's ``abs``.
 """
 
+import contextlib
 import io
 import json
+import os
 import re
 import sys
 import warnings
@@ -400,6 +402,25 @@ def read_signal(path) -> Signal:
     return read_signal_csv(path)
 
 
+@contextlib.contextmanager
+def _open_output(path, mode, **kwargs):
+    """``open(path, mode, **kwargs)`` for writing, the file removed if the block raises.
+
+    A write that fails part-way (a full disk, say) would otherwise leave a
+    truncated file, which may read as a shorter, valid one.  A path that
+    ``open`` refuses, such as a directory, is never touched, nor is a
+    device such as /dev/null.
+    """
+    fh = open(path, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if os.path.isfile(path):
+            os.unlink(path)
+        raise
+
+
 def write_csv(path, comments, names, columns) -> None:
     """CSV of ``# key=value`` lines from ``comments``, a header of ``names``, then ``columns``.
 
@@ -408,9 +429,10 @@ def write_csv(path, comments, names, columns) -> None:
     through one ``orjson.dumps``: the shortest decimal that reads back as the
     same double (``0.0``, ``1e16``, ``5e-324``).  orjson writes ``null`` for
     every non-finite cell, so a block that holds one puts back, in C order,
-    the ``.17g`` spellings ``inf``, ``-inf`` and ``nan``.
+    the ``.17g`` spellings ``inf``, ``-inf`` and ``nan``.  A write that
+    raises removes the file (``_open_output``).
     """
-    with open(path, "wb") as fh:
+    with _open_output(path, "wb") as fh:
         for key, value in comments.items():
             fh.write(f"# {key}={format(value, '.17g') if isinstance(value, float) else value}\n"
                      .encode())

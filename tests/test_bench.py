@@ -7,12 +7,9 @@ import pytest
 from alpha_spectra import (
     BenchRecord,
     DenseFactor,
-    IncompleteGridError,
+    IncompatibleAlphaError,
     baseline,
     bench,
-    check_alpha_gt1_savings,
-    check_alpha_lt1_savings,
-    fit_complexity,
     make_report,
     run_grid,
 )
@@ -27,6 +24,11 @@ def record_for(records, n, alpha, method):
         if record.n == n and record.alpha == alpha and record.method == method:
             return record
     raise AssertionError(f"no record for N={n}, alpha={alpha}, {method}")
+
+
+def verdicts_of(records):
+    """make_report's verdicts by claim, in report order."""
+    return {verdict.claim: verdict for verdict in make_report(records).verdicts}
 
 
 # ------------------------------------------------------------------- records
@@ -48,6 +50,12 @@ def test_record_validation():
         BenchRecord(8, DenseFactor(2), "fft", 24, 48, 0.0, 3)
     with pytest.raises(ValueError):
         BenchRecord(8, DenseFactor(2), "fft", 24, 48, 1e-6, 0)
+    # A pair that no transform takes is refused where its record is built,
+    # not later inside a claim judge.
+    with pytest.raises(IncompatibleAlphaError, match="alpha\\*N = 16/3 is not an integer"):
+        BenchRecord(16, DenseFactor(1, 3), "fft", 1, 1, 1e-6, 1)
+    with pytest.raises(ValueError, match="signal length must be an integer >= 1"):
+        BenchRecord(0, DenseFactor(1), "fft", 0, 0, 1e-6, 1)
 
 
 @pytest.mark.parametrize("n, alpha, method, ok", [
@@ -141,8 +149,8 @@ def test_grid_times_each_label_of_a_cell_once():
     labels, repeats = bench_cell(16, 2, methods)
     assert [r.method for r in records] == labels
     assert [(s["method"], s["reason"]) for s in skipped] == repeats
-    assert check_alpha_gt1_savings(records).record_ids == [labels.index("fft"),
-                                                           labels.index("zeropad")]
+    assert verdicts_of(records)["alpha_gt1_savings"].record_ids == [labels.index("fft"),
+                                                                    labels.index("zeropad")]
 
 
 @pytest.mark.parametrize("n, alpha, methods", [
@@ -219,7 +227,7 @@ def test_grid_draws_signals_only_for_runnable_sizes(monkeypatch):
 
 def test_gt1_savings_gaps():
     records = run_grid([256, 128], [DenseFactor(2), DenseFactor(8)], **FAST_KW)
-    verdict = check_alpha_gt1_savings(records)
+    verdict = verdicts_of(records)["alpha_gt1_savings"]
     assert verdict.passed
     gaps = {(d["N"], d["alpha"]): d["gap"] for d in verdict.details}
     assert gaps[(256, "2/1")] == 256    # (512/2) * log2 2
@@ -229,14 +237,13 @@ def test_gt1_savings_gaps():
 
 def test_gt1_savings_needs_pairs():
     records = run_grid([64], [DenseFactor(1)], **FAST_KW)
-    with pytest.raises(IncompleteGridError):
-        check_alpha_gt1_savings(records)
+    assert "alpha_gt1_savings" not in verdicts_of(records)
 
 
 def test_lt1_savings_gap_exceeds_floor():
     records = run_grid([256], [DenseFactor(1, 2), DenseFactor(1)],
                        methods=("fft",), **FAST_KW)
-    verdict = check_alpha_lt1_savings(records)
+    verdict = verdicts_of(records)["alpha_lt1_savings"]
     assert verdict.passed
     (detail,) = verdict.details
     assert detail["gap"] == 576        # (256/2)*8 - (128/2)*7
@@ -249,14 +256,19 @@ def test_lt1_savings_warns_on_tiny_spectra():
     records = run_grid([256], [DenseFactor(1, 64), DenseFactor(1)],
                        methods=("fft",), **FAST_KW)
     # alpha*N = 4 is only warned about, so no cell is judged: no verdict.
-    with pytest.raises(IncompleteGridError, match="alpha\\*N >= 16"):
-        check_alpha_lt1_savings(records)
+    assert "alpha_lt1_savings" not in verdicts_of(records)
+    # Beside a judged cell, the tiny one is a warning of the verdict.
+    records = run_grid([256], [DenseFactor(1, 64), DenseFactor(1, 2), DenseFactor(1)],
+                       methods=("fft",), **FAST_KW)
+    verdict = verdicts_of(records)["alpha_lt1_savings"]
+    assert verdict.passed
+    assert [d["alpha"] for d in verdict.details] == ["1/2"]
+    assert verdict.warnings == ["N=256, alpha=1/64: alpha*N=4 < 16, excluded from the claim"]
 
 
 def test_lt1_savings_needs_records():
     records = run_grid([64], [DenseFactor(2)], methods=("fft",), **FAST_KW)
-    with pytest.raises(IncompleteGridError):
-        check_alpha_lt1_savings(records)
+    assert "alpha_lt1_savings" not in verdicts_of(records)
 
 
 # ------------------------------------------------------------ complexity fit
@@ -264,7 +276,7 @@ def test_lt1_savings_needs_records():
 def test_fit_is_exact_for_fast_path():
     records = run_grid([64, 128, 256, 512, 1024], [DenseFactor(2)],
                        methods=("fft",), **FAST_KW)
-    fit = fit_complexity(records)
+    (fit,) = make_report(records).verdicts
     assert fit.passed
     assert fit.claim == "complexity_fit_alpha_2_1"
     assert fit.record_ids == [0, 1, 2, 3, 4]
@@ -278,23 +290,18 @@ def test_fit_checks_the_constant():
     records = run_grid([64, 128, 256, 512, 1024], [DenseFactor(2)],
                        methods=("fft",), **FAST_KW)
     doubled = [dataclasses.replace(r, complex_mults=2 * r.complex_mults) for r in records]
-    fit = fit_complexity(doubled)
+    fit = bench._fit(doubled, [0, 1, 2, 3, 4])
     assert not fit.passed
     assert fit.details[0]["c"] == 1.0
     assert fit.details[0]["max_rel_residual"] == 0.0
 
 
-def test_fit_needs_one_density():
-    records = run_grid([64, 128, 256, 512], [DenseFactor(1), DenseFactor(2)],
-                       methods=("fft",), **FAST_KW)
-    with pytest.raises(ValueError, match="one density factor"):
-        fit_complexity(records)
-
-
 def test_fit_rejects_quadratic_growth():
+    # The naive transform's counts, labelled as fft records so the report fits them.
     records = run_grid([16, 32, 64, 128], [DenseFactor(1)],
                        methods=("naive",), **FAST_KW)
-    fit = fit_complexity(records)
+    relabelled = [dataclasses.replace(r, method="fft") for r in records]
+    fit = verdicts_of(relabelled)["complexity_fit_alpha_1_1"]
     assert not fit.passed
     assert fit.details[0]["max_rel_residual"] > 0.1
 
@@ -302,8 +309,7 @@ def test_fit_rejects_quadratic_growth():
 def test_fit_needs_four_sizes():
     records = run_grid([64, 128, 256], [DenseFactor(1)],
                        methods=("fft",), **FAST_KW)
-    with pytest.raises(IncompleteGridError):
-        fit_complexity(records)
+    assert make_report(records).verdicts == []
 
 
 # -------------------------------------------------------------------- report

@@ -1,10 +1,16 @@
 import argparse
+import csv
 import dataclasses
+import errno
+import itertools
 import json
+import os
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 
 from alpha_spectra import (
@@ -582,6 +588,82 @@ def test_unusable_path_exits_2(signal_file, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.splitlines() == [single_error_line(err)]
     assert err.startswith("error: ")
+
+
+def full_disk():
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def fail_on_call(function, call):
+    """``function``, except that its ``call``-th call (from 1) raises as a full disk does."""
+    calls = itertools.count(1)
+
+    def failing(*args, **kwargs):
+        if next(calls) == call:
+            raise full_disk()
+        return function(*args, **kwargs)
+
+    return failing
+
+
+def test_compute_leaves_no_file_when_a_write_fails(tmp_path, capsys, monkeypatch):
+    # The disk fills on the second of four write blocks: the first block
+    # alone would read back as a shorter, valid spectrum.
+    path, out = tmp_path / "s.csv", tmp_path / "out.csv"
+    write_signal_csv(path, np.random.default_rng(5).normal(size=4096))
+    monkeypatch.setattr(orjson, "dumps", fail_on_call(orjson.dumps, 2))
+    assert run(["compute", "--input", str(path), "--output", str(out),
+                "--alpha", "4"]) == cli.EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.splitlines() == [single_error_line(err)] == [f"error: {full_disk()}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("broken", ["json", "csv"])
+def test_bench_leaves_no_file_when_a_write_fails(tmp_path, capsys, monkeypatch, broken):
+    # The disk fills part-way through one of the two reports.
+    if broken == "json":
+        def dump(report, fh, **kwargs):
+            text = json.dumps(report, **kwargs)
+            fh.write(text[: len(text) // 2])
+            raise full_disk()
+
+        monkeypatch.setattr(cli.bench, "json", SimpleNamespace(dump=dump))
+    else:  # the header and one record get out
+        monkeypatch.setattr(csv.DictWriter, "writerow", fail_on_call(csv.DictWriter.writerow, 3))
+    outputs = [tmp_path / "r.json", tmp_path / "r.csv"]
+    assert run(["bench", "--grid-n", "16", "--grid-alpha", "2", "--reps", "1",
+                "--output", str(outputs[0]), "--csv", str(outputs[1])]) == cli.EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {full_disk()}"]
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--input", "{signal}", "--output", "{tmp}"],
+    ["bench", "--grid-n", "16", "--grid-alpha", "2", "--reps", "1", "--output", "{tmp}"],
+    ["bench", "--grid-n", "16", "--grid-alpha", "2", "--reps", "1", "--csv", "{tmp}"],
+], ids=["compute", "bench-output", "bench-csv"])
+def test_output_directory_is_refused_and_kept(signal_file, tmp_path, capsys, argv):
+    # open() refuses the path, so the writer never opened it and removes nothing.
+    argv = [arg.format(signal=signal_file, tmp=tmp_path) for arg in argv]
+    assert run(argv) == cli.EXIT_PARSE_ERROR
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: [Errno 21] Is a directory: '{tmp_path}'"]
+    assert tmp_path.is_dir() and signal_file.exists()
+
+
+@pytest.mark.parametrize("output, csv_path", [("o.json", "o.json"), ("./o.json", "o.json")])
+def test_bench_refuses_one_file_for_both_reports(tmp_path, capsys, monkeypatch, output, csv_path):
+    # The records CSV would overwrite the JSON report: refused before the grid runs.
+    monkeypatch.chdir(tmp_path)
+    assert run(["bench", "--grid-n", "16", "--grid-alpha", "2", "--reps", "1",
+                "--output", output, "--csv", csv_path]) == cli.EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --output and --csv name one file: {csv_path}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("message, line", [

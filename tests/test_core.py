@@ -283,11 +283,10 @@ def test_frequency_grid_span():
 def test_public_names():
     assert sorted(alpha_spectra.__all__) == [
         "BenchRecord", "ClaimVerdict", "DenseFactor", "IncompatibleAlphaError",
-        "IncompleteGridError", "OpCounter", "Plan", "ScalingReport", "Signal",
+        "OpCounter", "Plan", "ScalingReport", "Signal",
         "Spectrum", "TooManyBinsError", "UnsupportedSizeError", "__version__",
         "aliased_reconstruct", "alpha_fft", "analytic_sine_spectrum", "bin_frequency",
-        "check_alpha_gt1_savings", "check_alpha_lt1_savings", "dft_matrix", "fit_complexity",
-        "is_power_of_two", "make_report", "max_curve_deviation", "naive_forward",
+        "dft_matrix", "is_power_of_two", "make_report", "max_curve_deviation", "naive_forward",
         "naive_inverse", "orthogonality_kernel", "plan", "predicted_adds", "predicted_mults",
         "run_grid", "sine_demo", "sine_signal", "transform_samples", "validate_pair",
     ]
