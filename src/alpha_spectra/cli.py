@@ -165,6 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
 # as a numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_compute(args) -> int:
+    if os.path.realpath(args.output) == os.path.realpath(args.input):
+        # The spectrum would overwrite the signal it is computed from.
+        print(f"error: --input and --output name one file: {args.output}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     try:
         signal = io.read_signal(args.input)
     except FileNotFoundError:

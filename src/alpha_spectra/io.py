@@ -18,13 +18,15 @@ the header for metadata.  The rest of the text then goes, as UTF-8 bytes
 ``np.loadtxt``: numpy's C tokenizer parses the rows without a Python
 object per cell, each float with the parser under ``float()`` and the
 index as an int64 only where ``int()`` reads the same number.  Its columns
-stand when it reads every line as a row and the index as 0, 1, 2, ...;
-otherwise -- a comment or blank line among the rows, a bad cell, or what
+stand only for rows with no fault: when it reads every line as a row, the
+index as 0, 1, 2, ... and every value as finite.  Otherwise -- a comment or
+blank line among the rows, a bad cell, a value that is not finite, or what
 only ``int()`` and ``float()`` accept (``1_0``, Arabic-Indic digits) --
 the same loop reads on after the header, line by line, and parses each
 row where it reads it, its cells with ``int()`` and ``float()``.  So the
 first bad line is the error, whatever is wrong with it: a column count, an
-index, a cell, a byte that does not decode or a metadata comment.  A
+index, a cell, a value that is not finite (a row's time before its value),
+a byte that does not decode or a metadata comment.  A
 ``# N=`` count reads as an integer flag does (``core.parse_int``).  A JSON
 sample list of all numbers or all number pairs is converted in one
 ``np.fromiter``; any other list is walked entry by entry, to name the
@@ -59,6 +61,7 @@ header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time,
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -109,20 +112,20 @@ def _duration(value) -> float:  # core.check_duration, raising SignalParseError
         raise SignalParseError(str(exc)) from None
 
 
-def _checked_signal(samples, times, declared, line_of=lambda position: 1) -> Signal:
+def _checked_signal(samples, times, declared, line=1) -> Signal:
     """The checks every signal reader shares, then the Signal.
 
-    Samples and times must be finite, and times uniformly spaced.  The
-    duration is the declared T when there is one (``declared`` is None
-    otherwise), else N times the time step when there is a time column,
-    else one second.  ``line_of`` maps a sample position to the 1-based
-    line reported in errors.
+    Samples and times must be finite (the first bad position is the error,
+    its time before its sample), and times uniformly spaced.  The duration
+    is the declared T when there is one (``declared`` is None otherwise),
+    else N times the time step when there is a time column, else one
+    second.  Errors name the 1-based ``line``.
     """
-    for what, values in (("sample", samples), ("time", times)):
-        if values is not None:
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise SignalParseError(f"{what} {bad[0]} is not finite", line_of(bad[0]))
+    finite = np.isfinite(samples) & (times is None or np.isfinite(times))
+    if not finite.all():
+        position = np.argmin(finite)
+        what = "time" if times is not None and not np.isfinite(times[position]) else "sample"
+        raise SignalParseError(f"{what} {position} is not finite", line)
     duration = 1.0
     if times is not None and times.size >= 2:
         # Times whose span overflows a double give an infinite or NaN step.
@@ -135,7 +138,7 @@ def _checked_signal(samples, times, declared, line_of=lambda position: 1) -> Sig
         if declared is None and not np.isfinite(mean_step):
             _duration(duration)  # raises: the time column's duration is not finite
         if not uniform:
-            raise SignalParseError("time values are not uniformly spaced", line_of(times.size - 1))
+            raise SignalParseError("time values are not uniformly spaced", line)
     if declared is not None:
         duration = declared
     return Signal(samples, _duration(duration))
@@ -163,8 +166,9 @@ def _numpy_columns(rows, count, header):
     it with the parser under float(), or as an int64 that int() reads the
     same.  None when it refuses a row (``#`` and quotes stay cell text, and a
     warning, an older numpy reading an integer through a float, counts),
-    skips one (an empty line: fewer than ``count`` rows) or reads an index
-    other than 0, 1, 2, ...
+    skips one (an empty line: fewer than ``count`` rows), reads an index
+    other than 0, 1, 2, ... or a value that is not finite: its columns stand
+    only for rows with no fault.
     """
     index_label, positions = _SIGNAL_LAYOUTS[header]
     dtype = [(name, np.int64 if name == index_label else float) for name in header]
@@ -175,11 +179,12 @@ def _numpy_columns(rows, count, header):
                                dtype=dtype, encoding="utf-8")
         except (ValueError, Warning):
             return None
+    columns = [table[header[k]] for k in positions]
     if len(table) != count or (
         index_label is not None and not np.array_equal(table[index_label], np.arange(count))
-    ):
+    ) or not all(np.isfinite(column).all() for column in columns):
         return None
-    return [table[header[k]] for k in positions]
+    return columns
 
 
 def _text(data):
@@ -203,23 +208,25 @@ def _rows_bytes(data, offset):
     return _text(data).read()[offset:].rstrip("\n").encode(errors="surrogateescape")
 
 
-def _read_csv(path):
-    """A signal CSV's metadata, header and float columns.
+def _complex(real, imag) -> np.ndarray:
+    """real + i*imag elementwise; unlike ``real + 1j*imag``, keeps -0.0 imaginary parts."""
+    out = np.empty(np.size(real), dtype=np.complex128)
+    out.real = real
+    out.imag = imag
+    return out
 
-    The header must be one of _SIGNAL_LAYOUTS.  Returns (metadata, header,
-    columns, line_nos): ``metadata`` holds the ``T`` and ``N`` comments
-    found, ``columns`` is None when there is no data row, and ``line_nos``
-    holds each data row's 1-based line.  At the header, numpy reads all the
-    rows after it in one pass (_numpy_columns).  When it cannot, the loop
-    reads on line by line and parses each row where it reads it: the
-    header's number of cells, an index that int() reads as 0, 1, 2, ... and
-    floats that float() reads.  So the first bad line is the error.
+
+def read_signal_csv(path) -> Signal:
+    """Parse a signal CSV; raises SignalParseError with a line number on failure.
+
+    At a header of _SIGNAL_LAYOUTS, numpy reads all the rows after it in one
+    pass (_numpy_columns).  When it cannot, the loop reads on and parses each
+    row where it reads it, so the first bad line is the error (see above).
     """
     data = Path(path).read_bytes()
     lines = _text(data)
     metadata = {}
     header = None
-    line_nos = array("q")  # 8 bytes a row, where an int object and its pointer take 36
     offset = 0
     for line_no, raw in enumerate(lines, start=1):
         offset += len(raw)
@@ -238,7 +245,8 @@ def _read_csv(path):
             count = rest.count(b"\n") + 1
             columns = _numpy_columns(rest, count, header)
             if columns is not None:
-                return metadata, header, columns, range(line_no + 1, line_no + 1 + count)
+                last_row = line_no + count
+                break
             rest = None  # the loop reads on from ``lines`` alone
             index_label, positions = _SIGNAL_LAYOUTS[header]
             columns = [array("d") for _ in positions]
@@ -247,6 +255,7 @@ def _read_csv(path):
             cells = [cell.strip() for cell in stripped.split(",")]
             if len(cells) != len(header):
                 raise SignalParseError(f"expected {len(header)} columns, got {len(cells)}", line_no)
+            row = len(columns[0])
             if index_label is not None:
                 try:
                     index = int(cells[0])
@@ -254,33 +263,23 @@ def _read_csv(path):
                     raise SignalParseError(
                         f"expected an integer {index_label}, got {cells[0]!r}", line_no
                     ) from None
-                if index != len(line_nos):
-                    raise SignalParseError(
-                        f"{index_label} {index} out of order (expected {len(line_nos)})", line_no
-                    )
+                if index != row:
+                    raise SignalParseError(f"{index_label} {index} out of order (expected {row})",
+                                           line_no)
             for column, k in zip(columns, positions):
-                column.append(_parse_float(cells[k], line_no))
-            line_nos.append(line_no)
-    if not line_nos:
-        return metadata, header, None, line_nos
-    return metadata, header, [np.frombuffer(column) for column in columns], line_nos
-
-
-def _complex(real, imag) -> np.ndarray:
-    """real + i*imag elementwise; unlike ``real + 1j*imag``, keeps -0.0 imaginary parts."""
-    out = np.empty(np.size(real), dtype=np.complex128)
-    out.real = real
-    out.imag = imag
-    return out
-
-
-def read_signal_csv(path) -> Signal:
-    """Parse a signal CSV; raises SignalParseError with a line number on failure."""
-    metadata, header, columns, line_nos = _read_csv(path)
-    if header is None:
-        raise SignalParseError("no header row found")
-    if columns is None:
-        raise SignalParseError("no sample rows found")
+                value = _parse_float(cells[k], line_no)
+                if not math.isfinite(value):
+                    what = "time" if header[k] == "time" else "sample"
+                    raise SignalParseError(f"{what} {row} is not finite", line_no)
+                column.append(value)
+            last_row = line_no
+    else:
+        if header is None:
+            raise SignalParseError("no header row found")
+        if not columns[0]:
+            raise SignalParseError("no sample rows found")
+        columns = [np.frombuffer(column) for column in columns]
+    data = lines = rest = None  # the file's bytes and text go before the samples are built
     if header == ("index", "re", "im"):
         samples, times = _complex(*columns), None
     else:
@@ -290,7 +289,7 @@ def read_signal_csv(path) -> Signal:
         raise SignalParseError(
             f"metadata declares N={metadata['N']} but file holds {len(samples)} rows"
         )
-    return _checked_signal(samples, times, metadata.get("T"), lambda position: line_nos[position])
+    return _checked_signal(samples, times, metadata.get("T"), last_row)
 
 
 def _json_reals(entries, key) -> np.ndarray:

@@ -666,6 +666,20 @@ def test_bench_refuses_one_file_for_both_reports(tmp_path, capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("output", ["s.csv", "./s.csv"])
+def test_compute_refuses_to_overwrite_its_input(tmp_path, capsys, monkeypatch, output):
+    # The spectrum would replace the signal: refused before anything is read.
+    monkeypatch.chdir(tmp_path)
+    data = b"index,re,im\n0,1,0\n1,0,0\n"
+    (tmp_path / "s.csv").write_bytes(data)
+    assert run(["compute", "--input", "s.csv", "--output", output]) == cli.EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --input and --output name one file: {output}"]
+    assert (tmp_path / "s.csv").read_bytes() == data
+    assert list(tmp_path.iterdir()) == [tmp_path / "s.csv"]
+
+
 @pytest.mark.parametrize("message, line", [
     ("Unable to allocate 2.00 GiB", "error: Unable to allocate 2.00 GiB"),
     (None, "error: out of memory"),

@@ -138,6 +138,10 @@ def test_declared_duration_reads_a_time_span_past_the_largest_double(tmp_path):
     pytest.param(b"index,re,im\n0,x,1\n1,\xff,0\n", 2, "got 'x'", id="cell-then-byte"),
     pytest.param(b"index,re,im\n0,1,0\n2,1,0\n# T=abc\n", 3, "index 2 out of order",
                  id="index-then-comment"),
+    pytest.param(b"index,re,im\n0,nan,0\n1,x,0\n", 2, "sample 0 is not finite",
+                 id="not-finite-then-cell"),
+    pytest.param(b"time,value\n0,1\nnan,2\n2,3\n3,inf\n", 3, "time 1 is not finite",
+                 id="time-then-sample"),
     # N reads as an integer flag does: ASCII digits only.
     pytest.param("# N=\u0663\nindex,re,im\n0,1,0\n1,1,0\n2,1,0\n", 1, "integer N",
                  id="N-arabic-indic"),
@@ -272,6 +276,9 @@ def test_json_time_value_form(tmp_path):
     ({"time": [0, 1], "value": [1, 10 ** 400]}, "too large"),
     ({"time": [0.0, float("inf")], "value": [1, 2]}, "time 1 is not finite"),
     ({"T": None, "samples": [1]}, "duration T must be a positive finite number"),
+    # The first position that holds a value that is not finite, its time first.
+    ({"time": [0, float("nan"), 2, 3], "value": [1, 2, 3, float("inf")]},
+     "^line 1: time 1 is not finite$"),
 ])
 def test_json_shape_errors(tmp_path, payload, fragment):
     path = write(tmp_path, "s.json", json.dumps(payload))

@@ -65,8 +65,8 @@ from alpha_spectra.io import (
     _checked_signal,
     _json_signal,
     _parse_metadata,
-    _read_csv,
     read_signal,
+    read_signal_csv,
     read_signal_json,
     write_csv,
 )
@@ -286,11 +286,11 @@ def test_read_signal_returns_a_finite_signal_or_a_parse_error(fuzz_dir, named_te
 # ----------------------------------------------- differential reader fuzzing
 #
 # The readers take whole-input shortcuts on clean files.  These tests pin
-# them to plain per-line and per-entry references: the same columns bit for
-# bit, the same line numbers and metadata, or the same error and line.
+# them to plain per-line and per-entry references: the same signal bit for
+# bit, or the same error and line.
 
-def reference_read_csv(path):
-    metadata, header, columns, line_nos = {}, None, None, []
+def reference_read_signal_csv(path):
+    metadata, header, columns, last_row = {}, None, None, None
     with open(path, "r", newline="", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             for char in raw:
@@ -316,6 +316,7 @@ def reference_read_csv(path):
                     raise SignalParseError(
                         f"expected {len(header)} columns, got {len(row)}", line_no
                     )
+                rows = len(columns[0])
                 if index_label is not None:
                     try:
                         index = int(row[0])
@@ -323,34 +324,45 @@ def reference_read_csv(path):
                         raise SignalParseError(
                             f"expected an integer {index_label}, got {row[0]!r}", line_no
                         ) from None
-                    if index != len(line_nos):
+                    if index != rows:
                         raise SignalParseError(
-                            f"{index_label} {index} out of order (expected {len(line_nos)})",
-                            line_no,
+                            f"{index_label} {index} out of order (expected {rows})", line_no
                         )
                 for column, k in zip(columns, positions):
                     try:
-                        column.append(float(row[k]))
+                        value = float(row[k])
                     except ValueError:
                         raise SignalParseError(
                             f"expected a number, got {row[k]!r}", line_no
                         ) from None
-                line_nos.append(line_no)
-    columns = [np.array(column) for column in columns] if line_nos else None
-    return metadata, header, columns, line_nos
+                    if not math.isfinite(value):
+                        what = "time" if header[k] == "time" else "sample"
+                        raise SignalParseError(f"{what} {rows} is not finite", line_no)
+                    column.append(value)
+                last_row = line_no
+    if header is None:
+        raise SignalParseError("no header row found")
+    if not columns[0]:
+        raise SignalParseError("no sample rows found")
+    if header == ("index", "re", "im"):
+        samples, times = [complex(re, im) for re, im in zip(*columns)], None
+    else:
+        samples, times = [complex(value, 0.0) for value in columns[1]], np.array(columns[0])
+    samples = np.array(samples, dtype=np.complex128)
+    if "N" in metadata and metadata["N"] != len(samples):
+        raise SignalParseError(
+            f"metadata declares N={metadata['N']} but file holds {len(samples)} rows"
+        )
+    return _checked_signal(samples, times, metadata.get("T"), last_row)
 
 
 def outcome(read, *args):
     """What ``read(*args)`` does, in a form two readers can be compared by."""
     try:
-        result = read(*args)
+        signal = read(*args)
     except Exception as exc:  # noqa: BLE001 -- the type is part of the outcome
         return ("raise", type(exc), str(exc), getattr(exc, "line", None))
-    if isinstance(result, Signal):
-        return ("signal", result.samples.tobytes(), repr(result.duration))
-    metadata, header, columns, line_nos = result
-    columns = None if columns is None else [column.tobytes() for column in columns]
-    return ("csv", repr(metadata), header, columns, list(line_nos))
+    return ("signal", signal.samples.tobytes(), repr(signal.duration))
 
 
 ODD_INDEX = st.sampled_from(["01", "+1", "1_0", "١٢", "-0", "x", "9" * 30, "", "2.0", "1e0"])
@@ -434,10 +446,13 @@ def differential_csv(draw):
 @example("index,re,im\n0,x,1\n1,2\n")
 @example("index,re,im\n0,x,1\n1,\udcff,0\n")
 @example("index,re,im\n0,1,0\n2,1,0\n# T=abc\n")
+# A value that is not finite is a fault of its own line, a row's time first.
+@example("index,re,im\n0,nan,0\n1,x,0\n")
+@example("time,value\n0,1\nnan,2\n2,3\n3,inf\n")
 def test_read_csv_is_the_per_line_loop(fuzz_dir, text):
     path = fuzz_dir / "d.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    assert outcome(_read_csv, path) == outcome(reference_read_csv, path)
+    assert outcome(read_signal_csv, path) == outcome(reference_read_signal_csv, path)
 
 
 def test_undecodable_tail_leaves_the_header_error_first(tmp_path):
@@ -448,7 +463,7 @@ def test_undecodable_tail_leaves_the_header_error_first(tmp_path):
     with pytest.raises(SignalParseError, match="expected header") as info:
         read_signal(path)
     assert info.value.line == 1
-    assert outcome(_read_csv, path) == outcome(reference_read_csv, path)
+    assert outcome(read_signal_csv, path) == outcome(reference_read_signal_csv, path)
 
 
 def reference_read_signal_json(path):
