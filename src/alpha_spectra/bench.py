@@ -32,7 +32,7 @@ import numpy as np
 
 from . import baseline, fastpath
 from .core import DenseFactor, Signal, distinct, validate_pair
-from .io import _open_output
+from .io import open_output
 from .verify import random_unit_disk
 
 #: Repetitions of a naive cell at most: its quadratic cost makes 20 impractical at large N.
@@ -113,7 +113,7 @@ class ScalingReport:
 
     def write_json(self, path) -> None:
         """The report as indented JSON; a write that raises removes the file."""
-        with _open_output(path, "w") as fh:
+        with open_output(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
 
@@ -123,7 +123,7 @@ class ScalingReport:
         A write that raises removes the file, as in write_json.
         """
         fields = ["N", "alpha_p", "alpha_q", "method", "mults", "adds", "wall_ns", "reps"]
-        with _open_output(path, "w", newline="") as fh:
+        with open_output(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
             writer.writeheader()
             for record in self.records:

@@ -10,7 +10,9 @@ verify     run the numerical cross-checking suites
 A flag's text is read by the library's own rule (``DenseFactor.from_string``,
 ``parse_int``, ``check_method``, ``check_duration``); the ValueError that
 refuses it becomes argparse's usage error, exit 2, in one adapter,
-``_argument``.
+``_argument``.  A command raises every other refusal, and ``main`` alone
+prints it, as one ``error:`` line, and maps it to its exit code
+(``_EXIT_CODES``).
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed input
 (JSON nested too deeply included), an invalid argument, an unwritable output
@@ -161,22 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Overflow to inf (and inf - inf to nan) in the transform or the frequency grid
-# is reported as exit code 6 naming the first non-finite bin or frequency, not
-# as a numpy warning.
+# is refused as an OverflowError naming the first non-finite bin or frequency,
+# not reported as a numpy warning.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_compute(args) -> int:
     if os.path.realpath(args.output) == os.path.realpath(args.input):
         # The spectrum would overwrite the signal it is computed from.
-        print(f"error: --input and --output name one file: {args.output}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise argparse.ArgumentTypeError(f"--input and --output name one file: {args.output}")
     try:
         signal = io.read_signal(args.input)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.input}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     except io.SignalParseError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise io.SignalParseError(f"{args.input}: {exc}") from None
     if args.duration is not None:
         signal = Signal(signal.samples, args.duration)
 
@@ -185,15 +182,12 @@ def cmd_compute(args) -> int:
     spectrum = run(signal)
     bad = np.flatnonzero(~np.isfinite(spectrum.bins))
     if bad.size:
-        print(f"error: bin {bad[0]} is not finite: the spectrum overflows a double",
-              file=sys.stderr)
-        return EXIT_NOT_REPRESENTABLE
+        raise OverflowError(f"bin {bad[0]} is not finite: the spectrum overflows a double")
     # Frequencies rise with the bin index: if the last one is finite, all are.
     if not math.isfinite(bin_frequency(spectrum.m - 1, alpha, spectrum.duration)):
         bad = np.flatnonzero(~np.isfinite(spectrum.frequencies))
-        print(f"error: frequency of bin {bad[0]} is not finite: 1/(alpha*T) overflows a double",
-              file=sys.stderr)
-        return EXIT_NOT_REPRESENTABLE
+        raise OverflowError(
+            f"frequency of bin {bad[0]} is not finite: 1/(alpha*T) overflows a double")
 
     io.write_spectrum(spectrum, args.output, method)
     print(f"wrote {spectrum.m} bins (N={spectrum.origin_n}, alpha={alpha}, method={method}) "
@@ -225,14 +219,12 @@ def cmd_demo_sine(args) -> int:
 def cmd_bench(args) -> int:
     if args.output and args.csv and os.path.realpath(args.output) == os.path.realpath(args.csv):
         # The records CSV would overwrite the JSON report it follows.
-        print(f"error: --output and --csv name one file: {args.csv}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise argparse.ArgumentTypeError(f"--output and --csv name one file: {args.csv}")
     skipped = []
     records = bench.run_grid(args.grid_n, args.grid_alpha, args.methods,
                              reps=args.reps, seed=args.seed, skipped=skipped)
     if not records:
-        print("error: no runnable grid cells", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise argparse.ArgumentTypeError("no runnable grid cells")
     report = bench.make_report(records, skipped)
     written = []
     try:
@@ -275,12 +267,16 @@ def cmd_verify(args) -> int:
 
 
 #: What ends a command early, in match order: the exception class, its exit
-#: code and a hint appended to its message.
+#: code and a hint appended to its message.  A command raises every refusal;
+#: ``main`` prints it as the one ``error:`` line.
 _EXIT_CODES = (
     (IncompatibleAlphaError, EXIT_BAD_ALPHA, ""),
     (UnsupportedSizeError, EXIT_BAD_SIZE, " (try --method naive)"),
     (TooManyBinsError, EXIT_NOT_REPRESENTABLE, ""),
     (MemoryError, EXIT_NOT_REPRESENTABLE, ""),
+    (OverflowError, EXIT_NOT_REPRESENTABLE, ""),  # bins or frequencies past the largest double
+    (io.SignalParseError, EXIT_PARSE_ERROR, ""),  # a malformed input, its path in front
+    (argparse.ArgumentTypeError, EXIT_PARSE_ERROR, ""),  # one file named twice, or no runnable cell
     (OSError, EXIT_PARSE_ERROR, ""),  # a file that cannot be read or written
 )
 

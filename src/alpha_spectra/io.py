@@ -105,11 +105,11 @@ def _parse_float(text, line):
         raise SignalParseError(f"expected a number, got {text!r}", line) from None
 
 
-def _duration(value) -> float:  # core.check_duration, raising SignalParseError
+def _duration(value, line=None) -> float:  # core.check_duration, raising SignalParseError
     try:
         return check_duration(value)
     except ValueError as exc:
-        raise SignalParseError(str(exc)) from None
+        raise SignalParseError(str(exc), line) from None
 
 
 def _checked_signal(samples, times, declared, line=1) -> Signal:
@@ -145,13 +145,18 @@ def _checked_signal(samples, times, declared, line=1) -> Signal:
 
 
 def _parse_metadata(line_text, line_no, metadata):
-    """Record a ``# T=`` or ``# N=`` comment in ``metadata``; ignore any other."""
+    """Record a ``# T=`` or ``# N=`` comment in ``metadata``; ignore any other.
+
+    The comment is judged where it is read, so a T that is not a positive
+    finite number (``check_duration``) or an N that is not an integer
+    (``parse_int``) is a bad line ``line_no``.
+    """
     body = line_text.lstrip("#").strip()
     if "=" in body:
         key, _, raw = body.partition("=")
         key = key.strip()
         if key == "T":
-            metadata["T"] = _parse_float(raw.strip(), line_no)
+            metadata["T"] = _duration(_parse_float(raw.strip(), line_no), line_no)
         elif key == "N":
             try:
                 metadata["N"] = parse_int(raw)
@@ -402,7 +407,7 @@ def read_signal(path) -> Signal:
 
 
 @contextlib.contextmanager
-def _open_output(path, mode, **kwargs):
+def open_output(path, mode, **kwargs):
     """``open(path, mode, **kwargs)`` for writing, the file removed if the block raises.
 
     A write that fails part-way (a full disk, say) would otherwise leave a
@@ -429,9 +434,9 @@ def write_csv(path, comments, names, columns) -> None:
     same double (``0.0``, ``1e16``, ``5e-324``).  orjson writes ``null`` for
     every non-finite cell, so a block that holds one puts back, in C order,
     the ``.17g`` spellings ``inf``, ``-inf`` and ``nan``.  A write that
-    raises removes the file (``_open_output``).
+    raises removes the file (``open_output``).
     """
-    with _open_output(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         for key, value in comments.items():
             fh.write(f"# {key}={format(value, '.17g') if isinstance(value, float) else value}\n"
                      .encode())

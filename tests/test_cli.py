@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import dataclasses
 import errno
@@ -111,10 +112,11 @@ def test_compute_duration_override(signal_file, tmp_path):
 
 
 def test_compute_missing_file(tmp_path, capsys):
-    code = run(["compute", "--input", str(tmp_path / "absent.csv"),
-                "--output", str(tmp_path / "out.csv")])
+    # A missing input reads as any path that cannot be opened.
+    absent = tmp_path / "absent.csv"
+    code = run(["compute", "--input", str(absent), "--output", str(tmp_path / "out.csv")])
     assert code == cli.EXIT_PARSE_ERROR
-    assert "no such file" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{absent}'\n"
 
 
 def test_compute_malformed_file(tmp_path, capsys):
@@ -407,6 +409,21 @@ def test_verify_checks_a_case_at_every_size():
 
 
 # ---------------------------------------------------------- boundary probes
+
+def test_only_main_builds_an_error_line():
+    # A command raises every refusal and main prints it: no other function
+    # of the library builds a string that starts with "error:".
+    def owners(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and str(child.value).startswith("error:"):
+                yield owner
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from owners(child, f"{owner}.{child.name}" if named else owner)
+
+    package = Path(cli.__file__).parent
+    assert {owner for path in sorted(package.glob("*.py"))
+            for owner in owners(ast.parse(path.read_text()), path.stem)} == {"cli.main"}
+
 
 def single_error_line(err):
     """The one stderr line that reports the error; fails on a traceback."""

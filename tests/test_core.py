@@ -346,7 +346,8 @@ def test_front_ends_plan_and_run_nothing_themselves():
 
 def test_no_module_reads_another_modules_private_name():
     # ``<module>._name`` where ``<module>`` is a library module the file
-    # imports; a class's private attribute, such as Spectrum._adopt, is fine.
+    # imports, or ``from .<module> import _name``; a class's private
+    # attribute, such as Spectrum._adopt, is fine.
     package = Path(alpha_spectra.__file__).parent
     library = {path.stem for path in package.glob("*.py")}
     found = []
@@ -360,4 +361,8 @@ def test_no_module_reads_another_modules_private_name():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                   and isinstance(node.value, ast.Name) and node.value.id in modules]
+        found += [f"{path.name}:{node.lineno}: from .{node.module} import {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level and node.module in library
+                  for alias in node.names if alias.name.startswith("_")]
     assert found == []

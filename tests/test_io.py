@@ -142,6 +142,11 @@ def test_declared_duration_reads_a_time_span_past_the_largest_double(tmp_path):
                  id="not-finite-then-cell"),
     pytest.param(b"time,value\n0,1\nnan,2\n2,3\n3,inf\n", 3, "time 1 is not finite",
                  id="time-then-sample"),
+    # A # T= comment is judged on its own line, before the rows after it.
+    pytest.param("# T=nan\nindex,re,im\n0,x,0\n", 1,
+                 "duration T must be a positive finite number, got nan", id="T-nan-then-cell"),
+    pytest.param("# T=-1\nindex,re,im\n0,1,0\n", 1,
+                 "duration T must be a positive finite number, got -1.0", id="T-negative"),
     # N reads as an integer flag does: ASCII digits only.
     pytest.param("# N=\u0663\nindex,re,im\n0,1,0\n1,1,0\n2,1,0\n", 1, "integer N",
                  id="N-arabic-indic"),
@@ -604,6 +609,6 @@ def test_public_names():
                    if not name.startswith("_") and not inspect.ismodule(value)
                    and getattr(value, "__module__", alpha_io.__name__) == alpha_io.__name__)
     assert names == [
-        "SignalParseError", "TIME_UNIFORMITY_RTOL", "WRITE_BLOCK_ROWS", "read_signal",
-        "read_signal_csv", "read_signal_json", "write_csv", "write_spectrum",
+        "SignalParseError", "TIME_UNIFORMITY_RTOL", "WRITE_BLOCK_ROWS", "open_output",
+        "read_signal", "read_signal_csv", "read_signal_json", "write_csv", "write_spectrum",
     ]

@@ -30,8 +30,17 @@ The writer property feeds ``write_csv`` tables of 1 to 5 float64 columns
 and up to two write blocks and three rows, signed zeros, subnormals,
 +-1.7e308, infinities and NaN among them: ``np.loadtxt`` reads every value
 back bit for bit, and a NaN as NaN.
+
+The command-line property runs whole ``compute`` command lines through
+``cli.main``: signal files (valid, overflowing or fuzzed) under flags drawn
+valid, malformed, extreme and repeated, in any order.  Every exit is a
+documented code.  A refusal prints nothing to stdout and one ``error:``
+line, writes no file and leaves the input as it was; a success writes the
+bins of the contract's executor (``contract_rules``), bit for bit.
 """
 
+import contextlib
+import io
 import json
 import math
 import struct
@@ -50,6 +59,7 @@ from alpha_spectra import (
     DenseFactor,
     Signal,
     baseline,
+    cli,
     make_report,
     naive_forward,
     naive_inverse,
@@ -71,7 +81,8 @@ from alpha_spectra.io import (
     write_csv,
 )
 
-from contract_rules import bench_cell
+from contract_rules import bench_cell, expected, reference_bins
+from file_formats import read_spectrum_csv, write_signal_csv
 
 RTOL = 1e-10
 ALPHAS = [DenseFactor(1, 8), DenseFactor(1, 4), DenseFactor(1, 2),
@@ -699,3 +710,90 @@ def test_write_csv_reads_back_bitwise(tmp_path_factory, width, rows, seed, speci
     nan = np.isnan(table)
     assert np.array_equal(np.isnan(back), nan)
     assert np.array_equal(back.view(np.uint64)[~nan], table.view(np.uint64)[~nan])
+
+
+# ------------------------------------------------- compute command lines
+
+COMPUTE_NS = (1, 2, 3, 4, 6, 8, 12, 16, 64)
+COMPUTE_EXITS = {cli.EXIT_OK, cli.EXIT_PARSE_ERROR, cli.EXIT_BAD_ALPHA, cli.EXIT_BAD_SIZE,
+                 cli.EXIT_NOT_REPRESENTABLE}
+# Valid, malformed (what only int() reads among them) and extreme values;
+# alpha*N stays within 512 bins wherever the pair is accepted.
+COMPUTE_FLAGS = st.one_of(
+    st.tuples(st.just("--alpha"), st.sampled_from(
+        ["1", "2", "4", "8", "1/2", "1/4", "1/8", "3/2", "3", "2/3", "5/3", "x", "1_0", "\u0662",
+         "", "0", "268435457", "100000000000000000000", "1/100000000000000000000"])),
+    st.tuples(st.just("--method"), st.sampled_from([*baseline.METHODS, " naive ", "x", ""])),
+    st.tuples(st.just("--duration"), st.sampled_from(
+        ["1", "0.5", "2.5", "1e-320", "x", "1_0", "\u0662", "", "0", "-1", "nan", "inf", "1e400",
+         "100000000000000000000"])),
+)
+
+
+@st.composite
+def compute_inputs(draw):
+    """(file name, content): mostly a signal (N, seed, scale), else reader-fuzz text."""
+    name = draw(st.sampled_from(["s.csv", "s.json"]))
+    if draw(st.integers(0, 3)):
+        # At 1e307 the sum of a few samples overflows a double.
+        return name, (draw(st.sampled_from(COMPUTE_NS)), draw(st.integers(0, 2 ** 32 - 1)),
+                      draw(st.sampled_from([1.0, 1.0, 1.0, 1e307])))
+    return name, draw(csv_texts() if name == "s.csv" else json_texts())
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(compute_inputs(), st.lists(COMPUTE_FLAGS, max_size=4), RARE)
+@example(("s.csv", (8, 0, 1.0)), [("--alpha", "2"), ("--method", "zeropad")], False)
+@example(("s.json", (6, 0, 1.0)), [("--alpha", "3/2"), ("--alpha", "1/2")], False)
+@example(("s.csv", (4, 0, 1.0)), [], True)
+@example(("s.csv", "index,re,im\n0,one,0\n"), [], False)
+@example(("s.csv", "# T=nan\nindex,re,im\n0,x,0\n"), [], False)
+@example(("s.json", (4, 0, 1.0)), [("--alpha", "1_0")], False)
+@example(("s.csv", (6, 0, 1.0)), [("--alpha", "1/4")], False)
+@example(("s.json", (12, 0, 1.0)), [("--method", "fft")], False)
+@example(("s.csv", "index,re,im\n0,1e308,0\n1,1e308,0\n"), [], False)
+@example(("s.csv", (4, 0, 1.0)), [("--duration", "1e-320"), ("--alpha", "2")], False)
+@example(("s.json", (1, 0, 1.0)), [("--alpha", "268435457")], False)
+def test_compute_command_line_outcome(tmp_path_factory, named_input, flags, overwrite):
+    name, content = named_input
+    work = tmp_path_factory.mktemp("compute")
+    path = work / name
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        n, seed, scale = content
+        x = scale * samples(np.random.default_rng(seed), n)
+        if name == "s.csv":
+            write_signal_csv(path, x)
+        else:
+            path.write_text(json.dumps({"samples": [[float(z.real), float(z.imag)] for z in x]}))
+    data = path.read_bytes()
+    output = f"{work}/./{name}" if overwrite else str(work / "out.csv")
+    argv = ["compute", "--input", str(path), "--output", output]
+    argv += [text for flag in flags for text in flag]
+    out, err = io.StringIO(), io.StringIO()
+    usage = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code, usage = exc.code, True
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in COMPUTE_EXITS, err.getvalue()
+    assert path.read_bytes() == data
+    if code:
+        assert out.getvalue() == ""
+        assert len(errors) == 1
+        assert usage or err.getvalue() == errors[0] + "\n"
+        assert list(work.iterdir()) == [path]
+        return
+    assert errors == []
+    args = cli.build_parser().parse_args(argv)
+    signal = read_signal(path)
+    if args.duration is not None:
+        signal = Signal(signal.samples, args.duration)
+    spectrum, label = read_spectrum_csv(output)
+    assert (spectrum.origin_n, spectrum.alpha, spectrum.duration) == (
+        len(signal), args.alpha, signal.duration)
+    assert label == expected(len(signal), args.alpha, args.method)[1]
+    assert spectrum.bins.tobytes() == reference_bins(label, signal, args.alpha).tobytes()
