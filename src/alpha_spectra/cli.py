@@ -8,10 +8,10 @@ bench      run the operation-count/wall-time grid and judge the scaling claims
 verify     run the numerical cross-checking suites
 
 A flag's text is read by the library's own rule (``DenseFactor.from_string``,
-``parse_int``, ``check_method``, ``check_duration``); the ValueError that
-refuses it becomes argparse's usage error, exit 2, in one adapter,
-``_argument``.  A command raises every other refusal, and ``main`` alone
-prints it, as one ``error:`` line, and maps it to its exit code
+``parse_int``, ``parse_float``, ``check_method``, ``check_duration``); the
+ValueError that refuses it becomes argparse's usage error, exit 2, in one
+adapter, ``_argument``.  A command raises every other refusal, and ``main``
+alone prints it, as one ``error:`` line, and maps it to its exit code
 (``_EXIT_CODES``).
 
 Exit codes: 0 success, 1 verification failure, 2 unreadable or malformed input
@@ -42,6 +42,7 @@ from .core import (
     bin_frequency,
     check_duration,
     distinct,
+    parse_float,
     parse_int,
 )
 
@@ -68,7 +69,7 @@ def _argument(parse):
 
 _alpha_argument = _argument(DenseFactor.from_string)
 _method_argument = _argument(lambda text: baseline.check_method(text.strip()))
-_duration_argument = _argument(lambda text: check_duration(float(text)))
+_duration_argument = _argument(lambda text: check_duration(parse_float(text)))
 
 
 def _int_in(minimum, maximum=None):

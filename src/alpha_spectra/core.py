@@ -50,6 +50,18 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def parse_float(text: str) -> float:
+    """The float of ``text`` as float() reads it, if it is ASCII with no ``_`` once stripped.
+
+    ValueError otherwise, as parse_int refuses ``1_0`` and ``\u0662``.  ``nan``
+    and ``inf`` still read, for check_duration to refuse by name.
+    """
+    stripped = text.strip()
+    if not stripped.isascii() or "_" in stripped:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(stripped)
+
+
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

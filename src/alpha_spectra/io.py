@@ -33,23 +33,15 @@ sample list of all numbers or all number pairs is converted in one
 first bad sample.  Both shortcuts give the values, bit for bit, and the
 errors of the loops they skip.
 
-The JSON reader has two parsers.  ``orjson`` parses the file's bytes
-first, and its document becomes the signal when ``_json_signal`` accepts
-it.  Otherwise the stdlib ``json`` parses the same bytes as ``_text``
-decodes them, and its signal or error stands, with its messages and line
-numbers.  So a file reads as the stdlib parser alone reads it: both round
-decimal numbers correctly, and the stdlib parser takes every input that
-``orjson`` refuses or reads differently:
-
-* the ``NaN``, ``Infinity`` and ``-Infinity`` literals, even in a key the
-  reader ignores;
-* numbers that overflow a double, such as ``1e400``;
-* a byte order mark, a byte that does not decode, a lone surrogate escape
-  and malformed text;
-* integers of 2**64 or more, which ``orjson`` reads as floats: a T that
-  reads as the largest double may be an integer past it;
-* a document that ``_json_signal`` refuses, or one nested too deeply for
-  its error message, so every error is the stdlib parser's.
+The JSON reader parses the file's bytes with ``orjson`` alone, which reads
+RFC 8259 JSON: UTF-8 with no byte order mark, no ``NaN`` or ``Infinity``
+literal, no lone surrogate escape and no number past the largest double,
+even in a key the reader ignores; decimals round as ``float()`` rounds
+them.  A refused file's error is the line of its first byte that does not
+decode, else ``orjson``'s message at its line.  A document nested more
+than _JSON_MAX_DEPTH arrays and objects deep is refused before it is
+parsed, as ``orjson`` would overflow the stack on it; brackets inside
+strings count too.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
 header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time,
@@ -60,7 +52,6 @@ header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time,
 
 import contextlib
 import io
-import json
 import math
 import os
 import re
@@ -73,7 +64,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .core import Signal, Spectrum, check_duration, parse_int
+from .core import Signal, Spectrum, check_duration, parse_float, parse_int
 
 #: Relative tolerance when checking that a time column is uniformly spaced.
 TIME_UNIFORMITY_RTOL = 1e-9
@@ -88,6 +79,12 @@ _SIGNAL_LAYOUTS = {("index", "re", "im"): ("index", (1, 2)), ("time", "value"): 
 #: What a byte that does not decode becomes in ``_text``.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
+#: Deepest nesting of arrays and objects a JSON signal may hold, and the
+#: ``bytes.translate`` arguments that keep only the brackets of a JSON text,
+#: each as its int8 step in depth: 1 opens, 0xff (-1) closes.
+_JSON_MAX_DEPTH = 512
+_BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\1\1\xff\xff"), bytes(set(range(256)) - set(b"[{]}"))
+
 
 class SignalParseError(ValueError):
     """Malformed signal file; ``line`` is 1-based when known."""
@@ -98,14 +95,14 @@ class SignalParseError(ValueError):
         super().__init__(f"{where}{message}")
 
 
-def _parse_float(text, line):
+def _parse_float(text, line, parse=float):
     try:
-        return float(text)
+        return parse(text)
     except ValueError:
         raise SignalParseError(f"expected a number, got {text!r}", line) from None
 
 
-def _duration(value, line=None) -> float:  # core.check_duration, raising SignalParseError
+def _duration(value, line) -> float:  # core.check_duration, raising SignalParseError
     try:
         return check_duration(value)
     except ValueError as exc:
@@ -136,27 +133,27 @@ def _checked_signal(samples, times, declared, line=1) -> Signal:
                 np.max(np.abs(steps - mean_step)) <= TIME_UNIFORMITY_RTOL * mean_step)
         duration = mean_step * times.size
         if declared is None and not np.isfinite(mean_step):
-            _duration(duration)  # raises: the time column's duration is not finite
+            _duration(duration, line)  # raises: the time column's duration is not finite
         if not uniform:
             raise SignalParseError("time values are not uniformly spaced", line)
     if declared is not None:
         duration = declared
-    return Signal(samples, _duration(duration))
+    return Signal(samples, _duration(duration, line))
 
 
 def _parse_metadata(line_text, line_no, metadata):
     """Record a ``# T=`` or ``# N=`` comment in ``metadata``; ignore any other.
 
     The comment is judged where it is read, so a T that is not a positive
-    finite number (``check_duration``) or an N that is not an integer
-    (``parse_int``) is a bad line ``line_no``.
+    finite number (``parse_float``, ``check_duration``) or an N that is not
+    an integer (``parse_int``) is a bad line ``line_no``.
     """
     body = line_text.lstrip("#").strip()
     if "=" in body:
         key, _, raw = body.partition("=")
         key = key.strip()
         if key == "T":
-            metadata["T"] = _duration(_parse_float(raw.strip(), line_no), line_no)
+            metadata["T"] = _duration(_parse_float(raw.strip(), line_no, parse_float), line_no)
         elif key == "N":
             try:
                 metadata["N"] = parse_int(raw)
@@ -300,42 +297,32 @@ def read_signal_csv(path) -> Signal:
 def _json_reals(entries, key) -> np.ndarray:
     if not set(map(type, entries)) <= {int, float}:
         raise SignalParseError(f"'{key}' entries must be numbers", 1)
-    try:
-        return np.array(entries, dtype=float)
-    except OverflowError:
-        raise SignalParseError(f"'{key}' holds a number too large for a float", 1) from None
+    return np.array(entries, dtype=float)
 
 
 def _json_samples(entries) -> np.ndarray:
     """The samples of a non-empty list of numbers and [re, im] number pairs.
 
     A list of all numbers or all pairs is converted in one go; any other
-    list, or one holding a number too large for a float, is walked entry by
-    entry to name the first bad sample.
+    list is walked entry by entry to name the first bad sample.
     """
     kinds = set(map(type, entries))
-    try:
-        if kinds <= {int, float}:
-            return _complex(np.fromiter(entries, float, len(entries)), 0.0)
-        if (kinds == {list} and set(map(len, entries)) == {2}
-                and set(map(type, chain.from_iterable(entries))) <= {int, float}):
-            flat = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
-            return _complex(flat[0::2], flat[1::2])
-    except OverflowError:
-        pass
+    if kinds <= {int, float}:
+        return _complex(np.fromiter(entries, float, len(entries)), 0.0)
+    if (kinds == {list} and set(map(len, entries)) == {2}
+            and set(map(type, chain.from_iterable(entries))) <= {int, float}):
+        flat = np.fromiter(chain.from_iterable(entries), float, 2 * len(entries))
+        return _complex(flat[0::2], flat[1::2])
     samples = np.empty(len(entries), dtype=np.complex128)
-    try:
-        for position, entry in enumerate(entries):
-            if type(entry) in (int, float):
-                samples[position] = complex(entry, 0.0)
-            elif isinstance(entry, list) and len(entry) == 2 and all(
-                type(part) in (int, float) for part in entry
-            ):
-                samples[position] = complex(entry[0], entry[1])
-            else:
-                raise SignalParseError(f"sample {position} must be a number or [re, im] pair", 1)
-    except OverflowError:
-        raise SignalParseError(f"sample {position} is too large for a float", 1) from None
+    for position, entry in enumerate(entries):
+        if type(entry) in (int, float):
+            samples[position] = complex(entry, 0.0)
+        elif isinstance(entry, list) and len(entry) == 2 and all(
+            type(part) in (int, float) for part in entry
+        ):
+            samples[position] = complex(entry[0], entry[1])
+        else:
+            raise SignalParseError(f"sample {position} must be a number or [re, im] pair", 1)
     return samples
 
 
@@ -343,7 +330,7 @@ def _json_signal(payload) -> Signal:
     """The signal of a decoded JSON document; SignalParseError at line 1 when it has none."""
     if not isinstance(payload, dict):
         raise SignalParseError("top-level JSON value must be an object", 1)
-    declared = _duration(payload["T"]) if "T" in payload else None
+    declared = _duration(payload["T"], 1) if "T" in payload else None
 
     if "samples" in payload:
         entries = payload["samples"]
@@ -354,12 +341,8 @@ def _json_signal(payload) -> Signal:
     if "time" in payload and "value" in payload:
         times = payload["time"]
         values = payload["value"]
-        if (
-            not isinstance(times, list)
-            or not isinstance(values, list)
-            or len(times) != len(values)
-            or not times
-        ):
+        if not (isinstance(times, list) and isinstance(values, list)
+                and len(times) == len(values) and times):
             raise SignalParseError("'time' and 'value' must be equal-length non-empty lists", 1)
         return _checked_signal(_json_reals(values, "value"), _json_reals(times, "time"), declared)
 
@@ -371,31 +354,25 @@ def read_signal_json(path) -> Signal:
 
     Accepted shapes: {"T": seconds?, "samples": [[re, im], ...]} with plain
     numbers allowed for real samples, or {"T": seconds?, "time": [...],
-    "value": [...]} mirroring the CSV time form.  orjson parses the file's
-    bytes first; when it or _json_signal refuses, the stdlib parser's signal
-    or error on the same bytes stands (see the module docstring).
+    "value": [...]} mirroring the CSV time form.  ``orjson`` parses the
+    file's bytes once the bracket count shows them no deeper than
+    _JSON_MAX_DEPTH (see the module docstring).
     """
     data = Path(path).read_bytes()
     try:
+        steps = np.frombuffer(data.translate(*_BRACKET_STEPS), np.int8)
+        if np.cumsum(steps).max(initial=0) > _JSON_MAX_DEPTH:
+            raise orjson.JSONDecodeError("JSON nested too deeply", "", 0)
         payload = orjson.loads(data)
-        # A T that reads as the largest double may be an integer literal past
-        # it, which check_duration refuses and orjson rounds down into range.
-        if not (isinstance(payload, dict) and payload.get("T") == sys.float_info.max):
-            return _json_signal(payload)
-    except (orjson.JSONDecodeError, SignalParseError, RecursionError):
-        pass  # RecursionError: the repr of a deeply nested T, in check_duration's message
-    lines = _text(data)
-    text = lines.read()
-    _check_decoded(text, lines.encoding)
-    data = lines = None  # the bytes go before the stdlib parser runs
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SignalParseError(exc.msg, exc.lineno) from None
-    except ValueError as exc:  # an integer past the digit limit
-        raise SignalParseError(str(exc), 1) from None
-    except RecursionError:  # arrays or objects nested past the interpreter's recursion limit
-        raise SignalParseError("JSON nested too deeply", 1) from None
+    except orjson.JSONDecodeError as exc:
+        lines = _text(data)
+        _check_decoded(lines.read(), lines.encoding)
+        before = _text(exc.doc[:exc.pos].encode()).read()  # CR and CRLF end a line too
+        raise SignalParseError(exc.msg, before.count("\n") + 1) from None
+    # orjson reads an integer literal past the largest double as that double.
+    if isinstance(payload, dict) and payload.get("T") == sys.float_info.max:
+        raise SignalParseError("duration T must be a positive finite number, "
+                               "got one that reads as the largest double", 1)
     return _json_signal(payload)
 
 

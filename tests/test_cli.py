@@ -550,6 +550,8 @@ def test_too_many_bins_exits_6(tmp_path, capsys, argv):
     ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "-1"],
     ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "nan"],
     ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "inf"],
+    ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "1_0"],
+    ["compute", "--input", "in.csv", "--output", "out.csv", "--duration", "\u0662"],
     # Signal lengths above MAX_BINS are refused before any signal is built.
     ["demo-sine", "--output", "unused", "--n", "268435457"],
     ["bench", "--grid-alpha", "1", "--reps", "1", "--grid-n", "64,268435457"],

@@ -2,10 +2,12 @@ import inspect
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from alpha_spectra.io import (
 )
 
 from file_formats import read_spectrum_csv, write_signal_csv
+
+SRC = str(Path(alpha_io.__file__).resolve().parents[1])
 
 
 def write(tmp_path, name, text):
@@ -100,10 +104,10 @@ def test_nonuniform_times_are_rejected(tmp_path):
     ("two.json", json.dumps({"time": [-1e308, 1e308], "value": [1, 2]})),
 ])
 def test_time_span_past_the_largest_double_is_a_duration_error(tmp_path, name, text):
-    # The steps overflow to inf: a named error, and no numpy warning (an
-    # error under this suite's warning filter).
+    # The steps overflow to inf: a named error at the line that ends the
+    # times, and no numpy warning (an error under this suite's warning filter).
     with pytest.raises(SignalParseError,
-                       match="^duration T must be a positive finite number, got inf$"):
+                       match=r"^line \d+: duration T must be a positive finite number, got inf$"):
         read_signal(write(tmp_path, name, text))
 
 
@@ -147,6 +151,11 @@ def test_declared_duration_reads_a_time_span_past_the_largest_double(tmp_path):
                  "duration T must be a positive finite number, got nan", id="T-nan-then-cell"),
     pytest.param("# T=-1\nindex,re,im\n0,1,0\n", 1,
                  "duration T must be a positive finite number, got -1.0", id="T-negative"),
+    # T reads as --duration does: ASCII, with no underscore.
+    pytest.param("# T=1_0\nindex,re,im\n0,1,0\n", 1, "expected a number, got '1_0'",
+                 id="T-underscore"),
+    pytest.param("# T=\u0662\nindex,re,im\n0,1,0\n", 1, "expected a number, got '\u0662'",
+                 id="T-arabic-indic"),
     # N reads as an integer flag does: ASCII digits only.
     pytest.param("# N=\u0663\nindex,re,im\n0,1,0\n1,1,0\n2,1,0\n", 1, "integer N",
                  id="N-arabic-indic"),
@@ -271,19 +280,20 @@ def test_json_time_value_form(tmp_path):
     ({"T": "abc", "samples": [1]}, "duration T must be a positive finite number"),
     ({"T": -1, "samples": [1]}, "duration T must be a positive finite number"),
     ({"T": True, "samples": [1]}, "duration T must be a positive finite number"),
-    ({"samples": [1, float("nan")]}, "sample 1 is not finite"),
-    ({"samples": [[0.0, float("-inf")]]}, "sample 0 is not finite"),
+    # RFC 8259 JSON has no NaN or Infinity literal and no number past a double.
+    ({"samples": [1, float("nan")]}, "^line 1: unexpected character$"),
+    ({"samples": [[0.0, float("-inf")]]}, "^line 1: no digit after minus sign$"),
     ({"samples": [True]}, "pair"),
     ({"samples": [[1.0, False]]}, "pair"),
-    ({"samples": [10 ** 400]}, "too large"),
+    ({"samples": [10 ** 400]}, "^line 1: number is infinity when parsed as double$"),
     ({"time": [0, "a"], "value": [1, 2]}, "'time' entries must be numbers"),
     ({"time": [0, 1], "value": [[1], 2]}, "'value' entries must be numbers"),
-    ({"time": [0, 1], "value": [1, 10 ** 400]}, "too large"),
-    ({"time": [0.0, float("inf")], "value": [1, 2]}, "time 1 is not finite"),
+    ({"time": [0, 1], "value": [1, 10 ** 400]},
+     "^line 1: number is infinity when parsed as double$"),
+    ({"time": [0.0, float("inf")], "value": [1, 2]}, "^line 1: unexpected character$"),
     ({"T": None, "samples": [1]}, "duration T must be a positive finite number"),
-    # The first position that holds a value that is not finite, its time first.
     ({"time": [0, float("nan"), 2, 3], "value": [1, 2, 3, float("inf")]},
-     "^line 1: time 1 is not finite$"),
+     "^line 1: unexpected character$"),
 ])
 def test_json_shape_errors(tmp_path, payload, fragment):
     path = write(tmp_path, "s.json", json.dumps(payload))
@@ -296,50 +306,76 @@ def test_json_decode_error_carries_line(tmp_path):
     with pytest.raises(SignalParseError) as info:
         read_signal_json(path)
     assert info.value.line == 2
-    # An integer past the stdlib parser's digit limit, read or ignored, is at line 1.
+    # A CR or CRLF ends a line, as in a CSV file.
+    for end in ("\r", "\r\n"):
+        path = write(tmp_path, "s.json", f'{{"samples": [1,{end} 2,]}}'.encode())
+        with pytest.raises(SignalParseError, match="^line 2: trailing comma is not allowed$"):
+            read_signal_json(path)
+    # An integer past the largest double, read or ignored, is at line 1.
     for text in ('{"samples": [%s]}', '{"note": %s, "samples": [1]}'):
         path = write(tmp_path, "s.json", text % ("7" * 5000))
-        with pytest.raises(SignalParseError, match=r"^line 1: Exceeds the limit \(4300 digits\)"):
+        with pytest.raises(SignalParseError,
+                           match="^line 1: number is infinity when parsed as double$"):
             read_signal_json(path)
 
 
 def test_json_nested_too_deeply_is_a_parse_error(tmp_path):
-    # Deeper than the interpreter's recursion limit: json.load raises RecursionError.
+    # Refused by its bracket count before orjson parses it.
     path = write(tmp_path, "s.json", '{"samples": ' + "[" * 100_000 + "]" * 100_000 + "}")
     with pytest.raises(SignalParseError, match="nested too deeply") as info:
         read_signal_json(path)
     assert info.value.line == 1
 
 
-def test_a_clean_json_signal_reads_without_the_stdlib_parser(tmp_path, monkeypatch):
-    # The workloads' JSON shape; orjson reads it, so json.loads never runs.
+def test_the_workload_json_shape_reads_bitwise(tmp_path):
     rng = np.random.default_rng(7)
     x = rng.standard_normal(65536) + 1j * rng.standard_normal(65536)
     path = write(tmp_path, "s.json", json.dumps(
         {"T": 1.0, "samples": np.column_stack((x.real, x.imag)).tolist()}))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the stdlib parser ran")
-
-    monkeypatch.setattr(json, "loads", refuse)
     signal = read_signal_json(path)
     assert signal.samples.tobytes() == x.tobytes()
     assert signal.duration == 1.0
 
 
 def test_json_integer_t_past_the_largest_double_is_refused(tmp_path):
-    # orjson reads this integer as the largest double, which T may be; the
-    # stdlib parser keeps the integer, which T may not be.
+    # orjson reads this integer as the largest double, so T may not read as that double.
     path = write(tmp_path, "s.json", '{"T": %d, "samples": [1]}' % (int(sys.float_info.max) + 1))
     with pytest.raises(SignalParseError, match="duration T must be a positive finite number"):
         read_signal_json(path)
 
 
-def test_json_nested_t_is_the_stdlib_parser_error(tmp_path):
-    # orjson parses any depth; the repr in T's error message cannot.
+def test_json_nested_t_is_a_parse_error(tmp_path):
+    # Past the nesting bound, the repr in T's error message would raise RecursionError.
     path = write(tmp_path, "s.json", '{"T": ' + "[" * 100_000 + "]" * 100_000 + ', "samples": [1]}')
     with pytest.raises(SignalParseError, match="nested too deeply"):
         read_signal_json(path)
+
+
+@pytest.mark.parametrize("depth", [alpha_io._JSON_MAX_DEPTH, alpha_io._JSON_MAX_DEPTH + 1])
+def test_json_nesting_bound_holds_in_an_ignored_key(tmp_path, depth):
+    # The document is one level; the rest sits in a key the reader ignores.
+    inner = depth - 1
+    path = write(tmp_path, "s.json", '{"samples": [1], "note": ' + "[" * inner + "]" * inner + "}")
+    if depth > alpha_io._JSON_MAX_DEPTH:
+        with pytest.raises(SignalParseError, match="^line 1: JSON nested too deeply$"):
+            read_signal_json(path)
+    else:
+        assert read_signal_json(path).samples.tolist() == [1]
+
+
+def test_compute_refuses_json_deep_enough_to_crash_orjson(tmp_path):
+    # orjson.loads overflows the C stack at about 130,000 nested arrays and
+    # the process dies with no error line; a subprocess keeps that off pytest.
+    path = write(tmp_path, "deep.json", '{"samples": ' + "[" * 150_000 + "]" * 150_000 + "}")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "alpha_spectra.cli", "compute", "--input",
+                             str(path), "--output", str(tmp_path / "out.csv")],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == cli.EXIT_PARSE_ERROR
+    assert result.stderr == f"error: {path}: line 1: JSON nested too deeply\n"
+    assert result.stdout == ""
+    assert not (tmp_path / "out.csv").exists()
 
 
 def through_fifo(path, data, read):
@@ -384,9 +420,8 @@ def through_fifo(path, data, read):
 
 
 @pytest.mark.parametrize("suffix, clean, malformed, error", [
-    # Only the stdlib parser reads a NaN, here in a key the reader ignores.
-    (".json", b'{"samples": [1, 2], "note": NaN}', b'{"samples": [1,]}',
-     "line 1: Expecting value"),
+    (".json", b'{"samples": [1, 2], "note": null}', b'{"samples": [1,]}',
+     "line 1: trailing comma is not allowed"),
     (".csv", b"index,re,im\n0,1,0\n1,2,0\n", b"index,re,im\n0,1,\n",
      "line 2: expected a number, got ''"),
 ], ids=["json", "csv"])
