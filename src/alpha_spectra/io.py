@@ -41,7 +41,7 @@ them.  A refused file's error is the line of its first byte that does not
 decode, else ``orjson``'s message at its line.  A document nested more
 than _JSON_MAX_DEPTH arrays and objects deep is refused before it is
 parsed, as ``orjson`` would overflow the stack on it; brackets inside
-strings count too.
+strings do not count.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
 header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time,
@@ -79,10 +79,11 @@ _SIGNAL_LAYOUTS = {("index", "re", "im"): ("index", (1, 2)), ("time", "value"): 
 #: What a byte that does not decode becomes in ``_text``.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
-#: Deepest nesting of arrays and objects a JSON signal may hold, and the
-#: ``bytes.translate`` arguments that keep only the brackets of a JSON text,
-#: each as its int8 step in depth: 1 opens, 0xff (-1) closes.
+#: Deepest nesting of arrays and objects a JSON signal may hold; a JSON string,
+#: whose escapes may hold a quote; the ``bytes.translate`` arguments that keep
+#: only the brackets of a text, each as its int8 depth step: 1 opens, 0xff closes.
 _JSON_MAX_DEPTH = 512
+_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
 _BRACKET_STEPS = bytes.maketrans(b"[{]}", b"\1\1\xff\xff"), bytes(set(range(256)) - set(b"[{]}"))
 
 
@@ -93,13 +94,6 @@ class SignalParseError(ValueError):
         self.line = line
         where = f"line {line}: " if line is not None else ""
         super().__init__(f"{where}{message}")
-
-
-def _parse_float(text, line, parse=float):
-    try:
-        return parse(text)
-    except ValueError:
-        raise SignalParseError(f"expected a number, got {text!r}", line) from None
 
 
 def _duration(value, line) -> float:  # core.check_duration, raising SignalParseError
@@ -153,7 +147,11 @@ def _parse_metadata(line_text, line_no, metadata):
         key, _, raw = body.partition("=")
         key = key.strip()
         if key == "T":
-            metadata["T"] = _duration(_parse_float(raw.strip(), line_no, parse_float), line_no)
+            try:
+                value = parse_float(raw)
+            except ValueError:
+                raise SignalParseError(f"expected a number, got {raw.strip()!r}", line_no) from None
+            metadata["T"] = _duration(value, line_no)
         elif key == "N":
             try:
                 metadata["N"] = parse_int(raw)
@@ -269,7 +267,10 @@ def read_signal_csv(path) -> Signal:
                     raise SignalParseError(f"{index_label} {index} out of order (expected {row})",
                                            line_no)
             for column, k in zip(columns, positions):
-                value = _parse_float(cells[k], line_no)
+                try:
+                    value = float(cells[k])
+                except ValueError:
+                    raise SignalParseError(f"expected a number, got {cells[k]!r}", line_no) from None
                 if not math.isfinite(value):
                     what = "time" if header[k] == "time" else "sample"
                     raise SignalParseError(f"{what} {row} is not finite", line_no)
@@ -355,12 +356,12 @@ def read_signal_json(path) -> Signal:
     Accepted shapes: {"T": seconds?, "samples": [[re, im], ...]} with plain
     numbers allowed for real samples, or {"T": seconds?, "time": [...],
     "value": [...]} mirroring the CSV time form.  ``orjson`` parses the
-    file's bytes once the bracket count shows them no deeper than
-    _JSON_MAX_DEPTH (see the module docstring).
+    file's bytes once the brackets outside its strings show them no deeper
+    than _JSON_MAX_DEPTH (see the module docstring).
     """
     data = Path(path).read_bytes()
     try:
-        steps = np.frombuffer(data.translate(*_BRACKET_STEPS), np.int8)
+        steps = np.frombuffer(_JSON_STRING.sub(b"", data).translate(*_BRACKET_STEPS), np.int8)
         if np.cumsum(steps).max(initial=0) > _JSON_MAX_DEPTH:
             raise orjson.JSONDecodeError("JSON nested too deeply", "", 0)
         payload = orjson.loads(data)

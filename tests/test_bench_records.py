@@ -3,7 +3,8 @@
 ``tools/record_bench.py`` writes them.  Each holds, for every workload in
 ``BENCHMARK.json``, untraced runs that report every end-to-end metric with
 every output correct, and a traced run that reports every per-layer metric.
-It measures a tree whose commit is an ancestor of HEAD.
+It measures a committed tree, one with no uncommitted change, whose commit
+is an ancestor of HEAD.
 """
 
 import json
@@ -34,6 +35,7 @@ def test_bench_file_covers_every_workload_and_metric(path):
             assert ran, f"{path.name} has no {workload} run with --trace {trace}"
             for run in ran:
                 assert run["correct"] and run["failed"] == 0, run["failures"]
+                assert run["environment"]["git_dirty"] is False, "measures uncommitted changes"
                 assert {metric["name"] for metric in BENCHMARK[gated]} <= run["metrics"].keys()
                 if not trace:
                     assert run["metrics"]["success_rate"]["value"] == 1.0

@@ -311,6 +311,10 @@ def test_json_decode_error_carries_line(tmp_path):
         path = write(tmp_path, "s.json", f'{{"samples": [1,{end} 2,]}}'.encode())
         with pytest.raises(SignalParseError, match="^line 2: trailing comma is not allowed$"):
             read_signal_json(path)
+    # orjson's offset counts characters, so text that is not ASCII moves no line.
+    path = write(tmp_path, "s.json", '{"note": "caf\u00e9 \u2603 \U0001d11e",\n "samples": [1,\n 2,]}')
+    with pytest.raises(SignalParseError, match="^line 3: trailing comma is not allowed$"):
+        read_signal_json(path)
     # An integer past the largest double, read or ignored, is at line 1.
     for text in ('{"samples": [%s]}', '{"note": %s, "samples": [1]}'):
         path = write(tmp_path, "s.json", text % ("7" * 5000))
@@ -344,18 +348,29 @@ def test_json_integer_t_past_the_largest_double_is_refused(tmp_path):
         read_signal_json(path)
 
 
-def test_json_nested_t_is_a_parse_error(tmp_path):
+def nested(depth, opener="["):
+    """A JSON array ``depth`` deep, each level opened by ``opener``."""
+    return opener * depth + "0" + "]" * depth
+
+
+#: Each level holds a string whose "]" would cancel the level's "[" if it were counted.
+HIDING = '["]",'
+
+
+@pytest.mark.parametrize("t", [nested(100_000), nested(2000, HIDING)], ids=["plain", "hiding"])
+def test_json_nested_t_is_a_parse_error(tmp_path, t):
     # Past the nesting bound, the repr in T's error message would raise RecursionError.
-    path = write(tmp_path, "s.json", '{"T": ' + "[" * 100_000 + "]" * 100_000 + ', "samples": [1]}')
-    with pytest.raises(SignalParseError, match="nested too deeply"):
+    path = write(tmp_path, "s.json", '{"T": ' + t + ', "samples": [1]}')
+    with pytest.raises(SignalParseError, match="^line 1: JSON nested too deeply$"):
         read_signal_json(path)
 
 
+@pytest.mark.parametrize("opener", ["[", '["]\\"[{",'], ids=["plain", "strings"])
 @pytest.mark.parametrize("depth", [alpha_io._JSON_MAX_DEPTH, alpha_io._JSON_MAX_DEPTH + 1])
-def test_json_nesting_bound_holds_in_an_ignored_key(tmp_path, depth):
+def test_json_nesting_bound_holds_in_an_ignored_key(tmp_path, depth, opener):
     # The document is one level; the rest sits in a key the reader ignores.
-    inner = depth - 1
-    path = write(tmp_path, "s.json", '{"samples": [1], "note": ' + "[" * inner + "]" * inner + "}")
+    # Brackets inside its strings, one after an escaped quote, count for nothing.
+    path = write(tmp_path, "s.json", '{"samples": [1], "note": ' + nested(depth - 1, opener) + "}")
     if depth > alpha_io._JSON_MAX_DEPTH:
         with pytest.raises(SignalParseError, match="^line 1: JSON nested too deeply$"):
             read_signal_json(path)
@@ -363,10 +378,11 @@ def test_json_nesting_bound_holds_in_an_ignored_key(tmp_path, depth):
         assert read_signal_json(path).samples.tolist() == [1]
 
 
-def test_compute_refuses_json_deep_enough_to_crash_orjson(tmp_path):
+@pytest.mark.parametrize("opener", ["[", HIDING], ids=["plain", "hiding"])
+def test_compute_refuses_json_deep_enough_to_crash_orjson(tmp_path, opener):
     # orjson.loads overflows the C stack at about 130,000 nested arrays and
     # the process dies with no error line; a subprocess keeps that off pytest.
-    path = write(tmp_path, "deep.json", '{"samples": ' + "[" * 150_000 + "]" * 150_000 + "}")
+    path = write(tmp_path, "deep.json", '{"samples": ' + nested(150_000, opener) + "}")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "alpha_spectra.cli", "compute", "--input",
