@@ -24,6 +24,7 @@ from .core import (
     Signal,
     Spectrum,
     UnsupportedSizeError,
+    bin_frequency,
     is_power_of_two,
     validate_pair,
 )
@@ -38,7 +39,35 @@ def executor(n: int, alpha: DenseFactor, method: str = "auto"):
     ``run(signal, counter=None)`` transforms a signal of N samples only; ``naive`` counts nothing.
     ``fft`` raises UnsupportedSizeError where the fast kernel cannot run and
     ``auto`` picks ``naive``; ``zeropad`` needs alpha >= 1 and a power-of-two alpha*N.
+    ``run`` alone refuses a spectrum a double cannot hold, by OverflowError and no numpy warning:
+    a bin not finite, a frequency m/(alpha*T) past a double, or an alpha*T past one (all at 0 Hz).
     """
+    transform, name = _transform(n, alpha, method)
+
+    def run(signal, counter=None):
+        if len(signal) != n:
+            raise ValueError(f"plan is for N={n}, got {len(signal)} samples")
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum = transform(signal, counter)
+            # On the (re, im) float64 view: half the time of np.isfinite on complex bins.
+            finite = np.isfinite(spectrum.bins.view(np.float64))
+            if not finite.all():
+                raise OverflowError(
+                    f"bin {np.argmin(finite) // 2} is not finite: the spectrum overflows a double")
+            # Frequencies rise with the bin index: if the last one is finite, all are.
+            if not np.isfinite(bin_frequency(spectrum.m - 1, alpha, signal.duration)):
+                bad = np.flatnonzero(~np.isfinite(spectrum.frequencies))
+                raise OverflowError(
+                    f"frequency of bin {bad[0]} is not finite: 1/(alpha*T) overflows a double")
+            if spectrum.m > 1 and bin_frequency(1, alpha, signal.duration) == 0:
+                raise OverflowError("frequency of bin 1 is 0: alpha*T overflows a double")
+        return spectrum
+
+    return run, name
+
+
+def _transform(n: int, alpha: DenseFactor, method: str):
+    """``(transform(signal, counter), name)``: ``method`` checked and planned at (N, alpha)."""
     if check_method(method) == "zeropad":
         if alpha.p < alpha.q:  # refused before the pair is checked, whatever N is
             raise IncompatibleAlphaError(f"zero-padding needs alpha >= 1, got {alpha}")
@@ -50,21 +79,20 @@ def executor(n: int, alpha: DenseFactor, method: str = "auto"):
             )
         p = fastpath.plan(m, DenseFactor(1))
 
-        def run(signal, counter=None):
-            padded = _pad_or_fold(_checked(signal, n).samples, m)
-            bins = fastpath.transform_samples(padded, p, counter)
+        def zeropad(signal, counter):
+            bins = fastpath.transform_samples(_pad_or_fold(signal.samples, m), p, counter)
             return Spectrum._adopt(bins, n, alpha, signal.duration)
 
-        return run, "zeropad"
+        return zeropad, "zeropad"
     if method != "naive":
         try:
             p = fastpath.plan(n, alpha)
-            return (lambda signal, counter=None: fastpath.alpha_fft(signal, p, counter)), "fft"
+            return (lambda signal, counter: fastpath.alpha_fft(signal, p, counter)), "fft"
         except UnsupportedSizeError:
             if method == "fft":
                 raise
     validate_pair(n, alpha)
-    return (lambda signal, counter=None: oracle.naive_forward(_checked(signal, n), alpha)), "naive"
+    return (lambda signal, counter: oracle.naive_forward(signal, alpha)), "naive"
 
 
 def check_method(method: str) -> str:
@@ -72,13 +100,6 @@ def check_method(method: str) -> str:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (choose from {', '.join(METHODS)})")
     return method
-
-
-def _checked(signal: Signal, n: int) -> Signal:
-    """``signal``, refused as ``alpha_fft`` refuses it unless it has the planned ``n`` samples."""
-    if len(signal) != n:
-        raise ValueError(f"plan is for N={n}, got {len(signal)} samples")
-    return signal
 
 
 def aliased_reconstruct(signal: Signal, alpha: DenseFactor) -> np.ndarray:

@@ -106,17 +106,11 @@ def _duration(value, line) -> float:  # core.check_duration, raising SignalParse
 def _checked_signal(samples, times, declared, line=1) -> Signal:
     """The checks every signal reader shares, then the Signal.
 
-    Samples and times must be finite (the first bad position is the error,
-    its time before its sample), and times uniformly spaced.  The duration
-    is the declared T when there is one (``declared`` is None otherwise),
-    else N times the time step when there is a time column, else one
-    second.  Errors name the 1-based ``line``.
+    Times must be uniformly spaced; each reader has refused a value that is
+    not finite already.  The duration is the declared T when there is one
+    (``declared`` is None otherwise), else N times the time step when there
+    is a time column, else one second.  Errors name the 1-based ``line``.
     """
-    finite = np.isfinite(samples) & (times is None or np.isfinite(times))
-    if not finite.all():
-        position = np.argmin(finite)
-        what = "time" if times is not None and not np.isfinite(times[position]) else "sample"
-        raise SignalParseError(f"{what} {position} is not finite", line)
     duration = 1.0
     if times is not None and times.size >= 2:
         # Times whose span overflows a double give an infinite or NaN step.

@@ -18,7 +18,6 @@ from alpha_spectra import (
     DenseFactor,
     IncompatibleAlphaError,
     Signal,
-    Spectrum,
     cli,
     demo,
     fastpath,
@@ -180,17 +179,16 @@ def test_padding_refuses_thinning_before_checking_the_pair(tmp_path, capsys, n, 
     assert capsys.readouterr().err == f"error: {text}\n"
 
 
-def test_compute_zeropad_keeps_a_huge_duration(tmp_path):
-    # The padded signal would last alpha*T = 8e308 s, which is not a finite
-    # duration; the spectrum keeps T = 1e308 and its finite frequencies.
-    path, out, expected = tmp_path / "signal.csv", tmp_path / "out.csv", tmp_path / "expected.csv"
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    write_signal_csv(path, x, duration=1e308)
+@pytest.mark.parametrize("method", METHODS)
+def test_compute_refuses_an_alpha_t_that_overflows(tmp_path, capsys, method):
+    # alpha*T = 8e308 is past the largest double, so every frequency m/(alpha*T)
+    # would read 0, though the true spacing 1/(8e308) is a double.
+    path, out = tmp_path / "signal.csv", tmp_path / "out.csv"
+    write_signal_csv(path, [1.0, 2.0, 3.0, 4.0], duration=1e308)
     assert run(["compute", "--input", str(path), "--output", str(out),
-                "--alpha", "8", "--method", "zeropad"]) == cli.EXIT_OK
-    bins = executor(32, DenseFactor(1), "fft")[0](Signal(np.concatenate([x, np.zeros(28)]))).bins
-    cli.io.write_spectrum(Spectrum(bins, 4, DenseFactor(8), 1e308), expected, "zeropad")
-    assert out.read_bytes() == expected.read_bytes()
+                "--alpha", "8", "--method", method]) == cli.EXIT_NOT_REPRESENTABLE
+    assert capsys.readouterr().err == "error: frequency of bin 1 is 0: alpha*T overflows a double\n"
+    assert not out.exists()
 
 
 def test_bad_alpha_string_is_a_usage_error(signal_file, tmp_path):
@@ -423,6 +421,14 @@ def test_only_main_builds_an_error_line():
     package = Path(cli.__file__).parent
     assert {owner for path in sorted(package.glob("*.py"))
             for owner in owners(ast.parse(path.read_text()), path.stem)} == {"cli.main"}
+
+
+def test_compute_leaves_the_spectrum_checks_to_the_executor():
+    # baseline.executor's run alone refuses a spectrum a double cannot hold:
+    # cli.py neither silences numpy's warnings nor checks a bin or frequency.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    calls = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not calls & {"np.errstate", "np.isfinite", "math.isfinite"}
 
 
 def single_error_line(err):

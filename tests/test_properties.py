@@ -17,6 +17,11 @@ repeats allowed, a cell's records carry the distinct labels that the
 contract's rules (``contract_rules.bench_cell``) give the methods that
 ``compute`` runs there, and no claim judges a cell twice.
 
+``executor``'s run, for every method, returns the contract's bins bit for
+bit at finite, strictly rising frequencies, or raises OverflowError: exactly
+when those bins or frequencies are not what a double holds (samples scaled
+to 1e307, T of 1e-320 or 1e308).
+
 The reader fuzz test feeds generated CSV and JSON text to ``read_signal``:
 it must return a Signal with finite samples and a positive finite duration,
 or raise SignalParseError -- never anything else.  The differential reader
@@ -44,6 +49,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -58,6 +64,7 @@ from hypothesis import strategies as st
 from alpha_spectra import (
     DenseFactor,
     Signal,
+    Spectrum,
     baseline,
     cli,
     make_report,
@@ -196,6 +203,50 @@ def test_grid_records_and_judges_each_cell_once(ns, alphas, methods):
     for verdict in make_report(records).verdicts:
         judged = [(d["N"], d["alpha"]) for d in verdict.details if "N" in d]
         assert len(set(judged)) == len(judged)
+
+
+RUN_ALPHAS = (DenseFactor(1, 2), DenseFactor(1), DenseFactor(2), DenseFactor(3, 2), DenseFactor(8))
+#: (N, alpha) pairs up to N = 64 that each method runs, by the contract's rules.
+RUNNABLE = {method: [(n, alpha) for n in range(1, 65) for alpha in RUN_ALPHAS
+                     if expected(n, alpha, method)[0] == cli.EXIT_OK]
+            for method in baseline.METHODS}
+
+
+@st.composite
+def run_requests(draw):
+    """(method, N, alpha) that ``compute`` runs."""
+    method = draw(st.sampled_from(baseline.METHODS))
+    return (method, *draw(st.sampled_from(RUNNABLE[method])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_requests(), st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 1e307]),
+       st.sampled_from([1.0, 1e-320, 1e308]))
+def test_run_returns_a_spectrum_a_double_holds_or_refuses_it(case, seed, scale, duration):
+    # For every method, executor's run returns the contract's bins, finite at
+    # finite and strictly rising frequencies, or raises OverflowError: exactly
+    # when the reference spectrum is not one a double holds, naming its first
+    # bad bin.  A numpy warning fails the test (filterwarnings = error).
+    method, n, alpha = case
+    signal = Signal(scale * samples(np.random.default_rng(seed), n), duration)
+    with np.errstate(all="ignore"):
+        bins = reference_bins(expected(n, alpha, method)[1], signal, alpha)
+        frequencies = Spectrum(bins, n, alpha, duration).frequencies
+    run = baseline.executor(n, alpha, method)[0]
+    bad_bins, bad_frequencies = (np.flatnonzero(~np.isfinite(a)) for a in (bins, frequencies))
+    if bad_bins.size:
+        refusal = f"bin {bad_bins[0]} is not finite"
+    elif bad_frequencies.size:
+        refusal = f"frequency of bin {bad_frequencies[0]} is not finite"
+    elif (np.diff(frequencies) <= 0).any():
+        refusal = "frequency of bin 1 is 0"
+    else:
+        spectrum = run(signal)
+        assert spectrum.bins.tobytes() == bins.tobytes()
+        assert spectrum.frequencies.tobytes() == frequencies.tobytes()
+        return
+    with pytest.raises(OverflowError, match=f"^{re.escape(refusal)}:"):
+        run(signal)
 
 
 def test_a_failing_property_prints_its_falsifying_example(tmp_path):
