@@ -44,8 +44,10 @@ parsed, as ``orjson`` would overflow the stack on it; brackets inside
 strings do not count.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
-header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time,
-``inf``, ``-inf`` and ``nan`` spelled as Python spells them.  A spectrum's
+header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time:
+one flat dump of a block's cells in row order, with an LF in place of every
+row's last comma, ``inf``, ``-inf`` and ``nan`` spelled as Python spells
+them.  A spectrum's
 ``freq`` and ``magnitude`` are ``Spectrum.frequencies`` and
 ``Spectrum.magnitudes``, bitwise ``bin_frequency`` and Python's ``abs``.
 """
@@ -402,26 +404,30 @@ def write_csv(path, comments, names, columns) -> None:
 
     Float comment values are written with ``.17g``, other comment values with
     str().  The cells go out WRITE_BLOCK_ROWS rows at a time, each block
-    through one ``orjson.dumps``: the shortest decimal that reads back as the
-    same double (``0.0``, ``1e16``, ``5e-324``).  orjson writes ``null`` for
-    every non-finite cell, so a block that holds one puts back, in C order,
-    the ``.17g`` spellings ``inf``, ``-inf`` and ``nan``.  A write that
-    raises removes the file (``open_output``).
+    through one ``orjson.dumps`` of its cells in C order: the shortest
+    decimal that reads back as the same double (``0.0``, ``1e16``,
+    ``5e-324``).  No cell holds a comma, so an LF over every
+    ``len(names)``-th comma of that one flat list ends the rows.  orjson
+    writes ``null`` for every non-finite cell, so a block that holds one
+    puts back, in C order, the ``.17g`` spellings ``inf``, ``-inf`` and
+    ``nan``.  A write that raises removes the file (``open_output``).
     """
     with open_output(path, "wb") as fh:
         for key, value in comments.items():
             fh.write(f"# {key}={format(value, '.17g') if isinstance(value, float) else value}\n"
                      .encode())
         fh.write(f"{','.join(names)}\n".encode())
+        width = len(names)
         for start in range(0, len(columns[0]), WRITE_BLOCK_ROWS):
             block = np.column_stack([column[start:start + WRITE_BLOCK_ROWS] for column in columns])
-            body = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
-            body = body.replace(b"],[", b"\n")
             cells = block.ravel()
+            body = bytearray(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY))
+            text = np.frombuffer(body, np.uint8)
+            text[np.flatnonzero(text == ord(","))[width - 1::width]] = ord("\n")
             spellings = [format(value, ".17g").encode() for value in cells[~np.isfinite(cells)]]
             if spellings:  # no finite cell contains "null"
                 body = b"".join(chain.from_iterable(zip(body.split(b"null"), spellings + [b""])))
-            fh.write(body)
+            fh.write(memoryview(body)[1:-1])  # the rows, between the brackets
             fh.write(b"\n")
 
 
