@@ -44,11 +44,10 @@ parsed, as ``orjson`` would overflow the stack on it; brackets inside
 strings do not count.
 
 write_csv writes the spectrum and demo CSVs: ``# key=value`` comments, a
-header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time:
-one flat dump of a block's cells in row order, with an LF in place of every
-row's last comma, ``inf``, ``-inf`` and ``nan`` spelled as Python spells
-them.  A spectrum's
-``freq`` and ``magnitude`` are ``Spectrum.frequencies`` and
+header, then rows that ``orjson`` formats in C, WRITE_BLOCK_ROWS at a time,
+each block one flat dump of its cells whose every width-th comma becomes an
+LF, ``inf``, ``-inf`` and ``nan`` spelled as Python spells them.  A
+spectrum's ``freq`` and ``magnitude`` are ``Spectrum.frequencies`` and
 ``Spectrum.magnitudes``, bitwise ``bin_frequency`` and Python's ``abs``.
 """
 

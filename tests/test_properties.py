@@ -297,7 +297,7 @@ def csv_texts(draw):
                   *(repr(draw(st.floats(-1e6, 1e6))) for _ in names[1:])]
                  for k in range(draw(st.integers(1, 6)))]
         row = draw(st.integers(0, len(table) - 1))
-        table[row][draw(st.integers(names[0] == "index", len(names) - 1))] = draw(
+        table[row][draw(st.integers(int(names[0] == "index"), len(names) - 1))] = draw(
             st.sampled_from(["nan", "inf", "-inf"]))
         return "\n".join([",".join(names), *map(",".join, table)]) + "\n"
     header = draw(st.sampled_from(["index,re,im", "time,value", "index,re,im", "time,value", "m,re"]))
