@@ -21,7 +21,7 @@ from .core import (
     is_power_of_two,
     validate_pair,
 )
-from .oracle import dft_matrix, naive_forward, naive_inverse, orthogonality_kernel
+from .oracle import naive_forward, naive_inverse, orthogonality_kernel
 from .fastpath import (
     OpCounter,
     Plan,
@@ -53,7 +53,6 @@ __all__ = [
     "bin_frequency",
     "is_power_of_two",
     "validate_pair",
-    "dft_matrix",
     "naive_forward",
     "naive_inverse",
     "orthogonality_kernel",

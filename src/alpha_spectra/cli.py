@@ -251,18 +251,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-#: What ends a command early, in match order: the exception class, its exit
-#: code and a hint appended to its message.  A command raises every refusal;
-#: ``main`` prints it as the one ``error:`` line.
+#: What ends a command early, in match order: the exception class and its
+#: exit code.  A command raises every refusal; ``main`` prints it as the one
+#: ``error:`` line.
 _EXIT_CODES = (
-    (IncompatibleAlphaError, EXIT_BAD_ALPHA, ""),
-    (UnsupportedSizeError, EXIT_BAD_SIZE, " (try --method naive)"),
-    (TooManyBinsError, EXIT_NOT_REPRESENTABLE, ""),
-    (MemoryError, EXIT_NOT_REPRESENTABLE, ""),
-    (OverflowError, EXIT_NOT_REPRESENTABLE, ""),  # a spectrum executor's run refuses
-    (io.SignalParseError, EXIT_PARSE_ERROR, ""),  # a malformed input, its path in front
-    (argparse.ArgumentTypeError, EXIT_PARSE_ERROR, ""),  # one file named twice, or no runnable cell
-    (OSError, EXIT_PARSE_ERROR, ""),  # a file that cannot be read or written
+    (IncompatibleAlphaError, EXIT_BAD_ALPHA),
+    (UnsupportedSizeError, EXIT_BAD_SIZE),
+    (TooManyBinsError, EXIT_NOT_REPRESENTABLE),
+    (MemoryError, EXIT_NOT_REPRESENTABLE),
+    (OverflowError, EXIT_NOT_REPRESENTABLE),  # a spectrum executor's run refuses
+    (io.SignalParseError, EXIT_PARSE_ERROR),  # a malformed input, its path in front
+    (argparse.ArgumentTypeError, EXIT_PARSE_ERROR),  # one file named twice, or no runnable cell
+    (OSError, EXIT_PARSE_ERROR),  # a file that cannot be read or written
 )
 
 
@@ -271,11 +271,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except tuple(kind for kind, _, _ in _EXIT_CODES) as exc:
-        code, hint = next((code, hint) for kind, code, hint in _EXIT_CODES if isinstance(exc, kind))
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         # A MemoryError raised by the interpreter itself carries no message.
-        print(f"error: {str(exc) or 'out of memory'}{hint}", file=sys.stderr)
-        return code
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def entry() -> None:  # console-script hook

@@ -8,11 +8,14 @@ large-angle evaluation even at the biggest supported sizes.  Cost is
 Theta(N * alpha*N) complex multiply-adds by construction -- this is the
 oracle; it performs no factorization.
 
-Rows are evaluated a block at a time.  Besides the table, each call builds
-one block of reduced exponents for the first rows, and every later block's
-exponents are that block plus a per-column offset; the buffers are sized
-once, to a fixed budget of _BLOCK_BYTES of table entries, whatever N and
-alpha are.
+One blocked product, ``_reduced_product``, is the library's only literal
+statement of the transform: ``naive_forward`` runs it with the forward
+sign and ``naive_inverse`` with the conjugate one.  No full (alpha*N) x N
+matrix is ever built.  Rows are evaluated a block at a time.  Besides the
+table, each call builds one block of reduced exponents for the first rows,
+and every later block's exponents are that block plus a per-column offset;
+the buffers are sized once, to a fixed budget of _BLOCK_BYTES of table
+entries, whatever N and alpha are.
 """
 
 import numpy as np
@@ -24,20 +27,9 @@ from .core import DenseFactor, Signal, Spectrum, validate_pair
 _BLOCK_BYTES = 512 * 1024
 
 
-def roots_of_unity(m: int, sign: int = -1) -> np.ndarray:
+def roots_of_unity(m: int, sign: int) -> np.ndarray:
     """w[j] = exp(sign * 2j*pi*j/m) for j = 0..m-1."""
     return np.exp(sign * 2j * np.pi * np.arange(m) / m)
-
-
-def dft_matrix(n: int, alpha: DenseFactor) -> np.ndarray:
-    """The full (alpha*N) x N transform matrix; row m, column n holds w^(m*n).
-
-    Convenient for validating batches of signals at once: ``matrix @ x``.
-    Materializes all alpha*N*N entries -- intended for small/medium sizes.
-    """
-    n, m = validate_pair(n, alpha)
-    table = roots_of_unity(m)
-    return table[np.outer(np.arange(m), np.arange(n)) % m]
 
 
 def _reduced_product(vector: np.ndarray, m: int, sign: int, rows: int) -> np.ndarray:

@@ -12,7 +12,8 @@ The library raises ``EXCEPTIONS[code]`` where ``compute`` exits with
 ``code``.  ``reference_bins`` and ``expected_mults`` give a label's bins and
 multiply count without ``executor``.  ``bench_cell`` is what ``bench`` times
 at one grid cell.  ``bench_outcome``, ``verify_outcome`` and
-``demo_outcome`` give those commands' exit code from the text of their flags.
+``demo_outcome`` give those commands' exit code from the text of their flags,
+each read by its rule in ``FLAG_READERS``.
 ``run_grid_refusals``, ``grid_cell``, ``verify_cases`` and ``sine_demo_refusal``
 give what the library calls behind them, ``bench.run_grid``,
 ``verify.run_all`` and ``demo.sine_demo``, refuse, skip and check.
@@ -160,9 +161,12 @@ def _integer(text):
 
 
 def _integers_from(low, high=MAX_BINS):
+    """Reader of an integer from ``low`` up to ``high``, or with no bound where it is None."""
     def read(text):
         value = _integer(text)
-        return value if value is not None and low <= value <= high else None
+        if value is None or value < low or high is not None and value > high:
+            return None
+        return value
     return read
 
 
@@ -185,6 +189,21 @@ def read_list(text, read):
     return values
 
 
+#: What each number and list flag of ``bench``, ``verify`` and ``demo-sine``
+#: reads from a text, or None where it refuses the text.  A seed or a
+#: repetition count has no upper bound.
+FLAG_READERS = {
+    "--grid-n": lambda text: read_list(text, _integers_from(1)),
+    "--sizes": lambda text: read_list(text, _integers_from(1)),
+    "--grid-alpha": lambda text: read_list(text, _alpha),
+    "--alphas": lambda text: read_list(text, _alpha),
+    "--methods": lambda text: read_list(text, _method),
+    "--n": _integers_from(2),
+    "--reps": _integers_from(1, None),
+    "--seed": _integers_from(0, None),
+}
+
+
 def bench_outcome(grid_n, grid_alpha, methods):
     """(exit code, "error", "warning" or None) of ``bench`` with these flag texts.
 
@@ -193,8 +212,8 @@ def bench_outcome(grid_n, grid_alpha, methods):
     the alpha < 1 claim judges a cell and leaves out one of fewer than
     MIN_LT1_BINS bins.
     """
-    ns, alphas = read_list(grid_n, _integers_from(1)), read_list(grid_alpha, _alpha)
-    methods = read_list(methods, _method)
+    ns, alphas = FLAG_READERS["--grid-n"](grid_n), FLAG_READERS["--grid-alpha"](grid_alpha)
+    methods = FLAG_READERS["--methods"](methods)
     if ns is None or alphas is None or methods is None:
         return cli.EXIT_PARSE_ERROR, "error"
     labels = {(n, alpha): bench_cell(n, alpha, methods)[0] for n in ns for alpha in alphas}
@@ -215,7 +234,7 @@ def verify_outcome(sizes, seed):
     The round-trip suite runs the oracle at alpha = 1, which every N takes,
     so some suite checks a case at any sizes the flag reads, and it passes.
     """
-    if read_list(sizes, _integers_from(1)) is None or _integers_from(0)(seed) is None:
+    if FLAG_READERS["--sizes"](sizes) is None or FLAG_READERS["--seed"](seed) is None:
         return cli.EXIT_PARSE_ERROR, "error"
     return cli.EXIT_OK, None
 
@@ -226,7 +245,7 @@ def demo_outcome(n, alphas):
     It runs ``auto`` at each density before it writes anything, so the first
     density that ``compute`` refuses at N gives the exit code.
     """
-    n, alphas = _integers_from(2)(n), read_list(alphas, _alpha)
+    n, alphas = FLAG_READERS["--n"](n), FLAG_READERS["--alphas"](alphas)
     if n is None or alphas is None:
         return cli.EXIT_PARSE_ERROR, "error"
     for alpha in alphas:

@@ -22,8 +22,8 @@ from alpha_spectra import (
     Signal,
     alpha_fft,
     aliased_reconstruct,
-    dft_matrix,
     max_curve_deviation,
+    naive_forward,
     naive_inverse,
     orthogonality_kernel,
     plan,
@@ -58,15 +58,14 @@ def test_criterion_1_fast_path_matches_oracle():
     worst = 0.0
     configs = 0
     for n in POWERS:
-        signals = np.column_stack(
-            [random_unit_disk(np.random.default_rng(seed), n) for seed in SEEDS])
+        signals = [random_unit_disk(np.random.default_rng(seed), n) for seed in SEEDS]
         for n_, alpha in grid_pairs([n]):
-            reference = dft_matrix(n, alpha) @ signals
             p = plan(n, alpha)
-            for column in range(signals.shape[1]):
-                fast = transform_samples(np.ascontiguousarray(signals[:, column]), p)
-                scale = max(np.max(np.abs(reference[:, column])), 1e-30)
-                worst = max(worst, np.max(np.abs(fast - reference[:, column])) / scale)
+            for samples in signals:
+                reference = naive_forward(Signal(samples), alpha).bins
+                fast = transform_samples(samples, p)
+                scale = max(np.max(np.abs(reference)), 1e-30)
+                worst = max(worst, np.max(np.abs(fast - reference)) / scale)
             configs += 1
     assert worst <= 1e-10
     print(f"PASS criterion 1: fast path == naive transform, rel error "

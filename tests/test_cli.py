@@ -139,7 +139,7 @@ def test_compute_fft_rejects_awkward_sizes(tmp_path, capsys):
     code = run(["compute", "--input", str(path), "--output", str(tmp_path / "out.csv"),
                 "--method", "fft"])
     assert code == cli.EXIT_BAD_SIZE
-    assert "--method naive" in capsys.readouterr().err
+    assert "use the naive transform" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n, alpha, m", [(12, "3", 36), (16, "3/2", 24)])
@@ -150,6 +150,18 @@ def test_compute_zeropad_names_the_input_length(tmp_path, capsys, n, alpha, m):
                 "--alpha", alpha, "--method", "zeropad"])
     assert code == cli.EXIT_BAD_SIZE
     assert f"got N={n}, alpha*N={m};" in single_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("method, alpha", [("fft", "1"), ("zeropad", "3")])
+def test_compute_size_refusal_gives_its_advice_once(tmp_path, capsys, method, alpha):
+    path = tmp_path / "twelve.csv"
+    write_signal_csv(path, np.ones(12))
+    code = run(["compute", "--input", str(path), "--output", str(tmp_path / "out.csv"),
+                "--alpha", alpha, "--method", method])
+    assert code == cli.EXIT_BAD_SIZE
+    line = single_error_line(capsys.readouterr().err)
+    assert line.endswith("; use the naive transform for this pair")
+    assert line.count("naive") == 1
 
 
 def test_compute_zeropad_rejects_thinning(signal_file, tmp_path, capsys):

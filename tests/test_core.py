@@ -286,10 +286,29 @@ def test_public_names():
         "OpCounter", "Plan", "ScalingReport", "Signal",
         "Spectrum", "TooManyBinsError", "UnsupportedSizeError", "__version__",
         "aliased_reconstruct", "alpha_fft", "analytic_sine_spectrum", "bin_frequency",
-        "dft_matrix", "is_power_of_two", "make_report", "max_curve_deviation", "naive_forward",
+        "is_power_of_two", "make_report", "max_curve_deviation", "naive_forward",
         "naive_inverse", "orthogonality_kernel", "plan", "predicted_adds", "predicted_mults",
         "run_grid", "sine_demo", "sine_signal", "transform_samples", "validate_pair",
     ]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # A name in __all__ that only tests call is a helper kept for them.  A use
+    # is a reference in another library module (a def or class statement
+    # names, it does not refer), in a demo or in the benchmark.
+    # __version__ is package metadata, not a helper.
+    root = Path(__file__).resolve().parent.parent
+    paths = [path for path in root.glob("src/alpha_spectra/*.py") if path.name != "__init__.py"]
+    paths += [*root.glob("demos/*.py"), *root.glob("perfbench/*.py")]
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    public = set(alpha_spectra.__all__) - {"__version__"}
+    assert sorted(public - used) == []
 
 
 def test_no_unused_imports():

@@ -44,7 +44,13 @@ The command-line property runs whole ``compute`` command lines through
 valid, malformed, extreme and repeated, in any order.  Every exit is a
 documented code.  A refusal prints nothing to stdout and one ``error:``
 line, writes no file and leaves the input as it was; a success writes the
-bins of the contract's executor (``contract_rules``), bit for bit.
+bins of the contract's executor (``contract_rules``), bit for bit.  The same
+holds for whole ``bench``, ``verify`` and ``demo-sine`` command lines, their
+flags drawn valid, malformed, empty, repeated and out of range, in any
+order, with runs kept to N <= 64 and ``--reps 1``: every exit is a README
+code, the one that ``contract_rules`` gives; a refusal prints one ``error:``
+line, after argparse's usage for exit 2, and leaves no file; a success
+writes the records, suite case counts and demo curves that the rules give.
 """
 
 import contextlib
@@ -90,7 +96,18 @@ from alpha_spectra.io import (
     write_csv,
 )
 
-from contract_rules import bench_cell, expected, reference_bins
+from contract_rules import (
+    FLAG_READERS,
+    bench_cell,
+    bench_outcome,
+    demo_outcome,
+    expected,
+    expected_mults,
+    expected_reps,
+    reference_bins,
+    verify_cases,
+    verify_outcome,
+)
 from file_formats import read_spectrum_csv, write_signal_csv
 
 RTOL = 1e-10
@@ -865,3 +882,184 @@ def test_compute_command_line_outcome(tmp_path_factory, named_input, flags, over
         len(signal), args.alpha, signal.duration)
     assert label == expected(len(signal), args.alpha, args.method)[1]
     assert spectrum.bins.tobytes() == reference_bins(label, signal, args.alpha).tobytes()
+
+
+# ------------------------------------ bench, verify and demo-sine command lines
+# Each flag's texts: runnable values (N <= 64, --reps 1 and verify sizes up
+# to 32, which keep every run small), malformed ones (what only int() reads
+# among them), empty and repeated lists, and out-of-range values only where a
+# flag, or the executor, refuses them before anything is written.  A command
+# line holds its base flags and up to four drawn ones, in any order; argparse
+# reads the last of a repeated flag.
+
+README_EXITS = set(range(7))
+PATH_FLAGS = ("--output", "--csv")
+N_TEXTS = ("1", "2", "3", "4", "8", "12", "16", " +8 ")
+N_REFUSED = ("0", "-4", "268435457", "6_4", "\u0668", "x")
+ALPHA_TEXTS = ("1", "2", "8", "1/2", "1/4", "3/2", "2/3", "1/1")
+ALPHA_REFUSED = ("0", "1_0/5", "1/\u0662", "x")
+SEED_TEXTS = ("0", "7", " +3 ", "100000000000000000000")
+SEED_REFUSED = ("-1", "x", "", "\u0661", "1_0")
+
+
+def texts(valid, refused):
+    """One of ``valid``, twice as often as one of ``refused``."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), st.sampled_from(refused))
+
+
+def list_texts(valid, refused):
+    """Up to three comma-separated items, repeats allowed, or an empty list's text."""
+    return st.one_of(st.lists(st.sampled_from(valid), min_size=1, max_size=3).map(",".join),
+                     st.lists(texts(valid, refused), max_size=3).map(",".join),
+                     st.sampled_from(["", ",", " , "]))
+
+
+def flag(name, strategy):
+    return st.tuples(st.just(name), strategy)
+
+
+COMMAND_FLAGS = {
+    "bench": st.one_of(
+        flag("--grid-n", list_texts((*N_TEXTS, "64"), N_REFUSED)),
+        flag("--grid-alpha", list_texts(ALPHA_TEXTS, ALPHA_REFUSED)),
+        flag("--methods", list_texts((*baseline.METHODS, " naive "), ("fast",))),
+        flag("--reps", texts(("1", " +1 "), ("0", "-1", "x", "", "1_0"))),
+        flag("--seed", texts(SEED_TEXTS, SEED_REFUSED)),
+        st.tuples(st.sampled_from(PATH_FLAGS), st.sampled_from(["a", "b"])),
+    ),
+    "verify": st.one_of(
+        flag("--sizes", list_texts((*N_TEXTS, "6", "32"), N_REFUSED)),
+        flag("--seed", texts(SEED_TEXTS, SEED_REFUSED)),
+    ),
+    "demo-sine": st.one_of(
+        flag("--n", texts(("2", "3", "8", "12", "64", " +8 "), ("1", *N_REFUSED, ""))),
+        flag("--alphas", list_texts((*ALPHA_TEXTS, "4", "100000000000"), ALPHA_REFUSED)),
+        flag("--output", st.sampled_from(["d", "e"])),
+    ),
+}
+#: The flags every command line holds, and the defaults of those it may leave out.
+BASE_FLAGS = {
+    "bench": [("--grid-n", "4"), ("--grid-alpha", "1"), ("--methods", "naive"), ("--reps", "1")],
+    "verify": [("--sizes", "4")],
+    "demo-sine": [("--output", "d")],
+}
+DEFAULT_FLAGS = {"bench": {}, "verify": {"--seed": "0"},
+                 "demo-sine": {"--n": "64", "--alphas": "1,2,4,8"}}
+
+
+@st.composite
+def command_lines(draw, command):
+    """The (flag, text) pairs of a ``command`` line: its base flags and drawn ones, shuffled."""
+    return draw(st.permutations([*BASE_FLAGS[command],
+                                 *draw(st.lists(COMMAND_FLAGS[command], max_size=4))]))
+
+
+def command_outcome(command, pairs):
+    """(exit code, kind) that ``contract_rules`` gives ``command`` with these flags."""
+    if any(FLAG_READERS.get(name, str)(text) is None for name, text in pairs):
+        return cli.EXIT_PARSE_ERROR, "error"
+    last = {**DEFAULT_FLAGS[command], **dict(pairs)}
+    if command == "bench":
+        if "--output" in last and last["--output"] == last.get("--csv"):
+            return cli.EXIT_PARSE_ERROR, "error"  # one file named twice
+        return bench_outcome(last["--grid-n"], last["--grid-alpha"], last["--methods"])
+    if command == "verify":
+        return verify_outcome(last["--sizes"], last["--seed"])
+    return demo_outcome(last["--n"], last["--alphas"])
+
+
+def run_command_line(work, command, pairs):
+    """Run ``command`` with ``pairs`` in ``work``; check the outcome that the rules give.
+
+    Returns the flags as read, last value wins, and the stdout lines of a
+    zero exit, else None.
+    """
+    argv = [command] + [text for name, value in pairs
+                        for text in (name, str(work / value) if name in PATH_FLAGS else value)]
+    out, err = io.StringIO(), io.StringIO()
+    usage = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code, usage = exc.code, True
+    want, kind = command_outcome(command, pairs)
+    assert code in README_EXITS and code == want, err.getvalue()
+    lines = out.getvalue().splitlines()
+    if code:
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert out.getvalue() == "" and len(errors) == 1
+        assert usage or err.getvalue() == errors[0] + "\n"
+        assert list(work.iterdir()) == []
+        return None
+    assert err.getvalue() == ""
+    assert any("warning:" in line for line in lines) == (kind == "warning")
+    last = {**DEFAULT_FLAGS[command], **dict(pairs)}
+    return {name: FLAG_READERS.get(name, str)(text) for name, text in last.items()}, lines
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines("bench"))
+@example([("--grid-n", "3"), ("--grid-alpha", "1/2"), ("--methods", "naive"), ("--reps", "1")])
+@example([("--grid-n", "4"), ("--grid-alpha", "1"), ("--methods", "naive"), ("--reps", "1"),
+          ("--output", "a"), ("--csv", "a")])
+@example([("--grid-n", "16,64"), ("--grid-alpha", "1/4,1,2"), ("--methods", "fft,zeropad,auto"),
+          ("--reps", "1"), ("--output", "a"), ("--csv", "b"), ("--output", "b"), ("--csv", "a")])
+def test_bench_command_line_outcome(tmp_path_factory, pairs):
+    work = tmp_path_factory.mktemp("bench")
+    result = run_command_line(work, "bench", pairs)
+    if result is None:
+        return
+    flags, _ = result
+    written = sorted(flags[name] for name in PATH_FLAGS if name in flags)
+    assert sorted(path.name for path in work.iterdir()) == written
+    want = [(n, alpha.numerator, alpha.denominator, label, expected_mults(label, n, alpha),
+             expected_reps(label, flags["--reps"]))
+            for n in flags["--grid-n"] for alpha in flags["--grid-alpha"]
+            for label in bench_cell(n, alpha, flags["--methods"])[0]]
+    if "--output" in flags:
+        records = json.loads((work / flags["--output"]).read_text())["records"]
+        assert [(r["N"], r["alpha_p"], r["alpha_q"], r["method"], r["mults"], r["reps"])
+                for r in records] == want
+    if "--csv" in flags:
+        assert len((work / flags["--csv"]).read_text().splitlines()) == 1 + len(want)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines("verify"))
+@example([("--sizes", "4"), ("--sizes", "0")])
+@example([("--sizes", "3,1"), ("--seed", "100000000000000000000")])
+def test_verify_command_line_outcome(tmp_path_factory, pairs):
+    work = tmp_path_factory.mktemp("verify")
+    result = run_command_line(work, "verify", pairs)
+    if result is None:
+        return
+    flags, lines = result
+    assert list(work.iterdir()) == []
+    cases = {}
+    for line in lines:
+        name, count, status = re.fullmatch(r"(\S+): max error .* (\d+) cases\) (PASS|SKIP)",
+                                           line).groups()
+        cases[name] = int(count)
+        assert (status == "SKIP") == (count == "0")
+    assert cases == verify_cases(flags["--sizes"])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command_lines("demo-sine"))
+@example([("--output", "d"), ("--n", "8"), ("--alphas", "1,1/4,2/3")])
+@example([("--output", "d"), ("--n", "2"), ("--alphas", "1,100000000000")])
+@example([("--alphas", "2,1/2"), ("--output", "d"), ("--n", "12"), ("--output", "e")])
+def test_demo_sine_command_line_outcome(tmp_path_factory, pairs):
+    work = tmp_path_factory.mktemp("demo")
+    result = run_command_line(work, "demo-sine", pairs)
+    if result is None:
+        return
+    flags, lines = result
+    n, alphas = flags["--n"], flags["--alphas"]
+    names = [f"sine_alpha_{alpha.numerator}_{alpha.denominator}.csv" for alpha in alphas]
+    assert [path.name for path in work.iterdir()] == [flags["--output"]]
+    assert sorted(path.name for path in (work / flags["--output"]).iterdir()) == sorted(
+        [*names, "sine_analytic.csv"])
+    assert lines[:-1] == [f"wrote {name} ({n * alpha} bins)" for name, alpha in zip(names, alphas)]
+    assert lines[-1].startswith("wrote sine_analytic.csv")
