@@ -954,9 +954,14 @@ def command_lines(draw, command):
                                  *draw(st.lists(COMMAND_FLAGS[command], max_size=4))]))
 
 
+def read_flag(name, text):
+    """What flag ``name`` reads from ``text`` (None where refused); a path reads as it is."""
+    return FLAG_READERS[name](text) if name in FLAG_READERS else text
+
+
 def command_outcome(command, pairs):
     """(exit code, kind) that ``contract_rules`` gives ``command`` with these flags."""
-    if any(FLAG_READERS.get(name, str)(text) is None for name, text in pairs):
+    if any(read_flag(name, text) is None for name, text in pairs):
         return cli.EXIT_PARSE_ERROR, "error"
     last = {**DEFAULT_FLAGS[command], **dict(pairs)}
     if command == "bench":
@@ -995,7 +1000,7 @@ def run_command_line(work, command, pairs):
     assert err.getvalue() == ""
     assert any("warning:" in line for line in lines) == (kind == "warning")
     last = {**DEFAULT_FLAGS[command], **dict(pairs)}
-    return {name: FLAG_READERS.get(name, str)(text) for name, text in last.items()}, lines
+    return {name: read_flag(name, text) for name, text in last.items()}, lines
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
